@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import Field, Grid
+from .identities import weight_threshold
 from .model import InitialFamily, ModelParams, theta_threshold
 from .solver import SolverConfig
 
@@ -62,9 +63,12 @@ def _get_float(mapping, key, default=None) -> float:
             raise ConfigError(key, "required")
         return default
     try:
-        return float(mapping[key])
+        value = float(mapping[key])
     except ValueError:
         raise ConfigError(key, f"not a real number: {mapping[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(key, f"not a finite real number: {mapping[key]!r}")
+    return value
 
 
 def _get_int(mapping, key, default=None) -> int:
@@ -109,11 +113,15 @@ def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
             raise ConfigError(key, f"bad start:stop:count in {value!r}") from None
         if count < 2:
             raise ConfigError(key, "count must be >= 2")
-        return tuple(float(t) for t in np.linspace(start, stop, count))
-    try:
-        return tuple(float(tok) for tok in value.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(key, f"not a comma list of reals: {value!r}") from None
+        values = tuple(float(t) for t in np.linspace(start, stop, count))
+    else:
+        try:
+            values = tuple(float(tok) for tok in value.split(",") if tok.strip())
+        except ValueError:
+            raise ConfigError(key, f"not a comma list of reals: {value!r}") from None
+    if not all(math.isfinite(x) for x in values):
+        raise ConfigError(key, f"entries must be finite reals, got {value!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -131,18 +139,14 @@ class InitialSpec:
         if self.kind == "gaussian-bump":
             center = _get_floats(opts, f"{key}.center")
             sigma = _get_float(opts, f"{key}.sigma")
-            return _gaussian(grid, key, [(center, sigma, 1.0)],
-                             mass=opts.get(f"{key}.mass"),
-                             amplitude=opts.get(f"{key}.amplitude"))
+            return _gaussian(grid, key, [(center, sigma, 1.0)], opts)
         if self.kind == "two-bump":
             c1 = _get_floats(opts, f"{key}.center1")
             c2 = _get_floats(opts, f"{key}.center2")
             s1 = _get_float(opts, f"{key}.sigma1")
             s2 = _get_float(opts, f"{key}.sigma2")
             w2 = _get_float(opts, f"{key}.weight2", 1.0)
-            return _gaussian(grid, key, [(c1, s1, 1.0), (c2, s2, w2)],
-                             mass=opts.get(f"{key}.mass"),
-                             amplitude=opts.get(f"{key}.amplitude"))
+            return _gaussian(grid, key, [(c1, s1, 1.0), (c2, s2, w2)], opts)
         if self.kind == "random-seeded":
             amp = _get_float(opts, f"{key}.amplitude", 1.0)
             seed = _get_int(opts, f"{key}.seed", 0)
@@ -152,7 +156,7 @@ class InitialSpec:
                           f"unknown kind {self.kind!r}; pick one of {INITIAL_KINDS}")
 
 
-def _gaussian(grid: Grid, key: str, bumps, mass=None, amplitude=None) -> Field:
+def _gaussian(grid: Grid, key: str, bumps, opts: dict[str, str]) -> Field:
     meshes = grid.meshes()
     total = np.zeros(grid.shape)
     for center, sigma, weight in bumps:
@@ -162,16 +166,16 @@ def _gaussian(grid: Grid, key: str, bumps, mass=None, amplitude=None) -> Field:
             raise ConfigError(f"{key}.sigma", "must be positive")
         r2 = sum((m - c) ** 2 for m, c in zip(meshes, center))
         total += weight * np.exp(-r2 / (2.0 * sigma ** 2))
-    if mass is not None:
-        target = float(mass)
+    if f"{key}.mass" in opts:
+        target = _get_float(opts, f"{key}.mass")
         if target < 0:
             raise ConfigError(f"{key}.mass", "must be nonnegative")
         current = total.sum() * grid.cell_volume
         if current <= 0:
             raise ConfigError(f"{key}.mass", "bump has no mass on this grid")
         total *= target / current
-    elif amplitude is not None:
-        total *= float(amplitude)
+    elif f"{key}.amplitude" in opts:
+        total *= _get_float(opts, f"{key}.amplitude")
     return grid.field(total)
 
 
@@ -242,7 +246,10 @@ def _fmt(x: float) -> str:
 
 
 def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
-    cells = tuple(int(x) for x in _get_floats(mapping, "grid.cells"))
+    cells_given = _get_floats(mapping, "grid.cells")
+    if not all(x.is_integer() for x in cells_given):
+        raise ConfigError("grid.cells", f"cells must be integers, got {cells_given}")
+    cells = tuple(int(x) for x in cells_given)
     lengths = _get_floats(mapping, "grid.lengths", [1.0] * len(cells))
     if any(n < 1 for n in cells):
         raise ConfigError("grid.cells", f"cells must be positive, got {cells}")
@@ -299,7 +306,10 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
 
     weights = _parse_weights(mapping.get("certify.weights", "1:2"))
     for p, k in weights:
-        thr = math.sqrt(p) * (p + 1.0) / 2.0
+        try:
+            thr = weight_threshold(p)
+        except ValueError as exc:
+            raise ConfigError("certify.weights", str(exc)) from None
         if not k > thr:
             raise ConfigError("certify.weights",
                               f"pair p={p}, k={k} is inadmissible: need "
@@ -312,6 +322,8 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
             if kind not in tol_c:
                 raise ConfigError(key, f"unknown certificate kind {kind!r}")
             tol_c[kind] = _get_float(mapping, key)
+            if not tol_c[kind] > 0:
+                raise ConfigError(key, f"must be positive, got {tol_c[kind]}")
 
     eps_ladder = _get_floats(mapping, "sweep.eps_ladder", DEFAULT_EPS_LADDER)
     if any(not (0.0 < e < 1.0) for e in eps_ladder):
@@ -372,9 +384,12 @@ def _parse_weights(value: str) -> tuple[tuple[float, float], ...]:
             raise ConfigError("certify.weights",
                               f"expected 'p:k' pairs separated by ';', got {tok!r}")
         try:
-            pairs.append((float(parts[0]), float(parts[1])))
+            pair = (float(parts[0]), float(parts[1]))
         except ValueError:
             raise ConfigError("certify.weights", f"bad pair {tok!r}") from None
+        if not all(math.isfinite(x) for x in pair):
+            raise ConfigError("certify.weights", f"pair {tok!r} is not finite")
+        pairs.append(pair)
     if not pairs:
         raise ConfigError("certify.weights", "at least one p:k pair required")
     return tuple(pairs)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .identities import second_order_floor, weight_threshold
 from .model import ModelParams, u_mass_cap, v_mass_cap, w_lp_exponent_cap
 from .solver import Trajectory
 
@@ -339,12 +340,12 @@ def check_z_dissipation_bounds(trajs_by_eps: dict[float, Trajectory], p: float,
     Requires the weight admissibility k > sqrt(p)(p+1)/2, which makes the
     second-order coefficient floor (4k^2 - p(p+1)^2) / (4(p+1)) positive.
     """
-    thr = np.sqrt(p) * (p + 1.0) / 2.0
+    thr = weight_threshold(p)
     if not k > thr:
         raise ValueError(
             f"weights (p={p}, k={k}) violate admissibility: need k > "
             f"sqrt(p)(p+1)/2 = {thr:.6g}")
-    floor_const = (4.0 * k ** 2 - p * (p + 1.0) ** 2) / (4.0 * (p + 1.0))
+    floor_const = second_order_floor(p, k)
     eps_ladder = _validate_ladder(trajs_by_eps)
     per_eps = {e: z_dissipation_integrals(trajs_by_eps[e], p, k) for e in eps_ladder}
     records = []

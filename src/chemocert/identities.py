@@ -15,7 +15,10 @@ to their compact forms; they are checked against a symbolic-differentiation
 oracle at random points. Certificates integrate the weak-form conditions
 against smooth compactly supported space-time bumps with analytic
 derivatives, so only the trajectory and the space-time quadrature contribute
-to the tolerance C*(h+dt).
+to the tolerance C*(h+dt). Every weak form is linear in the test function,
+so a certificate kind is just its integrand: rows (A, B) per history instant,
+tested as int A*S + B.grad S against the whole bump family in one matrix
+product, in one walk over the history per kind.
 
 Two assembled coefficients matter enough to spell out:
 
@@ -37,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Field, Grid, gradient_values
-from .model import source_w
+from .model import _pow, source_w
 from .solver import Trajectory
 
 
@@ -295,12 +298,8 @@ class SpaceTimeBump:
     def time_window(self) -> tuple[float, float]:
         return (self.t_center - self.t_radius, self.t_center + self.t_radius)
 
-    def time_value(self, t: float) -> float:
-        return float(bump_profile((t - self.t_center) / self.t_radius))
-
-    def time_derivative(self, t: float) -> float:
-        y = (t - self.t_center) / self.t_radius
-        return float(bump_profile_d1(y)) / self.t_radius
+    def time_profile(self, times: np.ndarray) -> np.ndarray:
+        return bump_profile((times - self.t_center) / self.t_radius)
 
     def spatial_values(self, grid: Grid) -> np.ndarray:
         return _bump_spatial(self, grid)[0]
@@ -393,36 +392,6 @@ class CertificateRecord:
     extras: dict[str, float] = field(default_factory=dict)
 
 
-def _history_window(traj: Trajectory, t_lo: float, t_hi: float) -> np.ndarray:
-    times, _ = traj.require_history()
-    idx = np.nonzero((times >= t_lo) & (times <= t_hi))[0]
-    if len(idx) == 0:
-        return idx
-    lo = max(int(idx[0]) - 1, 0)
-    hi = min(int(idx[-1]) + 1, len(times) - 1)
-    return np.arange(lo, hi + 1)
-
-
-def _time_integral(times: np.ndarray, values: list[float]) -> float:
-    if len(times) < 2:
-        return 0.0
-    return float(np.trapezoid(np.asarray(values), times))
-
-
-def _psi_t_integral(bump: SpaceTimeBump, times: np.ndarray,
-                    spatial: list[float]) -> float:
-    """Integral of F(t) * d/dt psi_time(t) using exact time-factor increments.
-
-    Writing the quadrature against increments of the analytic time profile
-    makes the sum telescope exactly when F is constant, so certificates on
-    constant-in-time fields are zero to roundoff even for bumps whose support
-    is clipped at t = 0.
-    """
-    if len(times) < 2:
-        return 0.0
-    F = np.asarray(spatial)
-    tt = np.array([bump.time_value(t) for t in times])
-    return float(np.sum(0.5 * (F[1:] + F[:-1]) * np.diff(tt)))
 
 
 def certify_mass_inequality(traj: Trajectory, tol: float) -> CertificateRecord:
@@ -445,200 +414,259 @@ def certify_mass_inequality(traj: Trajectory, tol: float) -> CertificateRecord:
         extras={"worst_time": float(traj.times[i_min])})
 
 
-def certify_weakform_w(traj: Trajectory, bump: SpaceTimeBump, tol: float,
-                       bump_index: int = 0) -> CertificateRecord:
-    """Weak form of the signal equation integrated against a bump.
+# ---------------------------------------------------------------------------
+# weak forms: one integrand x test-function path for the whole bump family
+# ---------------------------------------------------------------------------
+
+def _history_window(traj: Trajectory, t_lo: float, t_hi: float) -> np.ndarray:
+    times, _ = traj.require_history()
+    idx = np.nonzero((times >= t_lo) & (times <= t_hi))[0]
+    if len(idx) == 0:
+        return idx
+    lo = max(int(idx[0]) - 1, 0)
+    hi = min(int(idx[-1]) + 1, len(times) - 1)
+    return np.arange(lo, hi + 1)
+
+
+def _stacked_tests(bumps, grid: Grid) -> np.ndarray:
+    """One row per bump: S, then each axis derivative of S, raveled."""
+    tests = np.empty((len(bumps), (1 + grid.dim) * grid.n_cells))
+    for b, bump in enumerate(bumps):
+        tests[b] = np.concatenate([bump.spatial_values(grid).ravel()]
+                                  + [g.ravel() for g in bump.spatial_gradient(grid)])
+    return tests
+
+
+def _time_weights(times: np.ndarray, psi: np.ndarray,
+                  inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-instant quadrature weights, one column per bump, zero off its window.
+
+    ``trap`` is the trapezoid rule times the time profile psi, so that
+    sum_i F_i trap[i] approximates the integral of F * psi over the window.
+    ``dpsi`` holds exact increments of the analytic time profile instead of
+    its derivative, plus psi(0) at the initial instant:
+    sum_i F_i dpsi[i] = sum_j (F_j + F_{j+1})/2 (psi(t_{j+1}) - psi(t_j))
+    + F_0 psi(0). Writing the quadrature against increments makes the sum
+    telescope exactly when F is constant, so certificates on
+    constant-in-time fields are zero to roundoff even for bumps whose
+    support is clipped at t = 0.
+    """
+    pair = inside[:-1] & inside[1:]  # windows are contiguous index ranges
+    half_dt = 0.5 * np.diff(times)[:, None] * pair
+    half_dpsi = 0.5 * np.diff(psi, axis=0) * pair
+    trap = np.zeros_like(psi)
+    dpsi = np.zeros_like(psi)
+    for weight, half in ((trap, half_dt), (dpsi, half_dpsi)):
+        weight[:-1] += half
+        weight[1:] += half
+    dpsi[0] += psi[0]
+    return trap * psi, dpsi
+
+
+def _test_history(traj: Trajectory, bumps, integrand, instantaneous: bool = False):
+    """Test integrand rows against every bump in one walk over the history.
+
+    ``integrand(grid, fields)`` returns rows (A, B) for one history instant;
+    row r contributes vol * sum(A*S + B.grad S) for each bump, all rows and
+    bumps in one matrix product. Row 0 is a density F; every later row is a
+    right-hand side G_r of the balance d/dt int F S = int A S + B.grad S.
+
+    By default the walk returns ``(lhs, rhs)`` with, per bump,
+    lhs = -(iint F d_t psi + int F(0) psi(0)) and rhs[r-1] = iint G_r psi,
+    both over the bump's history window (see :func:`_time_weights`).
+
+    With ``instantaneous`` it returns ``(worst, count)``: per bump and right
+    side, the max over interior window instants of
+    |psi (d/dt int F S - int G_r)|, the time derivative taken as a centred
+    difference of the contracted F rows; and the number of those instants.
+    """
+    if not bumps:
+        raise ValueError("bump family is empty")
+    grid = traj.grid
+    for bump in bumps:
+        bump.require_fits(grid, traj.final_time)
+    times, history = traj.require_history()
+    if instantaneous:
+        if len(times) < 3:
+            raise ValueError("history too short for centered time differences")
+        max_gap = float(np.max(np.diff(times)))
+        if max_gap > 2.0 * traj.max_dt_taken * (1.0 + 1e-9):
+            raise ValueError(
+                f"history cadence {max_gap:.3g} exceeds twice the step size "
+                f"{traj.max_dt_taken:.3g}; rerun with a denser history")
+
+    tests = _stacked_tests(bumps, grid)
+    psi = np.column_stack([bump.time_profile(times) for bump in bumps])
+    inside = np.zeros(psi.shape, dtype=bool)
+    for b, bump in enumerate(bumps):
+        inside[_history_window(traj, *bump.time_window()), b] = True
+    vol = grid.cell_volume
+
+    def contract(i: int) -> np.ndarray:
+        rows = integrand(grid, history[i])
+        mat = np.zeros((len(rows), 1 + grid.dim, *grid.shape))
+        for r, (a, b) in enumerate(rows):
+            mat[r, 0] = a
+            if b:
+                mat[r, 1:] = b
+        return (mat.reshape(len(rows), -1) @ tests.T) * vol
+
+    if not instantaneous:
+        trap, dpsi = _time_weights(times, psi, inside)
+        visit = inside.any(axis=1)
+        visit[0] = True  # carries the initial-data term
+        lhs, rhs = 0.0, 0.0
+        for i in np.flatnonzero(visit):
+            c = contract(i)
+            lhs = lhs - c[0] * dpsi[i]
+            rhs = rhs + c[1:] * trap[i]
+        return lhs, rhs
+
+    interior = inside.copy()
+    interior[[0, -1]] = False
+    if not interior.any(axis=0).all():
+        raise ValueError("bump time window contains no interior history points")
+    need = interior.any(axis=1)
+    visit = need.copy()
+    visit[:-1] |= need[1:]
+    visit[1:] |= need[:-1]
+    recent: dict[int, np.ndarray] = {}
+    worst = 0.0
+    for i in np.flatnonzero(visit):
+        recent = {j: c for j, c in recent.items() if j >= i - 2}
+        recent[i] = contract(i)
+        if i >= 2 and need[i - 1]:
+            rate = (recent[i][0] - recent[i - 2][0]) / (times[i] - times[i - 2])
+            mismatch = np.abs(psi[i - 1] * (rate - recent[i - 1][1:]))
+            worst = np.maximum(worst, np.where(interior[i - 1], mismatch, 0.0))
+    return worst, interior.sum(axis=0)
+
+
+def _signal_rows(grid: Grid, fields: dict, eps: float) -> list:
+    """w; its saturated-source right side; the limit form with u+v."""
+    u, v, w = fields["u"], fields["v"], fields["w"]
+    flux = tuple(-g for g in gradient_values(grid, w))
+    return [(w, ()), (source_w(u, v, eps) - w, flux), (u + v - w, flux)]
+
+
+def _log_v_rows(grid: Grid, fields: dict) -> list:
+    """ln(1+v) and the right side of its logarithmic weak form."""
+    u, v, w = fields["u"], fields["v"], fields["w"]
+    logv = np.log1p(v)
+    glog = gradient_values(grid, logv)
+    gw = gradient_values(grid, w)
+    ratio = v / (1.0 + v)
+    a = (sum(g * g for g in glog)
+         - ratio * sum(ga * gl for ga, gl in zip(gw, glog))
+         + ratio * (1.0 - v - u))
+    return [(logv, ()), (a, tuple(ratio * ga - gl for ga, gl in zip(gw, glog)))]
+
+
+def _superposition_rows(grid: Grid, fields: dict, weights: EntropyWeights,
+                        theta: float, eps: float) -> list:
+    """z and three right sides of its evolution identity.
+
+    The right sides share every term but one: the trajectory's own saturated
+    source with the oracle drift coefficient (gated), the printed drift
+    coefficient (z evolution, reported), and u+v in place of the source
+    (entropy limit form, reported).
+    """
+    p, k = weights.p, weights.k
+    u, v, w = fields["u"], fields["v"], fields["w"]
+    z = z_values(u, w, p, k)
+    z_half = np.sqrt(z)
+    grad_z_half = gradient_values(grid, z_half)
+    gw = gradient_values(grid, w)
+    frac = u / (u + 1.0)
+
+    def quad(drift):
+        return sum((gz + drift * z_half * ga) ** 2 for gz, ga in zip(grad_z_half, gw))
+
+    drift_num = 2.0 * k + p * (p + 1.0) * frac
+    quad_oracle = quad(drift_num / (4.0 * (p + 1.0)))
+    quad_printed = quad(drift_num / (2.0 * math.sqrt(p * (p + 1.0))))
+    c2 = (4.0 * k ** 2 - p * (p + 1.0) ** 2 * frac ** 2) / (4.0 * (p + 1.0))
+    kinetic = 1.0 - _pow(u, theta - 1.0) - v
+    shared = -c2 * z * sum(g * g for g in gw) - p * frac * z * kinetic
+    source_part = -k * (source_w(u, v, eps) - w) * z
+    flux = tuple(-2.0 * z_half * gz - p * frac * z * ga for gz, ga in zip(grad_z_half, gw))
+    coeff_quad = 4.0 * (p + 1.0) / p
+    return [(z, ()),
+            (shared - coeff_quad * quad_oracle + source_part, flux),
+            (shared - coeff_quad * quad_printed + source_part, flux),
+            (shared - coeff_quad * quad_oracle - k * (u + v - w) * z, flux)]
+
+
+def certify_weakform_w(traj: Trajectory, bumps, tol: float) -> list[CertificateRecord]:
+    """Weak form of the signal equation integrated against each bump.
 
     The gated residual uses the trajectory's own saturated source, which the
     discrete solution satisfies to O(h+dt); the limit form with u+v replacing
     it is evaluated as well, and the discrepancy iint |source - (u+v)| psi is
-    reported alongside.
+    reported alongside (the source never exceeds u+v, so it is the difference
+    of the two right sides).
     """
-    grid = traj.grid
-    bump.require_fits(grid, traj.final_time)
-    times, history = traj.require_history()
-    window = _history_window(traj, *bump.time_window())
-    S = bump.spatial_values(grid)
-    gradS = bump.spatial_gradient(grid)
-    vol = grid.cell_volume
     eps = traj.params.eps
-
-    t_sub = times[window]
-    w_spatial, grad_term, mass_term, src_term, limit_src_term, gap_term = \
-        [], [], [], [], [], []
-    for i in window:
-        h = history[i]
-        tt = bump.time_value(times[i])
-        w = h["w"]
-        gw = gradient_values(grid, w)
-        src = source_w(h["u"], h["v"], eps)
-        raw = h["u"] + h["v"]
-        w_spatial.append(float((w * S).sum()) * vol)
-        grad_term.append(tt * sum(float((ga * gs).sum()) for ga, gs in zip(gw, gradS)) * vol)
-        mass_term.append(tt * float((w * S).sum()) * vol)
-        src_term.append(tt * float((src * S).sum()) * vol)
-        limit_src_term.append(tt * float((raw * S).sum()) * vol)
-        gap_term.append(tt * float((np.abs(raw - src) * S).sum()) * vol)
-
-    lhs = -_psi_t_integral(bump, t_sub, w_spatial) - bump.time_value(0.0) * \
-        float((history[0]["w"] * S).sum()) * vol
-    rhs = (-_time_integral(t_sub, grad_term) - _time_integral(t_sub, mass_term)
-           + _time_integral(t_sub, src_term))
-    rhs_limit = (-_time_integral(t_sub, grad_term) - _time_integral(t_sub, mass_term)
-                 + _time_integral(t_sub, limit_src_term))
-    residual = lhs - rhs
-    return CertificateRecord(
-        name="weakform_w", bump_index=bump_index, lhs=lhs, rhs=rhs,
-        residual=residual, slack=tol - abs(residual), tol=tol,
-        passed=bool(abs(residual) <= tol),
-        extras={"eps_discrepancy": _time_integral(t_sub, gap_term),
-                "residual_limit_form": lhs - rhs_limit})
+    lhs, rhs = _test_history(traj, bumps, lambda g, f: _signal_rows(g, f, eps))
+    records = []
+    for b, (left, right, right_limit) in enumerate(zip(lhs.tolist(), *rhs.tolist())):
+        residual = left - right
+        records.append(CertificateRecord(
+            name="weakform_w", bump_index=b, lhs=left, rhs=right,
+            residual=residual, slack=tol - abs(residual), tol=tol,
+            passed=bool(abs(residual) <= tol),
+            extras={"eps_discrepancy": right_limit - right,
+                    "residual_limit_form": left - right_limit}))
+    return records
 
 
-def certify_weakform_v(traj: Trajectory, bump: SpaceTimeBump, tol: float,
-                       bump_index: int = 0) -> CertificateRecord:
-    """Logarithmic weak form of the v equation against a nonnegative bump.
+def certify_weakform_v(traj: Trajectory, bumps, tol: float) -> list[CertificateRecord]:
+    """Logarithmic weak form of the v equation against nonnegative bumps.
 
     The trajectory satisfies this as an equality up to O(h+dt), so the
     certificate gates the inequality slack and flags a slack well above the
     tolerance as information loss.
     """
-    grid = traj.grid
-    bump.require_fits(grid, traj.final_time)
-    if bump.amplitude < 0:
+    if any(bump.amplitude < 0 for bump in bumps):
         raise ValueError("weak form of v needs a nonnegative bump")
-    times, history = traj.require_history()
-    window = _history_window(traj, *bump.time_window())
-    S = bump.spatial_values(grid)
-    gradS = bump.spatial_gradient(grid)
-    vol = grid.cell_volume
-
-    t_sub = times[window]
-    logv_spatial, diss_term, grad_cross, drift_cross, drift_pair, react_term = \
-        [], [], [], [], [], []
-    for i in window:
-        h = history[i]
-        tt = bump.time_value(times[i])
-        u, v, w = h["u"], h["v"], h["w"]
-        logv = np.log1p(v)
-        glog = gradient_values(grid, logv)
-        gw = gradient_values(grid, w)
-        ratio = v / (1.0 + v)
-        logv_spatial.append(float((logv * S).sum()) * vol)
-        diss_term.append(tt * float((sum(g * g for g in glog) * S).sum()) * vol)
-        grad_cross.append(tt * sum(float((g * gs).sum())
-                                   for g, gs in zip(glog, gradS)) * vol)
-        drift_cross.append(tt * sum(float((ratio * ga * gs).sum())
-                                    for ga, gs in zip(gw, gradS)) * vol)
-        drift_pair.append(tt * float((ratio * sum(ga * gl for ga, gl in zip(gw, glog))
-                                      * S).sum()) * vol)
-        react_term.append(tt * float((ratio * (1.0 - v - u) * S).sum()) * vol)
-
-    lhs = -_psi_t_integral(bump, t_sub, logv_spatial) - bump.time_value(0.0) * \
-        float((np.log1p(history[0]["v"]) * S).sum()) * vol
-    rhs = (_time_integral(t_sub, diss_term)
-           - _time_integral(t_sub, grad_cross)
-           + _time_integral(t_sub, drift_cross)
-           - _time_integral(t_sub, drift_pair)
-           + _time_integral(t_sub, react_term))
-    slack = lhs - rhs
-    return CertificateRecord(
-        name="weakform_v", bump_index=bump_index, lhs=lhs, rhs=rhs,
-        residual=slack, slack=slack, tol=tol, passed=bool(slack >= -tol),
-        extras={"information_loss": float(slack > tol)})
+    lhs, rhs = _test_history(traj, bumps, _log_v_rows)
+    records = []
+    for b, (left, right) in enumerate(zip(lhs.tolist(), *rhs.tolist())):
+        slack = left - right
+        records.append(CertificateRecord(
+            name="weakform_v", bump_index=b, lhs=left, rhs=right,
+            residual=slack, slack=slack, tol=tol, passed=bool(slack >= -tol),
+            extras={"information_loss": float(slack > tol)}))
+    return records
 
 
-def _kinetic_factor(u: np.ndarray, theta: float) -> np.ndarray:
-    """1 - u**(theta-1) - v is assembled by the callers; this is u**(theta-1)."""
-    out = np.zeros_like(u)
-    pos = u > 0
-    out[pos] = np.exp((theta - 1.0) * np.log(u[pos]))
-    return out
-
-
-def z_evolution_residual(traj: Trajectory, weights: EntropyWeights,
-                         bump: SpaceTimeBump, tol: float,
-                         bump_index: int = 0) -> CertificateRecord:
-    """Instantaneous evolution identity of z tested against a bump.
+def z_evolution_residual(traj: Trajectory, weights: EntropyWeights, bumps,
+                         tol: float) -> list[CertificateRecord]:
+    """Instantaneous evolution identity of z tested against each bump.
 
     The time derivative of z comes from centered differences of the stored
     history (cadence at most 2*dt required); all other terms are assembled
     from the grid calculus at each instant. The reported residual is the
     worst instantaneous mismatch inside the bump's time window.
     """
-    grid = traj.grid
-    bump.require_fits(grid, traj.final_time)
-    p, k = weights.p, weights.k
-    theta, eps = traj.params.theta, traj.params.eps
-    times, history = traj.require_history()
-    if len(times) < 3:
-        raise ValueError("history too short for centered time differences")
-    max_gap = float(np.max(np.diff(times)))
-    if max_gap > 2.0 * traj.max_dt_taken * (1.0 + 1e-9):
-        raise ValueError(
-            f"history cadence {max_gap:.3g} exceeds twice the step size "
-            f"{traj.max_dt_taken:.3g}; rerun with a denser history")
-    window = _history_window(traj, *bump.time_window())
-    window = window[(window >= 1) & (window <= len(times) - 2)]
-    if len(window) == 0:
-        raise ValueError("bump time window contains no interior history points")
-
-    S = bump.spatial_values(grid)
-    gradS = bump.spatial_gradient(grid)
-    vol = grid.cell_volume
-    coeff_quad = 4.0 * (p + 1.0) / p
-
-    worst = 0.0
-    worst_printed = 0.0
-    for i in window:
-        tt = bump.time_value(times[i])
-        h = history[i]
-        u, v, w = h["u"], h["v"], h["w"]
-        z = z_values(u, w, p, k)
-        z_prev = z_values(history[i - 1]["u"], history[i - 1]["w"], p, k)
-        z_next = z_values(history[i + 1]["u"], history[i + 1]["w"], p, k)
-        zdot = (z_next - z_prev) / (times[i + 1] - times[i - 1])
-
-        z_half = np.sqrt(z)
-        grad_z_half = gradient_values(grid, z_half)
-        gw = gradient_values(grid, w)
-        frac = u / (u + 1.0)
-        drift = (2.0 * k + p * (p + 1.0) * frac) / (4.0 * (p + 1.0))
-        drift_printed = (2.0 * k + p * (p + 1.0) * frac) / (2.0 * math.sqrt(p * (p + 1.0)))
-        quad = sum((gz + drift * z_half * ga) ** 2 for gz, ga in zip(grad_z_half, gw))
-        quad_printed = sum((gz + drift_printed * z_half * ga) ** 2
-                           for gz, ga in zip(grad_z_half, gw))
-        c2 = (4.0 * k ** 2 - p * (p + 1.0) ** 2 * frac ** 2) / (4.0 * (p + 1.0))
-        grad_w_sq = sum(g * g for g in gw)
-        kinetic = 1.0 - _kinetic_factor(u, theta) - v
-        src = source_w(u, v, eps)
-
-        lhs = (float((zdot * S).sum()) * vol * tt
-               + coeff_quad * float((quad * S).sum()) * vol * tt)
-        lhs_printed = (float((zdot * S).sum()) * vol * tt
-                       + coeff_quad * float((quad_printed * S).sum()) * vol * tt)
-        rhs = (-float((c2 * z * grad_w_sq * S).sum()) * vol * tt
-               - 2.0 * sum(float((z_half * gz * gs).sum())
-                           for gz, gs in zip(grad_z_half, gradS)) * vol * tt
-               - p * sum(float((frac * z * ga * gs).sum())
-                         for ga, gs in zip(gw, gradS)) * vol * tt
-               - p * float((frac * z * kinetic * S).sum()) * vol * tt
-               + k * float((w * z * S).sum()) * vol * tt
-               - k * float((src * z * S).sum()) * vol * tt)
-        worst = max(worst, abs(lhs - rhs))
-        worst_printed = max(worst_printed, abs(lhs_printed - rhs))
-
-    return CertificateRecord(
-        name="z_evolution", bump_index=bump_index, lhs=worst, rhs=0.0,
-        residual=worst, slack=tol - worst, tol=tol, passed=bool(worst <= tol),
-        extras={"printed_drift_coeff_residual": worst_printed,
-                "n_instants": float(len(window))})
+    params = traj.params
+    worst, count = _test_history(
+        traj, bumps,
+        lambda g, f: _superposition_rows(g, f, weights, params.theta, params.eps),
+        instantaneous=True)
+    records = []
+    for b, (gated, printed, _, n) in enumerate(zip(*worst.tolist(), count.tolist())):
+        records.append(CertificateRecord(
+            name="z_evolution", bump_index=b, lhs=gated, rhs=0.0,
+            residual=gated, slack=tol - gated, tol=tol, passed=bool(gated <= tol),
+            extras={"printed_drift_coeff_residual": printed,
+                    "n_instants": float(n)}))
+    return records
 
 
-def certify_entropy_inequality(traj: Trajectory, weights: EntropyWeights,
-                               bump: SpaceTimeBump, tol: float,
-                               bump_index: int = 0) -> CertificateRecord:
-    """Time-integrated superposition inequality against a nonnegative bump.
+def certify_entropy_inequality(traj: Trajectory, weights: EntropyWeights, bumps,
+                               tol: float) -> list[CertificateRecord]:
+    """Time-integrated superposition inequality against nonnegative bumps.
 
     For the regularized trajectory the condition holds as an equality up to
     discretization when the trajectory's own saturated source is used; the
@@ -646,64 +674,16 @@ def certify_entropy_inequality(traj: Trajectory, weights: EntropyWeights,
     limit-form slack, with u+v replacing the saturated source, is reported
     together with the discrepancy it introduces.
     """
-    grid = traj.grid
-    bump.require_fits(grid, traj.final_time)
-    p, k = weights.p, weights.k
-    theta, eps = traj.params.theta, traj.params.eps
-    times, history = traj.require_history()
-    window = _history_window(traj, *bump.time_window())
-    S = bump.spatial_values(grid)
-    gradS = bump.spatial_gradient(grid)
-    vol = grid.cell_volume
-    coeff_quad = 4.0 * (p + 1.0) / p
-
-    t_sub = times[window]
-    z_spatial, quad_term, second_term, cross_z, cross_w, react_term = \
-        [], [], [], [], [], []
-    src_term, limit_src_term, gap_term = [], [], []
-    for i in window:
-        h = history[i]
-        tt = bump.time_value(times[i])
-        u, v, w = h["u"], h["v"], h["w"]
-        z = z_values(u, w, p, k)
-        z_half = np.sqrt(z)
-        grad_z_half = gradient_values(grid, z_half)
-        gw = gradient_values(grid, w)
-        frac = u / (u + 1.0)
-        drift = (2.0 * k + p * (p + 1.0) * frac) / (4.0 * (p + 1.0))
-        quad = sum((gz + drift * z_half * ga) ** 2 for gz, ga in zip(grad_z_half, gw))
-        c2 = (4.0 * k ** 2 - p * (p + 1.0) ** 2 * frac ** 2) / (4.0 * (p + 1.0))
-        grad_w_sq = sum(g * g for g in gw)
-        kinetic = 1.0 - _kinetic_factor(u, theta) - v
-        src = source_w(u, v, eps)
-        # the decay pairing k*w*z stays below exp(-1) * (u+1)^(-p) pointwise
-        assert float(np.max(k * w * np.exp(-k * w))) <= np.exp(-1.0) * (1.0 + 1e-9)
-
-        z_spatial.append(float((z * S).sum()) * vol)
-        quad_term.append(tt * float((quad * S).sum()) * vol)
-        second_term.append(tt * float((c2 * z * grad_w_sq * S).sum()) * vol)
-        cross_z.append(tt * sum(float((z_half * gz * gs).sum())
-                                for gz, gs in zip(grad_z_half, gradS)) * vol)
-        cross_w.append(tt * sum(float((frac * z * ga * gs).sum())
-                                for ga, gs in zip(gw, gradS)) * vol)
-        react_term.append(tt * float((frac * z * kinetic * S).sum()) * vol)
-        src_term.append(tt * float(((src - w) * z * S).sum()) * vol)
-        limit_src_term.append(tt * float(((u + v - w) * z * S).sum()) * vol)
-        gap_term.append(tt * float(((u + v - src) * z * S).sum()) * vol)
-
-    z0 = z_values(history[0]["u"], history[0]["w"], p, k)
-    lhs = -_psi_t_integral(bump, t_sub, z_spatial) - bump.time_value(0.0) * \
-        float((z0 * S).sum()) * vol
-    shared = (-coeff_quad * _time_integral(t_sub, quad_term)
-              - _time_integral(t_sub, second_term)
-              - 2.0 * _time_integral(t_sub, cross_z)
-              - p * _time_integral(t_sub, cross_w)
-              - p * _time_integral(t_sub, react_term))
-    rhs = shared - k * _time_integral(t_sub, src_term)
-    rhs_limit = shared - k * _time_integral(t_sub, limit_src_term)
-    slack = rhs - lhs
-    return CertificateRecord(
-        name="entropy_inequality", bump_index=bump_index, lhs=lhs, rhs=rhs,
-        residual=lhs - rhs, slack=slack, tol=tol, passed=bool(slack >= -tol),
-        extras={"limit_form_slack": rhs_limit - lhs,
-                "eps_discrepancy": k * _time_integral(t_sub, gap_term)})
+    params = traj.params
+    lhs, rhs = _test_history(
+        traj, bumps,
+        lambda g, f: _superposition_rows(g, f, weights, params.theta, params.eps))
+    records = []
+    for b, (left, right, _, right_limit) in enumerate(zip(lhs.tolist(), *rhs.tolist())):
+        records.append(CertificateRecord(
+            name="entropy_inequality", bump_index=b, lhs=left, rhs=right,
+            residual=left - right, slack=right - left, tol=tol,
+            passed=bool(right - left >= -tol),
+            extras={"limit_form_slack": right_limit - left,
+                    "eps_discrepancy": right - right_limit}))
+    return records

@@ -10,9 +10,8 @@ failures never aborting the remaining checks.
 from __future__ import annotations
 
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -252,41 +251,23 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     return 0 if ok else 1
 
 
-def _worker_count() -> int:
-    # default is sequential: certificate tasks are numpy-bound and small, so
-    # threads only help when the arrays are large enough to release the GIL
-    env = os.environ.get("CHEMO_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
-
-
-def _certificates_for_bump(args) -> list[CertificateRecord]:
-    traj, weights_list, bump, index, tols = args
-    records = [certify_weakform_w(traj, bump, tols["weakform_w"], index),
-               certify_weakform_v(traj, bump, tols["weakform_v"], index)]
-    for weights in weights_list:
-        rec = certify_entropy_inequality(traj, weights, bump, tols["entropy"], index)
-        rec.extras["p"], rec.extras["k"] = weights.p, weights.k
-        records.append(rec)
-        rec = z_evolution_residual(traj, weights, bump, tols["z_evolution"], index)
-        rec.extras["p"], rec.extras["k"] = weights.p, weights.k
-        records.append(rec)
-    return records
-
-
 def run_certificates(traj: Trajectory, weights_list: list[EntropyWeights],
                      bumps, tols: dict[str, float]) -> list[CertificateRecord]:
+    """Mass certificate, then every weak-form kind, one pass per kind.
+
+    Records come out bump by bump, each bump's kinds in a fixed order.
+    """
+    per_kind = [certify_weakform_w(traj, bumps, tols["weakform_w"]),
+                certify_weakform_v(traj, bumps, tols["weakform_v"])]
+    for weights in weights_list:
+        for recs in (certify_entropy_inequality(traj, weights, bumps, tols["entropy"]),
+                     z_evolution_residual(traj, weights, bumps, tols["z_evolution"])):
+            for rec in recs:
+                rec.extras["p"], rec.extras["k"] = weights.p, weights.k
+            per_kind.append(recs)
     records = [certify_mass_inequality(traj, tols["mass"])]
-    tasks = [(traj, weights_list, bump, i, tols) for i, bump in enumerate(bumps)]
-    workers = _worker_count()
-    if workers == 1:
-        for task in tasks:
-            records.extend(_certificates_for_bump(task))
-        return records
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for recs in pool.map(_certificates_for_bump, tasks):
-            records.extend(recs)
+    for bump_records in zip(*per_kind):
+        records.extend(bump_records)
     return records
 
 
@@ -363,21 +344,8 @@ def _scaled_level(cfg: RunConfig, level: int) -> tuple[RunConfig, SolverConfig]:
 
     grid = Grid(cells=tuple(n * 2 ** level for n in cfg.grid.cells),
                 lengths=cfg.grid.lengths)
-    solver = SolverConfig(cfl_safety=cfg.solver.cfl_safety,
-                          max_dt=cfg.solver.max_dt / 4.0 ** level,
-                          linear_solver=cfg.solver.linear_solver,
-                          linear_solver_tol=cfg.solver.linear_solver_tol,
-                          linear_solver_max_iter=cfg.solver.linear_solver_max_iter)
-    scaled = RunConfig(
-        grid=grid, params=cfg.params, solver=solver, T=cfg.T,
-        output_times=cfg.output_times, initial=cfg.initial,
-        estimates_enabled=cfg.estimates_enabled, weights=cfg.weights,
-        bump_count=cfg.bump_count, bump_seed=cfg.bump_seed, tol_c=cfg.tol_c,
-        probe_eta=cfg.probe_eta, probe_trials=cfg.probe_trials,
-        probe_seed=cfg.probe_seed, eps_ladder=cfg.eps_ladder,
-        sweep_smoothing=cfg.sweep_smoothing, history_every=cfg.history_every,
-        raw=cfg.raw)
-    return scaled, solver
+    solver = replace(cfg.solver, max_dt=cfg.solver.max_dt / 4.0 ** level)
+    return replace(cfg, grid=grid, solver=solver), solver
 
 
 def fit_order(values: list[float], floor: float = 1e-14) -> float:

@@ -126,12 +126,6 @@ class Trajectory:
     def snapshot_times(self) -> np.ndarray:
         return np.array([t for t, _ in self.snapshots])
 
-    def snapshot_at(self, t: float, rtol: float = 1e-9) -> State:
-        for ts, state in self.snapshots:
-            if abs(ts - t) <= rtol * max(1.0, abs(t)):
-                return state
-        raise KeyError(f"no snapshot at t={t}")
-
     def sup_series(self, name: str) -> float:
         return float(np.max(self.series[name]))
 
@@ -286,8 +280,8 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
     the initial and final instants) for the certificate machinery; ``None``
     stores snapshots only.
     """
-    if T < 0:
-        raise ValueError(f"final time must be >= 0, got {T}")
+    if not 0.0 <= T < np.inf:
+        raise ValueError(f"final time must be finite and >= 0, got {T}")
     grid = initial.grid
     if initial.time != 0.0:
         raise ValueError("simulate expects the initial state at time 0")

@@ -250,9 +250,8 @@ def test_criterion_8_z_evolution(refinement):
                     output_times=np.linspace(0.1, 1.0, 10), history_every=1)
     dt = traj.mean_dt
     worst = 0.0
-    for i, bump in enumerate(sample_bumps(grid, 1.0, 5, seed=5)):
-        rec = z_evolution_residual(traj, EntropyWeights(1.0, 2.0), bump,
-                                   2.0 * dt, i)
+    for rec in z_evolution_residual(traj, EntropyWeights(1.0, 2.0),
+                                    sample_bumps(grid, 1.0, 5, seed=5), 2.0 * dt):
         assert rec.passed, rec
         worst = max(worst, rec.residual)
     report(8, "z-evolution identity", True,

@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 
 import pytest
 
@@ -32,6 +34,40 @@ certify.seed = 7
 probe.trials = 20
 sweep.eps_ladder = 0.5, 0.25, 0.125
 """
+
+# certificates.csv of `certify` on SMALL_CFG, evaluated one bump at a time
+PINNED_RECORDS = {
+    ("weakform_w", 0): (
+        0.00015138235920389182, 0.00014830285287004973, 3.0795063338420845e-06,
+        {"eps_discrepancy": 6.95794783293355e-05,
+         "residual_limit_form": -6.649997199549345e-05}),
+    ("weakform_v", 0): (
+        -0.0018339020027798671, -0.0021417973821771827, 0.0003078953793973155,
+        {"information_loss": 1.0}),
+    ("entropy_inequality", 0): (
+        -7.312657948093434e-05, -9.472280450780123e-05, 2.1596225026866892e-05,
+        {"limit_form_slack": -9.121699570651824e-05,
+         "eps_discrepancy": 6.962077067965134e-05, "p": 1.0, "k": 2.0}),
+    ("z_evolution", 0): (
+        0.0013526292638452106, 0.0, 0.0013526292638452106,
+        {"printed_drift_coeff_residual": 0.0009541479119856344, "n_instants": 14.0,
+         "p": 1.0, "k": 2.0}),
+    ("weakform_w", 1): (
+        0.00035689575824786004, 0.0003507239133050206, 6.171844942839456e-06,
+        {"eps_discrepancy": 0.00011663374290773699,
+         "residual_limit_form": -0.00011046189796489749}),
+    ("weakform_v", 1): (
+        -2.066319878132385e-05, -2.508502672573653e-05, 4.421827944412679e-06,
+        {"information_loss": 0.0}),
+    ("entropy_inequality", 1): (
+        2.7854075152839573e-05, 6.541267373234453e-05, -3.755859857950496e-05,
+        {"limit_form_slack": -6.987204824593021e-05,
+         "eps_discrepancy": 0.00010743064682543526, "p": 1.0, "k": 2.0}),
+    ("z_evolution", 1): (
+        0.0005557486212707727, 0.0, 0.0005557486212707727,
+        {"printed_drift_coeff_residual": 0.0006689757643093125, "n_instants": 35.0,
+         "p": 1.0, "k": 2.0}),
+}
 
 
 def write_cfg(tmp_path, text=SMALL_CFG, name="run.cfg"):
@@ -74,6 +110,29 @@ class TestConfigParsing:
         mapping = parse_config_text(SMALL_CFG)
         mapping["certify.weights"] = "1:1"
         with pytest.raises(ConfigError, match="certify.weights"):
+            config_from_mapping(mapping)
+
+    @pytest.mark.parametrize("weights", ["-1:2", "0:1"])
+    def test_weight_threshold_domain_named(self, weights):
+        mapping = parse_config_text(SMALL_CFG)
+        mapping["certify.weights"] = weights
+        with pytest.raises(ConfigError, match="certify.weights.*p must be positive"):
+            config_from_mapping(mapping)
+
+    @pytest.mark.parametrize("key, value", [
+        ("run.T", "inf"),
+        ("grid.cells", "64.7, 64"),
+        ("probe.eta", "nan"),
+        ("sweep.smoothing", "nan"),
+        ("run.output_times", "0, nan"),
+        ("solver.max_dt", "inf"),
+        ("model.theta", "inf"),
+        ("certify.tol_c.mass", "-1"),
+    ])
+    def test_meaningless_value_names_field(self, key, value):
+        mapping = parse_config_text(SMALL_CFG)
+        mapping[key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
             config_from_mapping(mapping)
 
     def test_increasing_ladder_rejected(self):
@@ -215,14 +274,33 @@ class TestCertifyCommand:
                      "--seed", "99"]) == 0
         assert "certify.seed = 99" in (out / "manifest.cfg").read_text()
 
-    def test_worker_pool_is_deterministic(self, tmp_path, monkeypatch):
+    def test_certify_is_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path)
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        assert main(["certify", "--config", str(cfg), "--out", str(seq)]) == 0
-        monkeypatch.setenv("CHEMO_THREADS", "2")
-        assert main(["certify", "--config", str(cfg), "--out", str(par)]) == 0
-        assert (seq / "certificates.csv").read_bytes() == \
-            (par / "certificates.csv").read_bytes()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["certify", "--config", str(cfg), "--out", str(first)]) == 0
+        assert main(["certify", "--config", str(cfg), "--out", str(second)]) == 0
+        assert (first / "certificates.csv").read_bytes() == \
+            (second / "certificates.csv").read_bytes()
+
+    def test_weak_form_records_pinned(self, tmp_path):
+        # PINNED_RECORDS come from a bump-by-bump evaluation; the batched
+        # contraction sums in another order, so they agree to roundoff
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
+        with (out / "certificates.csv").open(encoding="utf-8") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["certificate"] != "mass_inequality"]
+        assert len(rows) == len(PINNED_RECORDS)
+        for row in rows:
+            lhs, rhs, residual, extras = PINNED_RECORDS[(row["certificate"],
+                                                         int(row["bump"]))]
+            close = 1e-9 * float(row["tolerance"])
+            got = dict(kv.split("=") for kv in row["extras"].split(";"))
+            assert got.keys() == extras.keys()
+            for name, want, value in [("lhs", lhs, row["lhs"]), ("rhs", rhs, row["rhs"]),
+                                      ("residual", residual, row["residual"])] + \
+                    [(k, v, got[k]) for k, v in extras.items()]:
+                assert abs(float(value) - want) <= close, (row["certificate"], name)
 
 
 class TestVerifyIdentitiesCommand:

@@ -246,13 +246,15 @@ class TestCertificatesOnOracles:
         traj = zero_traj()
         weights = EntropyWeights(1.0, 2.0)
         bumps = sample_bumps(traj.grid, 1.0, 4, seed=3)
-        for i, bump in enumerate(bumps):
-            assert abs(certify_weakform_w(traj, bump, 1e-12, i).residual) < 1e-14
-            assert abs(certify_weakform_v(traj, bump, 1e-12, i).residual) < 1e-14
-            assert abs(certify_entropy_inequality(traj, weights, bump, 1e-12,
-                                                  i).residual) < 1e-14
-            assert z_evolution_residual(traj, weights, bump, 1e-12, i
-                                        ).residual < 1e-14
+        for rec_w, rec_v, rec_e, rec_z in zip(
+                certify_weakform_w(traj, bumps, 1e-12),
+                certify_weakform_v(traj, bumps, 1e-12),
+                certify_entropy_inequality(traj, weights, bumps, 1e-12),
+                z_evolution_residual(traj, weights, bumps, 1e-12), strict=True):
+            assert abs(rec_w.residual) < 1e-14
+            assert abs(rec_v.residual) < 1e-14
+            assert abs(rec_e.residual) < 1e-14
+            assert rec_z.residual < 1e-14
         assert certify_mass_inequality(traj, 1e-12).residual == 0.0
 
     def test_constant_config_scalar_balance(self):
@@ -264,12 +266,12 @@ class TestCertificatesOnOracles:
                         output_times=np.linspace(0.1, 1.0, 10), history_every=1)
         weights = EntropyWeights(1.0, 2.0)
         dt = traj.mean_dt
-        for i, bump in enumerate(sample_bumps(g, 1.0, 4, seed=5)):
-            rz = z_evolution_residual(traj, weights, bump, 2 * dt, i)
+        bumps = sample_bumps(g, 1.0, 4, seed=5)
+        for rz, re_, rv in zip(z_evolution_residual(traj, weights, bumps, 2 * dt),
+                               certify_entropy_inequality(traj, weights, bumps, 1e-4),
+                               certify_weakform_v(traj, bumps, 1e-6), strict=True):
             assert rz.passed, f"z residual {rz.residual} vs 2dt {2 * dt}"
-            re_ = certify_entropy_inequality(traj, weights, bump, 1e-4, i)
             assert re_.passed and abs(re_.residual) < 1e-4
-            rv = certify_weakform_v(traj, bump, 1e-6, i)
             assert abs(rv.slack) < 1e-6  # reduces to the reaction balance
 
     def test_mass_certificate_near_equality(self):
@@ -288,7 +290,7 @@ class TestCertificatesOnOracles:
                         T=0.6, output_times=[0.6], history_every=1)
         weights = EntropyWeights(1.0, 2.0)
         bump = sample_bumps(g, 0.6, 1, seed=8)[0]
-        rec = certify_entropy_inequality(traj, weights, bump, 1e-3)
+        rec, = certify_entropy_inequality(traj, weights, [bump], 1e-3)
         # saturated source beats the limit form: positive discrepancy, and the
         # limit-form slack is lower by exactly that amount
         assert rec.extras["eps_discrepancy"] > 0
@@ -302,7 +304,7 @@ class TestCertificatesOnOracles:
                         T=0.5, output_times=[0.5], history_every=5)
         bump = sample_bumps(g, 0.5, 1, seed=1)[0]
         with pytest.raises(ValueError, match="cadence"):
-            z_evolution_residual(traj, EntropyWeights(1.0, 2.0), bump, 1.0)
+            z_evolution_residual(traj, EntropyWeights(1.0, 2.0), [bump], 1.0)
 
     def test_certificates_need_history(self):
         g = Grid(cells=(16, 16), lengths=(1.0, 1.0))
@@ -311,4 +313,4 @@ class TestCertificatesOnOracles:
                         T=0.5, output_times=[0.5])
         bump = sample_bumps(g, 0.5, 1, seed=1)[0]
         with pytest.raises(ValueError, match="history"):
-            certify_weakform_w(traj, bump, 1.0)
+            certify_weakform_w(traj, [bump], 1.0)

@@ -162,6 +162,12 @@ class TestSimulate:
         assert len(traj.snapshots) == 1
         assert all(v == 0.0 for v in traj.accumulators.values())
 
+    @pytest.mark.parametrize("T", [np.inf, np.nan, -1.0])
+    def test_rejects_meaningless_final_time(self, T):
+        g = Grid(cells=(4,), lengths=(1.0,))
+        with pytest.raises(ValueError, match="final time"):
+            simulate(bumpy_state(g), PARAMS, SolverConfig(), T=T)
+
     def test_zero_data_stays_zero(self):
         g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
         zero = State(u=g.constant_field(0.0), v=g.constant_field(0.0),
