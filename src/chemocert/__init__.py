@@ -77,6 +77,7 @@ from .identities import (
     certify_weakform_v,
     certify_weakform_w,
     check_weight_identities,
+    history_pass,
     sample_bumps,
     second_order_floor,
     weight_threshold,

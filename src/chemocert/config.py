@@ -241,8 +241,10 @@ class RunConfig:
         return m
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
 
 
 def config_from_mapping(mapping: dict[str, str]) -> RunConfig:

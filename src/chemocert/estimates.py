@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .identities import second_order_floor, weight_threshold
+from .identities import second_order_floor, weight_threshold, z_values
 from .model import ModelParams, u_mass_cap, v_mass_cap, w_lp_exponent_cap
 from .solver import Trajectory
 
@@ -320,7 +320,7 @@ def z_dissipation_integrals(traj: Trajectory, p: float, k: float) -> dict[str, f
     vals_grad_z = []
     vals_z_gradw = []
     for _, s in traj.snapshots:
-        z_half = np.exp(-0.5 * p * np.log1p(s.u.values) - 0.5 * k * s.w.values)
+        z_half = z_values(s.u.values, s.w.values, p / 2.0, k / 2.0)
         vals_grad_z.append(float(gradient_sq_values(grid, z_half).sum()) * grid.cell_volume)
         z_full = z_half ** 2
         gw = gradient_sq_values(grid, s.w.values)

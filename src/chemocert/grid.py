@@ -16,6 +16,7 @@ the time-stepping and certification machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -153,6 +154,17 @@ def integrate(f: Field) -> float:
     return integrate_values(f.grid, f.values)
 
 
+def _pow(base, expo: float):
+    """base**expo for nonnegative base with the convention 0**expo := 0."""
+    base = np.asarray(base, dtype=float)
+    out = np.zeros_like(base)
+    pos = base > 0
+    out[pos] = np.exp(expo * np.log(base[pos]))
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
 def lp_norm_values(grid: Grid, values: np.ndarray, p: float) -> float:
     """L^p norm over the domain, fractional p included.
 
@@ -161,12 +173,7 @@ def lp_norm_values(grid: Grid, values: np.ndarray, p: float) -> float:
     p = float(p)
     if p < 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    values = np.asarray(values, dtype=float)
-    absv = np.abs(values)
-    powed = np.zeros_like(absv)
-    pos = absv > 0
-    powed[pos] = np.exp(p * np.log(absv[pos]))
-    return integrate_values(grid, powed) ** (1.0 / p)
+    return integrate_values(grid, _pow(np.abs(values), p)) ** (1.0 / p)
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -267,6 +274,7 @@ def laplacian(f: Field) -> Field:
 # backward-Euler diffusion solve: (I - tau*Laplacian) x = b
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def _neumann_eigenvalues(grid: Grid) -> np.ndarray:
     """Eigenvalues of -Laplacian in the DCT-II basis, summed across axes.
 
@@ -280,9 +288,9 @@ def _neumann_eigenvalues(grid: Grid) -> np.ndarray:
         h = grid.spacing[a]
         k = np.arange(n)
         per_axis.append((2.0 - 2.0 * np.cos(np.pi * k / n)) / h ** 2)
-    if grid.dim == 1:
-        return per_axis[0]
-    return per_axis[0][:, None] + per_axis[1][None, :]
+    lam = per_axis[0] if grid.dim == 1 else per_axis[0][:, None] + per_axis[1][None, :]
+    lam.setflags(write=False)
+    return lam
 
 
 def solve_diffusion(grid: Grid, rhs: np.ndarray, tau: float, *,

@@ -17,8 +17,11 @@ against smooth compactly supported space-time bumps with analytic
 derivatives, so only the trajectory and the space-time quadrature contribute
 to the tolerance C*(h+dt). Every weak form is linear in the test function,
 so a certificate kind is just its integrand: rows (A, B) per history instant,
-tested as int A*S + B.grad S against the whole bump family in one matrix
-product, in one walk over the history per kind.
+tested as int A*S + B.grad S against the whole bump family. One walk over
+the history (:func:`history_pass`) serves every kind: at each instant it
+takes grad w once, assembles the rows of all kinds and contracts them with
+the family in two matrix products. Each certificate function then only
+reduces that result to its records.
 
 Two assembled coefficients matter enough to spell out:
 
@@ -392,8 +395,6 @@ class CertificateRecord:
     extras: dict[str, float] = field(default_factory=dict)
 
 
-
-
 def certify_mass_inequality(traj: Trajectory, tol: float) -> CertificateRecord:
     """Mass of u at each step boundary against the time-integrated reaction.
 
@@ -418,8 +419,7 @@ def certify_mass_inequality(traj: Trajectory, tol: float) -> CertificateRecord:
 # weak forms: one integrand x test-function path for the whole bump family
 # ---------------------------------------------------------------------------
 
-def _history_window(traj: Trajectory, t_lo: float, t_hi: float) -> np.ndarray:
-    times, _ = traj.require_history()
+def _history_window(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
     idx = np.nonzero((times >= t_lo) & (times <= t_hi))[0]
     if len(idx) == 0:
         return idx
@@ -428,13 +428,10 @@ def _history_window(traj: Trajectory, t_lo: float, t_hi: float) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
-def _stacked_tests(bumps, grid: Grid) -> np.ndarray:
-    """One row per bump: S, then each axis derivative of S, raveled."""
-    tests = np.empty((len(bumps), (1 + grid.dim) * grid.n_cells))
-    for b, bump in enumerate(bumps):
-        tests[b] = np.concatenate([bump.spatial_values(grid).ravel()]
-                                  + [g.ravel() for g in bump.spatial_gradient(grid)])
-    return tests
+def _stacked_tests(bumps, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """One row per bump of S, raveled, and one of grad S, axis after axis."""
+    return (np.array([bump.spatial_values(grid).ravel() for bump in bumps]),
+            np.array([np.ravel(bump.spatial_gradient(grid)) for bump in bumps]))
 
 
 def _time_weights(times: np.ndarray, psi: np.ndarray,
@@ -463,107 +460,24 @@ def _time_weights(times: np.ndarray, psi: np.ndarray,
     return trap * psi, dpsi
 
 
-def _test_history(traj: Trajectory, bumps, integrand, instantaneous: bool = False):
-    """Test integrand rows against every bump in one walk over the history.
-
-    ``integrand(grid, fields)`` returns rows (A, B) for one history instant;
-    row r contributes vol * sum(A*S + B.grad S) for each bump, all rows and
-    bumps in one matrix product. Row 0 is a density F; every later row is a
-    right-hand side G_r of the balance d/dt int F S = int A S + B.grad S.
-
-    By default the walk returns ``(lhs, rhs)`` with, per bump,
-    lhs = -(iint F d_t psi + int F(0) psi(0)) and rhs[r-1] = iint G_r psi,
-    both over the bump's history window (see :func:`_time_weights`).
-
-    With ``instantaneous`` it returns ``(worst, count)``: per bump and right
-    side, the max over interior window instants of
-    |psi (d/dt int F S - int G_r)|, the time derivative taken as a centred
-    difference of the contracted F rows; and the number of those instants.
-    """
-    if not bumps:
-        raise ValueError("bump family is empty")
-    grid = traj.grid
-    for bump in bumps:
-        bump.require_fits(grid, traj.final_time)
-    times, history = traj.require_history()
-    if instantaneous:
-        if len(times) < 3:
-            raise ValueError("history too short for centered time differences")
-        max_gap = float(np.max(np.diff(times)))
-        if max_gap > 2.0 * traj.max_dt_taken * (1.0 + 1e-9):
-            raise ValueError(
-                f"history cadence {max_gap:.3g} exceeds twice the step size "
-                f"{traj.max_dt_taken:.3g}; rerun with a denser history")
-
-    tests = _stacked_tests(bumps, grid)
-    psi = np.column_stack([bump.time_profile(times) for bump in bumps])
-    inside = np.zeros(psi.shape, dtype=bool)
-    for b, bump in enumerate(bumps):
-        inside[_history_window(traj, *bump.time_window()), b] = True
-    vol = grid.cell_volume
-
-    def contract(i: int) -> np.ndarray:
-        rows = integrand(grid, history[i])
-        mat = np.zeros((len(rows), 1 + grid.dim, *grid.shape))
-        for r, (a, b) in enumerate(rows):
-            mat[r, 0] = a
-            if b:
-                mat[r, 1:] = b
-        return (mat.reshape(len(rows), -1) @ tests.T) * vol
-
-    if not instantaneous:
-        trap, dpsi = _time_weights(times, psi, inside)
-        visit = inside.any(axis=1)
-        visit[0] = True  # carries the initial-data term
-        lhs, rhs = 0.0, 0.0
-        for i in np.flatnonzero(visit):
-            c = contract(i)
-            lhs = lhs - c[0] * dpsi[i]
-            rhs = rhs + c[1:] * trap[i]
-        return lhs, rhs
-
-    interior = inside.copy()
-    interior[[0, -1]] = False
-    if not interior.any(axis=0).all():
-        raise ValueError("bump time window contains no interior history points")
-    need = interior.any(axis=1)
-    visit = need.copy()
-    visit[:-1] |= need[1:]
-    visit[1:] |= need[:-1]
-    recent: dict[int, np.ndarray] = {}
-    worst = 0.0
-    for i in np.flatnonzero(visit):
-        recent = {j: c for j, c in recent.items() if j >= i - 2}
-        recent[i] = contract(i)
-        if i >= 2 and need[i - 1]:
-            rate = (recent[i][0] - recent[i - 2][0]) / (times[i] - times[i - 2])
-            mismatch = np.abs(psi[i - 1] * (rate - recent[i - 1][1:]))
-            worst = np.maximum(worst, np.where(interior[i - 1], mismatch, 0.0))
-    return worst, interior.sum(axis=0)
+def _signal_rows(u, v, w, gw, net_source) -> tuple[list, tuple]:
+    """w; its right side with net_source = source_w - w; the limit form with u+v."""
+    return [w, net_source, u + v - w], tuple(-g for g in gw)
 
 
-def _signal_rows(grid: Grid, fields: dict, eps: float) -> list:
-    """w; its saturated-source right side; the limit form with u+v."""
-    u, v, w = fields["u"], fields["v"], fields["w"]
-    flux = tuple(-g for g in gradient_values(grid, w))
-    return [(w, ()), (source_w(u, v, eps) - w, flux), (u + v - w, flux)]
-
-
-def _log_v_rows(grid: Grid, fields: dict) -> list:
+def _log_v_rows(grid: Grid, u, v, gw) -> tuple[list, tuple]:
     """ln(1+v) and the right side of its logarithmic weak form."""
-    u, v, w = fields["u"], fields["v"], fields["w"]
     logv = np.log1p(v)
     glog = gradient_values(grid, logv)
-    gw = gradient_values(grid, w)
     ratio = v / (1.0 + v)
     a = (sum(g * g for g in glog)
          - ratio * sum(ga * gl for ga, gl in zip(gw, glog))
          + ratio * (1.0 - v - u))
-    return [(logv, ()), (a, tuple(ratio * ga - gl for ga, gl in zip(gw, glog)))]
+    return [logv, a], tuple(ratio * ga - gl for ga, gl in zip(gw, glog))
 
 
-def _superposition_rows(grid: Grid, fields: dict, weights: EntropyWeights,
-                        theta: float, eps: float) -> list:
+def _superposition_rows(grid: Grid, u, v, w, gw, weights: EntropyWeights,
+                        theta: float, net_source) -> tuple[list, tuple]:
     """z and three right sides of its evolution identity.
 
     The right sides share every term but one: the trajectory's own saturated
@@ -572,11 +486,9 @@ def _superposition_rows(grid: Grid, fields: dict, weights: EntropyWeights,
     (entropy limit form, reported).
     """
     p, k = weights.p, weights.k
-    u, v, w = fields["u"], fields["v"], fields["w"]
     z = z_values(u, w, p, k)
     z_half = np.sqrt(z)
     grad_z_half = gradient_values(grid, z_half)
-    gw = gradient_values(grid, w)
     frac = u / (u + 1.0)
 
     def quad(drift):
@@ -588,16 +500,115 @@ def _superposition_rows(grid: Grid, fields: dict, weights: EntropyWeights,
     c2 = (4.0 * k ** 2 - p * (p + 1.0) ** 2 * frac ** 2) / (4.0 * (p + 1.0))
     kinetic = 1.0 - _pow(u, theta - 1.0) - v
     shared = -c2 * z * sum(g * g for g in gw) - p * frac * z * kinetic
-    source_part = -k * (source_w(u, v, eps) - w) * z
+    source_part = -k * net_source * z
     flux = tuple(-2.0 * z_half * gz - p * frac * z * ga for gz, ga in zip(grad_z_half, gw))
     coeff_quad = 4.0 * (p + 1.0) / p
-    return [(z, ()),
-            (shared - coeff_quad * quad_oracle + source_part, flux),
-            (shared - coeff_quad * quad_printed + source_part, flux),
-            (shared - coeff_quad * quad_oracle - k * (u + v - w) * z, flux)]
+    return [z,
+            shared - coeff_quad * quad_oracle + source_part,
+            shared - coeff_quad * quad_printed + source_part,
+            shared - coeff_quad * quad_oracle - k * (u + v - w) * z], flux
 
 
-def certify_weakform_w(traj: Trajectory, bumps, tol: float) -> list[CertificateRecord]:
+@dataclass(frozen=True)
+class HistoryPass:
+    """Every weak-form kind tested against one bump family in one history walk.
+
+    ``signal``, ``log_v`` and ``superposition[weights]`` hold per bump
+    ``(lhs, rhs)``: lhs = -(iint F d_t psi + int F(0) psi(0)) for the kind's
+    density F and rhs[r] = iint G_r psi for each right side G_r (see
+    :func:`_time_weights`). ``z_worst[weights][r]`` is per bump the max over
+    its ``z_instants`` interior instants of |psi (d/dt int z S - int G_r)|.
+    """
+
+    signal: tuple[np.ndarray, np.ndarray]
+    log_v: tuple[np.ndarray, np.ndarray]
+    superposition: dict[EntropyWeights, tuple[np.ndarray, np.ndarray]]
+    z_worst: dict[EntropyWeights, np.ndarray]
+    z_instants: np.ndarray
+
+
+def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
+    """Test the integrand of every weak-form kind in one walk over the history.
+
+    At each instant grad w is taken once and every kind gives a block of rows
+    (A, B): 3 for w, 2 for ln(1+v), 4 per weight pair for z, a density first
+    (B = 0) and right sides sharing one flux B. Each row becomes vol * sum(A*S
+    + B.grad S) per bump: all A against S in one matrix product, each block's
+    B against grad S once in another. The time-weighted sums and the three
+    instants a centred difference of z needs are folded on the way.
+    """
+    if not bumps:
+        raise ValueError("bump family is empty")
+    grid = traj.grid
+    for bump in bumps:
+        bump.require_fits(grid, traj.final_time)
+        if bump.amplitude < 0:
+            raise ValueError("weak form of v needs a nonnegative bump")
+    times, history = traj.require_history()
+    if weights_list:
+        if len(times) < 3:
+            raise ValueError("history too short for centered time differences")
+        max_gap = float(np.max(np.diff(times)))
+        if max_gap > 2.0 * traj.max_dt_taken * (1.0 + 1e-9):
+            raise ValueError(
+                f"history cadence {max_gap:.3g} exceeds twice the step size "
+                f"{traj.max_dt_taken:.3g}; rerun with a denser history")
+
+    test_values, test_grads = _stacked_tests(bumps, grid)
+    psi = np.column_stack([bump.time_profile(times) for bump in bumps])
+    inside = np.zeros(psi.shape, dtype=bool)
+    for b, bump in enumerate(bumps):
+        inside[_history_window(times, *bump.time_window()), b] = True
+    trap, dpsi = _time_weights(times, psi, inside)
+    interior = inside.copy()
+    interior[[0, -1]] = False
+    need = interior.any(axis=1)
+    visit = inside.any(axis=1)
+    visit[0] = True  # carries the initial-data term
+    if weights_list:
+        if not interior.any(axis=0).all():
+            raise ValueError("bump time window contains no interior history points")
+        visit[:-1] |= need[1:]
+        visit[1:] |= need[:-1]
+
+    sizes = [3, 2] + [4] * len(weights_list)  # rows of each block, density first
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    sides = np.flatnonzero(np.diff(block, prepend=-1) == 0)  # rows after the density
+    lhs, rhs = np.zeros((2, len(block), len(bumps)))
+    worst = np.zeros((len(weights_list), 3, len(bumps)))
+    recent: dict[int, np.ndarray] = {}
+    for i in np.flatnonzero(visit):
+        u, v, w = history[i]["u"], history[i]["v"], history[i]["w"]
+        gw = gradient_values(grid, w)
+        net_source = source_w(u, v, traj.params.eps) - w
+        blocks = [_signal_rows(u, v, w, gw, net_source), _log_v_rows(grid, u, v, gw)]
+        blocks += [_superposition_rows(grid, u, v, w, gw, weights, traj.params.theta,
+                                       net_source) for weights in weights_list]
+        values = np.array([a for rows, _ in blocks for a in rows]).reshape(len(block), -1)
+        fluxes = np.array([flux for _, flux in blocks]).reshape(len(blocks), -1)
+        # the right sides of a block share its flux, which is contracted once
+        c = values @ test_values.T
+        c[sides] += (fluxes @ test_grads.T)[block[sides]]
+        c *= grid.cell_volume
+        lhs -= c * dpsi[i]
+        rhs += c * trap[i]
+        recent = {j: z for j, z in recent.items() if j >= i - 2}
+        recent[i] = c[sum(sizes[:2]):].reshape(len(weights_list), 4, len(bumps))
+        if i >= 2 and need[i - 1]:
+            rate = (recent[i][:, :1] - recent[i - 2][:, :1]) / (times[i] - times[i - 2])
+            mismatch = np.abs(psi[i - 1] * (rate - recent[i - 1][:, 1:]))
+            worst = np.maximum(worst, np.where(interior[i - 1], mismatch, 0.0))
+
+    ends = np.cumsum(sizes)[:-1]
+    signal, log_v, *z_blocks = [(left[0], right[1:]) for left, right
+                                in zip(np.split(lhs, ends), np.split(rhs, ends))]
+    return HistoryPass(signal=signal, log_v=log_v,
+                       superposition=dict(zip(weights_list, z_blocks)),
+                       z_worst=dict(zip(weights_list, worst)),
+                       z_instants=interior.sum(axis=0))
+
+
+def certify_weakform_w(tested: HistoryPass, tol: float) -> list[CertificateRecord]:
     """Weak form of the signal equation integrated against each bump.
 
     The gated residual uses the trajectory's own saturated source, which the
@@ -606,8 +617,7 @@ def certify_weakform_w(traj: Trajectory, bumps, tol: float) -> list[CertificateR
     reported alongside (the source never exceeds u+v, so it is the difference
     of the two right sides).
     """
-    eps = traj.params.eps
-    lhs, rhs = _test_history(traj, bumps, lambda g, f: _signal_rows(g, f, eps))
+    lhs, rhs = tested.signal
     records = []
     for b, (left, right, right_limit) in enumerate(zip(lhs.tolist(), *rhs.tolist())):
         residual = left - right
@@ -620,16 +630,14 @@ def certify_weakform_w(traj: Trajectory, bumps, tol: float) -> list[CertificateR
     return records
 
 
-def certify_weakform_v(traj: Trajectory, bumps, tol: float) -> list[CertificateRecord]:
+def certify_weakform_v(tested: HistoryPass, tol: float) -> list[CertificateRecord]:
     """Logarithmic weak form of the v equation against nonnegative bumps.
 
     The trajectory satisfies this as an equality up to O(h+dt), so the
     certificate gates the inequality slack and flags a slack well above the
     tolerance as information loss.
     """
-    if any(bump.amplitude < 0 for bump in bumps):
-        raise ValueError("weak form of v needs a nonnegative bump")
-    lhs, rhs = _test_history(traj, bumps, _log_v_rows)
+    lhs, rhs = tested.log_v
     records = []
     for b, (left, right) in enumerate(zip(lhs.tolist(), *rhs.tolist())):
         slack = left - right
@@ -640,7 +648,7 @@ def certify_weakform_v(traj: Trajectory, bumps, tol: float) -> list[CertificateR
     return records
 
 
-def z_evolution_residual(traj: Trajectory, weights: EntropyWeights, bumps,
+def z_evolution_residual(tested: HistoryPass, weights: EntropyWeights,
                          tol: float) -> list[CertificateRecord]:
     """Instantaneous evolution identity of z tested against each bump.
 
@@ -649,13 +657,9 @@ def z_evolution_residual(traj: Trajectory, weights: EntropyWeights, bumps,
     from the grid calculus at each instant. The reported residual is the
     worst instantaneous mismatch inside the bump's time window.
     """
-    params = traj.params
-    worst, count = _test_history(
-        traj, bumps,
-        lambda g, f: _superposition_rows(g, f, weights, params.theta, params.eps),
-        instantaneous=True)
     records = []
-    for b, (gated, printed, _, n) in enumerate(zip(*worst.tolist(), count.tolist())):
+    for b, (gated, printed, _, n) in enumerate(zip(*tested.z_worst[weights].tolist(),
+                                                   tested.z_instants.tolist())):
         records.append(CertificateRecord(
             name="z_evolution", bump_index=b, lhs=gated, rhs=0.0,
             residual=gated, slack=tol - gated, tol=tol, passed=bool(gated <= tol),
@@ -664,7 +668,7 @@ def z_evolution_residual(traj: Trajectory, weights: EntropyWeights, bumps,
     return records
 
 
-def certify_entropy_inequality(traj: Trajectory, weights: EntropyWeights, bumps,
+def certify_entropy_inequality(tested: HistoryPass, weights: EntropyWeights,
                                tol: float) -> list[CertificateRecord]:
     """Time-integrated superposition inequality against nonnegative bumps.
 
@@ -674,10 +678,7 @@ def certify_entropy_inequality(traj: Trajectory, weights: EntropyWeights, bumps,
     limit-form slack, with u+v replacing the saturated source, is reported
     together with the discrepancy it introduces.
     """
-    params = traj.params
-    lhs, rhs = _test_history(
-        traj, bumps,
-        lambda g, f: _superposition_rows(g, f, weights, params.theta, params.eps))
+    lhs, rhs = tested.superposition[weights]
     records = []
     for b, (left, right, _, right_limit) in enumerate(zip(lhs.tolist(), *rhs.tolist())):
         records.append(CertificateRecord(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, solve_diffusion
+from .grid import Field, Grid, _pow, solve_diffusion
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,6 @@ class State:
     @property
     def grid(self) -> Grid:
         return self.u.grid
-
-
-def _pow(base, expo: float):
-    """base**expo for nonnegative base with the convention 0**expo := 0."""
-    base = np.asarray(base, dtype=float)
-    out = np.zeros_like(base)
-    pos = base > 0
-    out[pos] = np.exp(expo * np.log(base[pos]))
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def _check_nonneg(name: str, x) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, _fmt
 from .estimates import (
     EstimateRecord,
     check_dissipation_bounds,
@@ -42,6 +42,7 @@ from .identities import (
     certify_weakform_v,
     certify_weakform_w,
     check_weight_identities,
+    history_pass,
     sample_bumps,
     weight_threshold,
     z_evolution_residual,
@@ -50,12 +51,6 @@ from .model import ModelParams, initial_state, u_mass_cap
 from .solver import SolverConfig, Trajectory, simulate
 
 CERTIFICATE_KINDS = ("mass", "weakform_w", "weakform_v", "entropy", "z_evolution")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -253,15 +248,16 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
 
 def run_certificates(traj: Trajectory, weights_list: list[EntropyWeights],
                      bumps, tols: dict[str, float]) -> list[CertificateRecord]:
-    """Mass certificate, then every weak-form kind, one pass per kind.
+    """Mass certificate, then every weak-form kind from one pass over the history.
 
     Records come out bump by bump, each bump's kinds in a fixed order.
     """
-    per_kind = [certify_weakform_w(traj, bumps, tols["weakform_w"]),
-                certify_weakform_v(traj, bumps, tols["weakform_v"])]
+    tested = history_pass(traj, bumps, weights_list)
+    per_kind = [certify_weakform_w(tested, tols["weakform_w"]),
+                certify_weakform_v(tested, tols["weakform_v"])]
     for weights in weights_list:
-        for recs in (certify_entropy_inequality(traj, weights, bumps, tols["entropy"]),
-                     z_evolution_residual(traj, weights, bumps, tols["z_evolution"])):
+        for recs in (certify_entropy_inequality(tested, weights, tols["entropy"]),
+                     z_evolution_residual(tested, weights, tols["z_evolution"])):
             for rec in recs:
                 rec.extras["p"], rec.extras["k"] = weights.p, weights.k
             per_kind.append(recs)

@@ -24,6 +24,7 @@ from chemocert import (
     check_w_lp_family,
     check_weight_identities,
     check_z_dissipation_bounds,
+    history_pass,
     lp_norm,
     probe_uniform_integrability,
     reaction_l1_identity_gap,
@@ -250,8 +251,9 @@ def test_criterion_8_z_evolution(refinement):
                     output_times=np.linspace(0.1, 1.0, 10), history_every=1)
     dt = traj.mean_dt
     worst = 0.0
-    for rec in z_evolution_residual(traj, EntropyWeights(1.0, 2.0),
-                                    sample_bumps(grid, 1.0, 5, seed=5), 2.0 * dt):
+    weights = EntropyWeights(1.0, 2.0)
+    tested = history_pass(traj, sample_bumps(grid, 1.0, 5, seed=5), [weights])
+    for rec in z_evolution_residual(tested, weights, 2.0 * dt):
         assert rec.passed, rec
         worst = max(worst, rec.residual)
     report(8, "z-evolution identity", True,

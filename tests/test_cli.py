@@ -282,6 +282,33 @@ class TestCertifyCommand:
         assert (first / "certificates.csv").read_bytes() == \
             (second / "certificates.csv").read_bytes()
 
+    def test_one_history_walk_for_all_kinds(self, tmp_path, monkeypatch):
+        # one walk takes grad w, grad ln(1+v) and one grad z^(1/2) per weight
+        # pair at each history instant; a walk per kind takes more
+        from chemocert import identities, runner
+
+        calls = []
+        gradient_values = identities.gradient_values
+
+        def counted(*args):
+            calls.append(1)
+            return gradient_values(*args)
+
+        trajs = []
+        simulate = runner.simulate
+
+        def kept(*args, **kwargs):
+            trajs.append(simulate(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(identities, "gradient_values", counted)
+        monkeypatch.setattr(runner, "simulate", kept)
+        cfg = write_cfg(tmp_path)
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        weight_pairs = 1  # SMALL_CFG keeps the default certify.weights = 1:2
+        instants = len(trajs[0].history_times)
+        assert 0 < len(calls) <= (2 + weight_pairs) * instants
+
     def test_weak_form_records_pinned(self, tmp_path):
         # PINNED_RECORDS come from a bump-by-bump evaluation; the batched
         # contraction sums in another order, so they agree to roundoff

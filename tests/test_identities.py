@@ -18,6 +18,7 @@ from chemocert import (
     certify_weakform_v,
     certify_weakform_w,
     check_weight_identities,
+    history_pass,
     sample_bumps,
     second_order_floor,
     simulate,
@@ -245,12 +246,12 @@ class TestCertificatesOnOracles:
     def test_zero_trajectory_residuals_vanish(self):
         traj = zero_traj()
         weights = EntropyWeights(1.0, 2.0)
-        bumps = sample_bumps(traj.grid, 1.0, 4, seed=3)
+        tested = history_pass(traj, sample_bumps(traj.grid, 1.0, 4, seed=3), [weights])
         for rec_w, rec_v, rec_e, rec_z in zip(
-                certify_weakform_w(traj, bumps, 1e-12),
-                certify_weakform_v(traj, bumps, 1e-12),
-                certify_entropy_inequality(traj, weights, bumps, 1e-12),
-                z_evolution_residual(traj, weights, bumps, 1e-12), strict=True):
+                certify_weakform_w(tested, 1e-12),
+                certify_weakform_v(tested, 1e-12),
+                certify_entropy_inequality(tested, weights, 1e-12),
+                z_evolution_residual(tested, weights, 1e-12), strict=True):
             assert abs(rec_w.residual) < 1e-14
             assert abs(rec_v.residual) < 1e-14
             assert abs(rec_e.residual) < 1e-14
@@ -266,10 +267,10 @@ class TestCertificatesOnOracles:
                         output_times=np.linspace(0.1, 1.0, 10), history_every=1)
         weights = EntropyWeights(1.0, 2.0)
         dt = traj.mean_dt
-        bumps = sample_bumps(g, 1.0, 4, seed=5)
-        for rz, re_, rv in zip(z_evolution_residual(traj, weights, bumps, 2 * dt),
-                               certify_entropy_inequality(traj, weights, bumps, 1e-4),
-                               certify_weakform_v(traj, bumps, 1e-6), strict=True):
+        tested = history_pass(traj, sample_bumps(g, 1.0, 4, seed=5), [weights])
+        for rz, re_, rv in zip(z_evolution_residual(tested, weights, 2 * dt),
+                               certify_entropy_inequality(tested, weights, 1e-4),
+                               certify_weakform_v(tested, 1e-6), strict=True):
             assert rz.passed, f"z residual {rz.residual} vs 2dt {2 * dt}"
             assert re_.passed and abs(re_.residual) < 1e-4
             assert abs(rv.slack) < 1e-6  # reduces to the reaction balance
@@ -290,7 +291,8 @@ class TestCertificatesOnOracles:
                         T=0.6, output_times=[0.6], history_every=1)
         weights = EntropyWeights(1.0, 2.0)
         bump = sample_bumps(g, 0.6, 1, seed=8)[0]
-        rec, = certify_entropy_inequality(traj, weights, [bump], 1e-3)
+        rec, = certify_entropy_inequality(history_pass(traj, [bump], [weights]),
+                                          weights, 1e-3)
         # saturated source beats the limit form: positive discrepancy, and the
         # limit-form slack is lower by exactly that amount
         assert rec.extras["eps_discrepancy"] > 0
@@ -304,7 +306,7 @@ class TestCertificatesOnOracles:
                         T=0.5, output_times=[0.5], history_every=5)
         bump = sample_bumps(g, 0.5, 1, seed=1)[0]
         with pytest.raises(ValueError, match="cadence"):
-            z_evolution_residual(traj, EntropyWeights(1.0, 2.0), [bump], 1.0)
+            history_pass(traj, [bump], [EntropyWeights(1.0, 2.0)])
 
     def test_certificates_need_history(self):
         g = Grid(cells=(16, 16), lengths=(1.0, 1.0))
@@ -313,4 +315,34 @@ class TestCertificatesOnOracles:
                         T=0.5, output_times=[0.5])
         bump = sample_bumps(g, 0.5, 1, seed=1)[0]
         with pytest.raises(ValueError, match="history"):
-            certify_weakform_w(traj, [bump], 1.0)
+            history_pass(traj, [bump])
+
+    @pytest.mark.parametrize("case, message", [
+        ("empty", "bump family is empty"),
+        ("outside", "must lie strictly inside"),
+        ("short", "history too short"),
+        ("between", "no interior history points"),
+        ("negative", "nonnegative bump"),
+    ])
+    def test_history_pass_errors_named(self, case, message):
+        g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
+        params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
+        T = 0.004 if case == "short" else 0.1  # a single step when short
+        traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.01),
+                        T=T, output_times=[T], history_every=1)
+        bump = SpaceTimeBump(center=(0.5, 0.5), radius=(0.2, 0.2),
+                             t_center=0.0, t_radius=0.002)
+        if case == "negative":
+            # the constructor rejects a negative amplitude; the walk still
+            # refuses one that got past it
+            object.__setattr__(bump, "amplitude", -1.0)
+        bumps = {"empty": [],
+                 "outside": [SpaceTimeBump(center=(0.1, 0.5), radius=(0.2, 0.2),
+                                           t_center=0.05, t_radius=0.02)],
+                 # a window shorter than one step, strictly between instants
+                 "between": [SpaceTimeBump(center=(0.5, 0.5), radius=(0.2, 0.2),
+                                           t_center=traj.times[1] + 1e-4,
+                                           t_radius=1e-5)],
+                 }.get(case, [bump])
+        with pytest.raises(ValueError, match=message):
+            history_pass(traj, bumps, [EntropyWeights(1.0, 2.0)])

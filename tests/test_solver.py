@@ -10,6 +10,7 @@ from chemocert import (
     stable_dt,
     step,
 )
+from chemocert.grid import gradient_sq_values
 from chemocert.solver import SchemeViolationError, _clamp_nonneg
 
 from conftest import bumpy_state
@@ -84,13 +85,15 @@ class TestStep:
     def test_single_step_mass_identities(self):
         # one step: each field's mass change equals dt times the integrated
         # reaction/source at the stage values actually applied
+        from chemocert.grid import face_gradient_values
         from chemocert.solver import _advance
 
         g = Grid(cells=(32,), lengths=(1.0,))
         state = bumpy_state(g)
         u0, v0, w0 = state.u.values, state.v.values, state.w.values
         dt = 1e-3
-        u1, v1, w1, stats = _advance(g, u0, v0, w0, PARAMS, SolverConfig(), dt, 0.0)
+        u1, v1, w1, stats = _advance(g, u0, v0, w0, face_gradient_values(g, w0), PARAMS,
+                                     SolverConfig(), dt, 0.0)
         vol = g.cell_volume
         assert (u1.sum() - u0.sum()) * vol == pytest.approx(
             dt * stats["reaction_u"], abs=1e-12)
@@ -183,6 +186,53 @@ class TestSimulate:
         traj = simulate(bumpy_state(g), PARAMS, SolverConfig(max_dt=0.0013),
                         T=0.5, output_times=[0.1, 0.25, 0.3333, 0.5])
         assert [t for t, _ in traj.snapshots] == [0.0, 0.1, 0.25, 0.3333, 0.5]
+
+    def test_matches_public_step_loop(self):
+        # simulate shares one face gradient of w per step between the dt
+        # choice and the step, and samples the dissipation from the |grad w|^2
+        # of the previous step's diagnostics; that reuse must change no bit of
+        # what a loop over the public stable_dt and step computes
+        g = Grid(cells=(12, 12), lengths=(1.0, 1.0))
+        cfg = SolverConfig(max_dt=0.004)
+        T, outputs = 0.1, [0.03, 0.05, 0.1]
+        traj = simulate(bumpy_state(g), PARAMS, cfg, T, outputs)
+
+        def grad_w_sq_now(state):
+            return float(gradient_sq_values(g, state.w.values).sum()) * g.cell_volume
+
+        state, t = bumpy_state(g), 0.0
+        times, dts, now, snapshots = [t], [], [grad_w_sq_now(state)], [state]
+        int_grad_w_sq = int_vgradw_sq = 0.0
+        time_eps = 1e-12 * max(1.0, T)
+        for target in outputs:
+            hit = False
+            while not hit:
+                dt = stable_dt(state, PARAMS, cfg)
+                hit = t + dt >= target - time_eps
+                if hit:
+                    dt = target - t
+                v = state.v.values
+                grad_w_sq = gradient_sq_values(g, state.w.values)
+                int_grad_w_sq += dt * now[-1]
+                int_vgradw_sq += dt * (float(((v / (1.0 + v)) ** 2 * grad_w_sq).sum())
+                                       * g.cell_volume)
+                state = step(state, PARAMS, cfg, dt)
+                t = target if hit else t + dt
+                times.append(t)
+                dts.append(dt)
+                now.append(grad_w_sq_now(state))
+            snapshots.append(state)
+
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.dts, dts)
+        assert np.array_equal(traj.series["int_grad_w_sq_now"], now)
+        assert traj.accumulators["int_grad_w_sq"] == int_grad_w_sq
+        assert traj.accumulators["int_vgradw_sq"] == int_vgradw_sq
+        assert [t for t, _ in traj.snapshots] == [0.0] + outputs
+        for (_, got), want in zip(traj.snapshots, snapshots, strict=True):
+            for name in ("u", "v", "w"):
+                assert np.array_equal(getattr(got, name).values,
+                                      getattr(want, name).values)
 
     def test_positivity_and_monotone_time(self):
         g = Grid(cells=(24, 24), lengths=(1.0, 1.0))
