@@ -13,7 +13,6 @@ from .grid import (
     Field,
     Grid,
     GridError,
-    LinearSolverError,
     NonFiniteFieldError,
     face_gradient_values,
     gradient,

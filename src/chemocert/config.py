@@ -30,6 +30,9 @@ DEFAULT_TOL_C = {
 }
 
 INITIAL_KINDS = ("constant", "gaussian-bump", "two-bump", "random-seeded")
+# the init.<field>.* suffixes read: the kind, and the options of any kind
+INITIAL_OPTIONS = ("kind", "value", "center", "sigma", "mass", "amplitude",
+                   "center1", "center2", "sigma1", "sigma2", "weight2", "seed")
 
 
 class ConfigError(ValueError):
@@ -199,7 +202,6 @@ class RunConfig:
     probe_seed: int
     eps_ladder: tuple[float, ...]
     sweep_smoothing: float
-    history_every: int
     raw: dict[str, str] = dataclass_field(default_factory=dict, compare=False)
 
     def build_initial_family(self) -> InitialFamily:
@@ -217,13 +219,9 @@ class RunConfig:
         m["model.dim_n"] = str(self.params.dim_N)
         m["solver.cfl_safety"] = _fmt(self.solver.cfl_safety)
         m["solver.max_dt"] = _fmt(self.solver.max_dt)
-        m["solver.linear_solver"] = self.solver.linear_solver
-        m["solver.linear_solver_tol"] = _fmt(self.solver.linear_solver_tol)
-        m["solver.linear_solver_max_iter"] = str(self.solver.linear_solver_max_iter)
         m["run.T"] = _fmt(self.T)
         m["run.output_times"] = ", ".join(_fmt(t) for t in self.output_times)
         m["run.estimates"] = "on" if self.estimates_enabled else "off"
-        m["run.history_every"] = str(self.history_every)
         for name, spec in self.initial.items():
             m[f"init.{name}.kind"] = spec.kind
             for k, v in sorted(spec.options.items()):
@@ -278,9 +276,6 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         solver = SolverConfig(
             cfl_safety=_get_float(mapping, "solver.cfl_safety", 0.5),
             max_dt=_get_float(mapping, "solver.max_dt", 0.01),
-            linear_solver=mapping.get("solver.linear_solver", "spectral"),
-            linear_solver_tol=_get_float(mapping, "solver.linear_solver_tol", 1e-12),
-            linear_solver_max_iter=_get_int(mapping, "solver.linear_solver_max_iter", 2000),
         )
     except ValueError as exc:
         raise ConfigError("solver", str(exc)) from None
@@ -303,6 +298,9 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
             raise ConfigError(kind_key,
                               f"unknown kind {kind!r}; pick one of {INITIAL_KINDS}")
         opts = {k: v for k, v in mapping.items() if k.startswith(f"init.{name}.")}
+        for key in opts:
+            if key.removeprefix(f"init.{name}.") not in INITIAL_OPTIONS:
+                raise ConfigError(key, "unknown key")
         opts.setdefault(f"init.{name}.value", "0")
         initial[name] = InitialSpec(kind=kind, options=opts)
 
@@ -343,9 +341,6 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     probe_trials = _get_int(mapping, "probe.trials", 200)
     if probe_trials < 1:
         raise ConfigError("probe.trials", "must be >= 1")
-    history_every = _get_int(mapping, "run.history_every", 1)
-    if history_every < 1:
-        raise ConfigError("run.history_every", "must be >= 1")
     smoothing = _get_float(mapping, "sweep.smoothing", 0.0)
     if smoothing < 0:
         raise ConfigError("sweep.smoothing", "must be >= 0")
@@ -363,9 +358,12 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         probe_seed=_get_int(mapping, "probe.seed", 7),
         eps_ladder=tuple(eps_ladder),
         sweep_smoothing=smoothing,
-        history_every=history_every,
         raw=dict(mapping),
     )
+    # the manifest echoes every key read; refine.levels is the one extra it adds
+    unknown = sorted(set(mapping) - set(cfg.to_mapping()) - {"refine.levels"})
+    if unknown:
+        raise ConfigError(unknown[0], "unknown key")
     cfg.build_initial_family()  # fail fast on bad initial-data fields
     if cfg.estimates_enabled and cfg.params.theta <= theta_threshold(cfg.params.dim_N):
         raise ConfigError(

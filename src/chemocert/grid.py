@@ -10,13 +10,14 @@ makes three identities exact in floating point:
 * midpoint quadrature is exact for cellwise-constant integrands.
 
 Both 1D and 2D grids are supported; 1D grids exist mainly as fast oracles for
-the time-stepping and certification machinery.
+the time-stepping and certification machinery. The calculus below is written
+over the grid's axes and never branches on their number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.fft
@@ -28,10 +29,6 @@ class GridError(ValueError):
 
 class NonFiniteFieldError(ValueError):
     """A field value is NaN or infinite."""
-
-
-class LinearSolverError(RuntimeError):
-    """The iterative diffusion solve failed to reach its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -282,68 +279,28 @@ def _neumann_eigenvalues(grid: Grid) -> np.ndarray:
     type-II cosine transform exactly, including its boundary rows, so the
     spectral solve below inverts the very same matrix the stencil defines.
     """
-    per_axis = []
-    for a in range(grid.dim):
-        n = grid.cells[a]
-        h = grid.spacing[a]
-        k = np.arange(n)
-        per_axis.append((2.0 - 2.0 * np.cos(np.pi * k / n)) / h ** 2)
-    lam = per_axis[0] if grid.dim == 1 else per_axis[0][:, None] + per_axis[1][None, :]
+    per_axis = [(2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / h ** 2
+                for n, h in zip(grid.cells, grid.spacing)]
+    lam = reduce(np.add.outer, per_axis)
     lam.setflags(write=False)
     return lam
 
 
-def solve_diffusion(grid: Grid, rhs: np.ndarray, tau: float, *,
-                    method: str = "spectral", tol: float = 1e-12,
-                    max_iter: int = 2000) -> np.ndarray:
+def solve_diffusion(grid: Grid, rhs: np.ndarray, tau: float) -> np.ndarray:
     """Solve ``(I - tau*Laplacian) x = rhs`` with the mirrored-ghost stencil.
 
-    ``method="spectral"`` diagonalizes the stencil with a cosine transform and
-    is exact to roundoff (the zero mode is untouched, so the solve conserves
-    mass bit-for-bit up to FFT rounding). ``method="cg"`` runs matrix-free
-    conjugate gradients to relative tolerance ``tol``.
+    A cosine transform diagonalizes the stencil, so the solve is exact to
+    roundoff; the zero mode is untouched, so mass is conserved up to FFT
+    rounding.
     """
     rhs = np.asarray(rhs, dtype=float)
     if tau < 0:
         raise ValueError(f"diffusion pseudo-time must be >= 0, got {tau}")
     if tau == 0.0:
         return rhs.copy()
-    if method == "spectral":
-        lam = _neumann_eigenvalues(grid)
-        hat = scipy.fft.dctn(rhs, type=2, norm="ortho")
-        hat /= 1.0 + tau * lam
-        return scipy.fft.idctn(hat, type=2, norm="ortho")
-    if method == "cg":
-        return _cg_diffusion(grid, rhs, tau, tol, max_iter)
-    raise ValueError(f"unknown diffusion solver {method!r}")
-
-
-def _cg_diffusion(grid: Grid, rhs: np.ndarray, tau: float,
-                  tol: float, max_iter: int) -> np.ndarray:
-    def apply_a(x):
-        return x - tau * laplacian_values(grid, x)
-
-    target = tol * max(1.0, float(np.linalg.norm(rhs.ravel())))
-    x = rhs.copy()
-    r = rhs - apply_a(x)
-    res = float(np.linalg.norm(r.ravel()))
-    if res <= target:
-        return x
-    p = r.copy()
-    rr = res ** 2
-    for it in range(1, max_iter + 1):
-        ap = apply_a(p)
-        alpha = rr / float(np.vdot(p.ravel(), ap.ravel()))
-        x = x + alpha * p
-        r = r - alpha * ap
-        rr_new = float(np.vdot(r.ravel(), r.ravel()))
-        if np.sqrt(rr_new) <= target:
-            return x
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise LinearSolverError(
-        f"diffusion CG did not reach tolerance {tol:g} after {max_iter} "
-        f"iterations (residual {np.sqrt(rr):.3e}, target {target:.3e})")
+    hat = scipy.fft.dctn(rhs, type=2, norm="ortho")
+    hat /= 1.0 + tau * _neumann_eigenvalues(grid)
+    return scipy.fft.idctn(hat, type=2, norm="ortho")
 
 
 def restrict_values(fine: Grid, coarse: Grid, values: np.ndarray) -> np.ndarray:
@@ -359,8 +316,6 @@ def restrict_values(fine: Grid, coarse: Grid, values: np.ndarray) -> np.ndarray:
         if nf % nc != 0:
             raise GridError(f"fine cells {nf} not a multiple of coarse {nc}")
         factors.append(nf // nc)
-    values = np.asarray(values, dtype=float)
-    if fine.dim == 1:
-        return values.reshape(coarse.cells[0], factors[0]).mean(axis=1)
-    return values.reshape(coarse.cells[0], factors[0],
-                          coarse.cells[1], factors[1]).mean(axis=(1, 3))
+    blocks = [n for pair in zip(coarse.cells, factors) for n in pair]
+    return np.asarray(values, dtype=float).reshape(blocks).mean(
+        axis=tuple(range(1, 2 * fine.dim, 2)))

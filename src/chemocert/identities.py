@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -320,13 +320,13 @@ def _bump_spatial(bump: SpaceTimeBump, grid: Grid):
         y = (grid.centers(a) - bump.center[a]) / bump.radius[a]
         axes_vals.append(bump_profile(y))
         axes_ders.append(bump_profile_d1(y) / bump.radius[a])
-    if grid.dim == 1:
-        vals = bump.amplitude * axes_vals[0]
-        grads = (bump.amplitude * axes_ders[0],)
-    else:
-        vals = bump.amplitude * axes_vals[0][:, None] * axes_vals[1][None, :]
-        grads = (bump.amplitude * axes_ders[0][:, None] * axes_vals[1][None, :],
-                 bump.amplitude * axes_vals[0][:, None] * axes_ders[1][None, :])
+
+    def outer(factors):
+        return reduce(np.multiply.outer, [bump.amplitude * factors[0], *factors[1:]])
+
+    vals = outer(axes_vals)
+    grads = tuple(outer(axes_vals[:a] + [axes_ders[a]] + axes_vals[a + 1:])
+                  for a in range(grid.dim))
     vals.setflags(write=False)
     for g in grads:
         g.setflags(write=False)

@@ -48,7 +48,7 @@ from .identities import (
     z_evolution_residual,
 )
 from .model import ModelParams, initial_state, u_mass_cap
-from .solver import SolverConfig, Trajectory, simulate
+from .solver import Trajectory, simulate
 
 CERTIFICATE_KINDS = ("mass", "weakform_w", "weakform_v", "entropy", "z_evolution")
 
@@ -165,14 +165,20 @@ def run_simulate(cfg: RunConfig, out_dir: str | Path) -> int:
     return 0 if ok else 1
 
 
-def _sweep_gaps(prev: Trajectory, cur: Trajectory) -> dict[str, float]:
-    grid = prev.grid
-    ts = prev.snapshot_times()
+def _l1_gaps(coarse: Trajectory, fine: Trajectory) -> dict[str, float]:
+    """Per field, the time-trapezoid of the space-L^1 gap between snapshots.
+
+    The finer trajectory is restricted onto the coarser grid first; on equal
+    grids the restriction is the identity.
+    """
+    ts = coarse.snapshot_times()
     gaps = {}
     for name in ("u", "v", "w"):
-        dvals = [np.abs(getattr(sa, name).values - getattr(sb, name).values).sum()
-                 * grid.cell_volume
-                 for (_, sa), (_, sb) in zip(prev.snapshots, cur.snapshots)]
+        dvals = [np.abs(getattr(sc, name).values
+                        - restrict_values(fine.grid, coarse.grid,
+                                          getattr(sf, name).values)).sum()
+                 * coarse.grid.cell_volume
+                 for (_, sc), (_, sf) in zip(coarse.snapshots, fine.snapshots)]
         gaps[name] = float(np.trapezoid(dvals, ts))
     return gaps
 
@@ -196,9 +202,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
             print(f"[sweep] eps={eps:g} FAILED: {exc}", file=sys.stderr)
 
     eps_done = [e for e in cfg.eps_ladder if e in trajs]
-    gap_rows: list[dict[str, float]] = []
-    for e1, e2 in zip(eps_done[:-1], eps_done[1:]):
-        gap_rows.append(_sweep_gaps(trajs[e1], trajs[e2]))
+    gap_rows = [_l1_gaps(trajs[e1], trajs[e2]) for e1, e2 in zip(eps_done[:-1], eps_done[1:])]
 
     records: list[EstimateRecord] = []
     if len(eps_done) >= 2 and not failures:
@@ -289,7 +293,7 @@ def run_certify(cfg: RunConfig, out_dir: str | Path, seed: int | None = None) ->
         raise ConfigError("run.T", "certification needs T > 0")
     family = cfg.build_initial_family()
     traj = simulate(initial_state(family.base()), cfg.params, cfg.solver, cfg.T,
-                    cfg.output_times, history_every=cfg.history_every)
+                    cfg.output_times, keep_history=True)
     bump_seed = cfg.bump_seed if seed is None else seed
     bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, bump_seed)
     weights_list = [EntropyWeights(p=p, k=k) for p, k in cfg.weights]
@@ -335,13 +339,13 @@ def run_verify_identities(samples: int, seed: int,
     return 0 if ok else 1
 
 
-def _scaled_level(cfg: RunConfig, level: int) -> tuple[RunConfig, SolverConfig]:
+def _scaled_level(cfg: RunConfig, level: int) -> RunConfig:
     from .grid import Grid
 
     grid = Grid(cells=tuple(n * 2 ** level for n in cfg.grid.cells),
                 lengths=cfg.grid.lengths)
     solver = replace(cfg.solver, max_dt=cfg.solver.max_dt / 4.0 ** level)
-    return replace(cfg, grid=grid, solver=solver), solver
+    return replace(cfg, grid=grid, solver=solver)
 
 
 def fit_order(values: list[float], floor: float = 1e-14) -> float:
@@ -371,10 +375,10 @@ def refinement_study(cfg: RunConfig, levels: int,
     level_meta: list[dict[str, float]] = []
     residuals: dict[str, list[list[float]]] = {k: [] for k in CERTIFICATE_KINDS}
     for level in range(levels):
-        sub, _ = _scaled_level(cfg, level)
+        sub = _scaled_level(cfg, level)
         family = sub.build_initial_family()
         traj = simulate(initial_state(family.base()), sub.params, sub.solver,
-                        sub.T, sub.output_times, history_every=sub.history_every)
+                        sub.T, sub.output_times, keep_history=True)
         trajs.append(traj)
         if verbose:
             print(f"[refine] level {level}: cells {sub.grid.cells}, "
@@ -391,17 +395,8 @@ def refinement_study(cfg: RunConfig, levels: int,
         level_meta.append({"cells": sub.grid.cells[0], "h": sub.grid.min_spacing,
                            "dt_mean": traj.mean_dt})
 
-    sol_diffs: dict[str, list[float]] = {n: [] for n in ("u", "v", "w")}
-    for i in range(levels - 1):
-        coarse, fine = trajs[i], trajs[i + 1]
-        ts = coarse.snapshot_times()
-        for name in ("u", "v", "w"):
-            dvals = [np.abs(getattr(sc, name).values
-                            - restrict_values(fine.grid, coarse.grid,
-                                              getattr(sf, name).values)).sum()
-                     * coarse.grid.cell_volume
-                     for (_, sc), (_, sf) in zip(coarse.snapshots, fine.snapshots)]
-            sol_diffs[name].append(float(np.trapezoid(dvals, ts)))
+    gaps = [_l1_gaps(coarse, fine) for coarse, fine in zip(trajs[:-1], trajs[1:])]
+    sol_diffs = {name: [g[name] for g in gaps] for name in ("u", "v", "w")}
 
     cert_orders = {}
     for kind in CERTIFICATE_KINDS:

@@ -15,7 +15,8 @@ clamped to zero, anything lower aborts the run as a scheme violation.
 The trajectory records a full-resolution diagnostic series (per step: masses,
 norms, extrema), running space-time accumulators by the rectangle rule in
 time, snapshots at requested output times (the stepper lands on them
-exactly), and optionally a dense field history for the certificate machinery.
+exactly), and optionally the fields at every step for the certificate
+machinery.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .grid import (
     Field,
     Grid,
+    _axis_slice,
     face_gradient_values,
     gradient_sq_values,
     lp_norm_values,
@@ -49,21 +51,12 @@ class SimulationAbortError(RuntimeError):
 class SolverConfig:
     cfl_safety: float = 0.5
     max_dt: float = 0.01
-    linear_solver: str = "spectral"
-    linear_solver_tol: float = 1e-12
-    linear_solver_max_iter: int = 2000
 
     def __post_init__(self):
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if not self.max_dt > 0:
             raise ValueError(f"max_dt must be positive, got {self.max_dt}")
-        if not self.linear_solver_tol > 0:
-            raise ValueError("linear_solver_tol must be positive")
-        if self.linear_solver_max_iter < 1:
-            raise ValueError("linear_solver_max_iter must be >= 1")
-        if self.linear_solver not in ("spectral", "cg"):
-            raise ValueError(f"unknown linear_solver {self.linear_solver!r}")
 
 
 # accumulators integrated by the rectangle rule over every step; the last is
@@ -188,8 +181,7 @@ def _advect(grid: Grid, s: np.ndarray, face_grads: tuple[np.ndarray, ...],
             continue
         h = grid.spacing[a]
         g = face_grads[a]
-        sl = lambda lo, hi: tuple(
-            slice(lo, hi) if ax == a else slice(None) for ax in range(grid.dim))
+        sl = lambda lo, hi: _axis_slice(grid.dim, a, slice(lo, hi))
         g_int = g[sl(1, n)]
         left = s[sl(None, -1)]
         right = s[sl(1, None)]
@@ -232,11 +224,9 @@ def _advance(grid: Grid, u: np.ndarray, v: np.ndarray, w: np.ndarray, face_g: tu
     v2 = v1 + dt * fv
     w2 = w + dt * (src - w)
 
-    kw = dict(method=cfg.linear_solver, tol=cfg.linear_solver_tol,
-              max_iter=cfg.linear_solver_max_iter)
-    u3 = _clamp_nonneg("u", solve_diffusion(grid, u2, dt, **kw), t + dt)
-    v3 = _clamp_nonneg("v", solve_diffusion(grid, v2, dt, **kw), t + dt)
-    w3 = _clamp_nonneg("w", solve_diffusion(grid, w2, dt, **kw), t + dt)
+    u3 = _clamp_nonneg("u", solve_diffusion(grid, u2, dt), t + dt)
+    v3 = _clamp_nonneg("v", solve_diffusion(grid, v2, dt), t + dt)
+    w3 = _clamp_nonneg("w", solve_diffusion(grid, w2, dt), t + dt)
     return u3, v3, w3, stats
 
 
@@ -245,7 +235,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig, dt: float) -> Sta
 
     Postconditions: all fields nonnegative, and the change of each field's
     integral equals dt times the integral of its reaction/source evaluated at
-    the post-advection values, up to the linear-solver tolerance.
+    the post-advection values, up to roundoff.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -272,12 +262,12 @@ def _state_diagnostics(grid: Grid, u, v, w, grad_w_sq, theta: float) -> dict[str
 
 def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
              output_times: list[float] | np.ndarray = (),
-             history_every: int | None = None) -> Trajectory:
+             keep_history: bool = False) -> Trajectory:
     """Run stable_dt-sized steps up to time T, landing on output times exactly.
 
-    ``history_every=k`` keeps a dense copy of the fields every k-th step (plus
-    the initial and final instants) for the certificate machinery; ``None``
-    stores snapshots only.
+    ``keep_history=True`` keeps a copy of the fields at every step boundary,
+    t_0 .. t_M, for the certificate machinery; otherwise only the snapshots
+    at the output times are stored.
     """
     if not 0.0 <= T < np.inf:
         raise ValueError(f"final time must be finite and >= 0, got {T}")
@@ -310,12 +300,11 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
         history.append({"u": u.copy(), "v": v.copy(), "w": w.copy()})
 
     grad_w_sq = record_series()
-    if history_every is not None:
+    if keep_history:
         record_history(0.0)
 
     t = 0.0
     event_idx = 0
-    step_idx = 0
     time_eps = 1e-12 * max(1.0, T)
     while event_idx < len(events):
         target = events[event_idx]
@@ -336,7 +325,6 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
         u, v, w, stats = _advance(grid, u, v, w, face_g, params, cfg, dt, t)
         del face_g  # held across the history copies it costs 1.5 MB of peak RSS at 64^2
         t = target if hit else t + dt
-        step_idx += 1
 
         accumulators["int_u_theta"] += dt * stats["u_theta"]
         accumulators["int_v_sq"] += dt * stats["v_sq"]
@@ -360,7 +348,7 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
         times.append(t)
         dts.append(dt)
         grad_w_sq = record_series()
-        if history_every is not None and step_idx % history_every == 0:
+        if keep_history:
             record_history(t)
 
         if not np.all(np.isfinite(list(accumulators.values()))):
@@ -374,9 +362,6 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
             snapshots.append((t, snap))
             event_idx += 1
 
-    if history_every is not None and (not hist_times or hist_times[-1] != t):
-        record_history(t)
-
     return Trajectory(
         grid=grid, params=params, config=cfg, final_time=T,
         times=np.array(times), dts=np.array(dts),
@@ -384,6 +369,6 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
         cumulative={k: np.array(vals) for k, vals in cumulative.items()},
         accumulators=accumulators,
         snapshots=snapshots,
-        history_times=np.array(hist_times) if history_every is not None else None,
-        history=history if history_every is not None else None,
+        history_times=np.array(hist_times) if keep_history else None,
+        history=history if keep_history else None,
     )

@@ -102,7 +102,7 @@ def canonical_traj(canonical_cfg):
     cfg = canonical_cfg
     family = cfg.build_initial_family()
     return simulate(initial_state(family.base()), cfg.params, cfg.solver,
-                    cfg.T, cfg.output_times, history_every=cfg.history_every)
+                    cfg.T, cfg.output_times, keep_history=True)
 
 
 @pytest.fixture(scope="session")
@@ -248,7 +248,7 @@ def test_criterion_8_z_evolution(refinement):
                  w=grid.constant_field(0.1))
     params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
     traj = simulate(init, params, SolverConfig(max_dt=0.002), T=1.0,
-                    output_times=np.linspace(0.1, 1.0, 10), history_every=1)
+                    output_times=np.linspace(0.1, 1.0, 10), keep_history=True)
     dt = traj.mean_dt
     worst = 0.0
     weights = EntropyWeights(1.0, 2.0)

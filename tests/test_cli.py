@@ -8,6 +8,7 @@ from chemocert.cli import main
 from chemocert.config import (
     ConfigError,
     config_from_mapping,
+    load_config,
     parse_config_text,
 )
 
@@ -147,6 +148,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="model.dim_n"):
             config_from_mapping(mapping)
 
+    @pytest.mark.parametrize("key, value", [
+        ("model.esp", "0.25"),
+        ("solver.linear_solver", "cg"),
+        ("run.history_every", "2"),
+        ("init.u.sigmma", "0.2"),
+    ])
+    def test_unknown_key_named(self, key, value):
+        mapping = parse_config_text(SMALL_CFG)
+        mapping[key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}': unknown key")):
+            config_from_mapping(mapping)
+
     def test_initial_kinds_build(self):
         mapping = parse_config_text(SMALL_CFG)
         mapping["init.u.kind"] = "two-bump"
@@ -200,6 +213,12 @@ class TestSimulateCommand:
                      "--out", str(out2)]) == 0
         for name in ("diagnostics.csv", "estimates.csv", "fields_0.4.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        # every command's manifest, extras included, loads as the same config
+        expected = load_config(cfg).to_mapping()
+        for command, extra in (("certify", []), ("sweep", []), ("refine", ["--levels", "2"])):
+            out = tmp_path / command
+            main([command, "--config", str(cfg), "--out", str(out), *extra])
+            assert load_config(out / "manifest.cfg").to_mapping() == expected, command
 
 
 class TestSweepCommand:

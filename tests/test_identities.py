@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,6 +222,28 @@ class TestBumps:
         assert errs[1] < 1e-4
         assert errs[1] < errs[0]
 
+    @pytest.mark.parametrize("cells, lengths", [((64, 64), (1.0, 1.0)), ((64,), (1.0,)),
+                                                ((48, 20), (1.0, 0.4))])
+    def test_spatial_factor_is_outer_product(self, cells, lengths):
+        # reference: amplitude on the axis-0 factor, then one factor per axis
+        g = Grid(cells=cells, lengths=lengths)
+        for bump in sample_bumps(g, 1.0, 20, seed=9):
+            bump = replace(bump, amplitude=0.7)
+            ys = [(g.centers(a) - c) / r
+                  for a, (c, r) in enumerate(zip(bump.center, bump.radius))]
+            vals = [bump_profile(y) for y in ys]
+            ders = [bump_profile_d1(y) / r for y, r in zip(ys, bump.radius)]
+            if g.dim == 1:
+                expected = 0.7 * vals[0]
+                expected_grads = (0.7 * ders[0],)
+            else:
+                expected = 0.7 * vals[0][:, None] * vals[1][None, :]
+                expected_grads = (0.7 * ders[0][:, None] * vals[1][None, :],
+                                  0.7 * vals[0][:, None] * ders[1][None, :])
+            assert np.array_equal(bump.spatial_values(g), expected)
+            for got, want in zip(bump.spatial_gradient(g), expected_grads, strict=True):
+                assert np.array_equal(got, want)
+
     def test_fits_validation(self):
         g = Grid(cells=(16,), lengths=(1.0,))
         bad = SpaceTimeBump(center=(0.05,), radius=(0.2,), t_center=0.2,
@@ -239,7 +262,7 @@ def zero_traj(T=1.0):
                  w=g.constant_field(0.0))
     params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
     return simulate(zero, params, SolverConfig(max_dt=0.01), T,
-                    output_times=[T], history_every=1)
+                    output_times=[T], keep_history=True)
 
 
 class TestCertificatesOnOracles:
@@ -264,7 +287,7 @@ class TestCertificatesOnOracles:
                      w=g.constant_field(0.1))
         params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
         traj = simulate(init, params, SolverConfig(max_dt=0.002), T=1.0,
-                        output_times=np.linspace(0.1, 1.0, 10), history_every=1)
+                        output_times=np.linspace(0.1, 1.0, 10), keep_history=True)
         weights = EntropyWeights(1.0, 2.0)
         dt = traj.mean_dt
         tested = history_pass(traj, sample_bumps(g, 1.0, 4, seed=5), [weights])
@@ -288,7 +311,7 @@ class TestCertificatesOnOracles:
         g = Grid(cells=(16, 16), lengths=(1.0, 1.0))
         params = ModelParams(theta=2.0, eps=0.5, dim_N=2)
         traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.004),
-                        T=0.6, output_times=[0.6], history_every=1)
+                        T=0.6, output_times=[0.6], keep_history=True)
         weights = EntropyWeights(1.0, 2.0)
         bump = sample_bumps(g, 0.6, 1, seed=8)[0]
         rec, = certify_entropy_inequality(history_pass(traj, [bump], [weights]),
@@ -303,7 +326,10 @@ class TestCertificatesOnOracles:
         g = Grid(cells=(16, 16), lengths=(1.0, 1.0))
         params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
         traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.004),
-                        T=0.5, output_times=[0.5], history_every=5)
+                        T=0.5, output_times=[0.5], keep_history=True)
+        # every fifth instant: a cadence of five steps
+        traj = replace(traj, history=traj.history[::5],
+                       history_times=traj.history_times[::5])
         bump = sample_bumps(g, 0.5, 1, seed=1)[0]
         with pytest.raises(ValueError, match="cadence"):
             history_pass(traj, [bump], [EntropyWeights(1.0, 2.0)])
@@ -329,7 +355,7 @@ class TestCertificatesOnOracles:
         params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
         T = 0.004 if case == "short" else 0.1  # a single step when short
         traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.01),
-                        T=T, output_times=[T], history_every=1)
+                        T=T, output_times=[T], keep_history=True)
         bump = SpaceTimeBump(center=(0.5, 0.5), radius=(0.2, 0.2),
                              t_center=0.0, t_radius=0.002)
         if case == "negative":

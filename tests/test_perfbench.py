@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from chemocert.config import load_config
 from test_cli import SMALL_CFG
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -34,6 +35,19 @@ def bench():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+def test_workload_configs_load(tmp_path, monkeypatch, bench):
+    # the benchmark writes its configs from configs/canonical.cfg; the config
+    # layer rejects unknown keys, so each must still load, as must both
+    # shipped configs
+    monkeypatch.setattr(bench, "WORK", tmp_path)
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for workload in spec["workloads"]:
+        path, _keys = bench.write_config(workload["name"], seed=3)
+        load_config(path)
+    for name in ("canonical.cfg", "refine.cfg"):
+        load_config(PERFBENCH.parent / "configs" / name)
 
 
 @pytest.mark.parametrize("command, workload", [("simulate", "simulate-64"),
