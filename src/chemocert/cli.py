@@ -45,8 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refine", help="grid/time refinement ladder and calibration")
     add_common(p)
-    p.add_argument("--levels", type=int, default=3,
-                   help="number of (h, dt) -> (h/2, dt/4) levels (default 3)")
+    p.add_argument("--levels", type=int, default=None,
+                   help="number of (h, dt) -> (h/2, dt/4) levels (default: the "
+                        "config's refine.levels, else 3)")
     return parser
 
 
@@ -65,7 +66,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "certify":
             return run_certify(cfg, args.out, seed=args.seed)
         if args.command == "refine":
-            return run_refine(cfg, args.levels, args.out)
+            levels = cfg.refine_levels if args.levels is None else args.levels
+            return run_refine(cfg, levels, args.out)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

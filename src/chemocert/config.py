@@ -29,10 +29,18 @@ DEFAULT_TOL_C = {
     "z_evolution": 7e-2,
 }
 
-INITIAL_KINDS = ("constant", "gaussian-bump", "two-bump", "random-seeded")
-# the init.<field>.* suffixes read: the kind, and the options of any kind
-INITIAL_OPTIONS = ("kind", "value", "center", "sigma", "mass", "amplitude",
-                   "center1", "center2", "sigma1", "sigma2", "weight2", "seed")
+# the init.<field>.* options each kind reads, besides ``kind`` itself; every
+# kind also takes ``value``, which the manifest echoes for all of them
+INITIAL_OPTIONS = {
+    "constant": ("value",),
+    "gaussian-bump": ("value", "center", "sigma", "mass", "amplitude"),
+    "two-bump": ("value", "center1", "center2", "sigma1", "sigma2", "weight2",
+                 "mass", "amplitude"),
+    "random-seeded": ("value", "amplitude", "seed"),
+}
+INITIAL_KINDS = tuple(INITIAL_OPTIONS)
+
+DEFAULT_REFINE_LEVELS = 3
 
 
 class ConfigError(ValueError):
@@ -202,6 +210,8 @@ class RunConfig:
     probe_seed: int
     eps_ladder: tuple[float, ...]
     sweep_smoothing: float
+    # not echoed: only a refine manifest carries it, as the levels walked
+    refine_levels: int = DEFAULT_REFINE_LEVELS
     raw: dict[str, str] = dataclass_field(default_factory=dict, compare=False)
 
     def build_initial_family(self) -> InitialFamily:
@@ -239,9 +249,13 @@ class RunConfig:
         return m
 
 
+# 17 significant digits round-trip every float64
+FLOAT_FORMAT = "%.17g"
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return f"{x:.17g}"
+        return FLOAT_FORMAT % x
     return str(x)
 
 
@@ -299,8 +313,9 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
                               f"unknown kind {kind!r}; pick one of {INITIAL_KINDS}")
         opts = {k: v for k, v in mapping.items() if k.startswith(f"init.{name}.")}
         for key in opts:
-            if key.removeprefix(f"init.{name}.") not in INITIAL_OPTIONS:
-                raise ConfigError(key, "unknown key")
+            option = key.removeprefix(f"init.{name}.")
+            if option != "kind" and option not in INITIAL_OPTIONS[kind]:
+                raise ConfigError(key, f"unknown key for kind {kind!r}")
         opts.setdefault(f"init.{name}.value", "0")
         initial[name] = InitialSpec(kind=kind, options=opts)
 
@@ -344,6 +359,10 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     smoothing = _get_float(mapping, "sweep.smoothing", 0.0)
     if smoothing < 0:
         raise ConfigError("sweep.smoothing", "must be >= 0")
+    refine_levels = _get_int(mapping, "refine.levels", DEFAULT_REFINE_LEVELS)
+    if refine_levels < 2:
+        raise ConfigError("refine.levels",
+                          f"refinement needs >= 2 levels, got {refine_levels}")
 
     cfg = RunConfig(
         grid=grid, params=params, solver=solver, T=T,
@@ -358,6 +377,7 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         probe_seed=_get_int(mapping, "probe.seed", 7),
         eps_ladder=tuple(eps_ladder),
         sweep_smoothing=smoothing,
+        refine_levels=refine_levels,
         raw=dict(mapping),
     )
     # the manifest echoes every key read; refine.levels is the one extra it adds

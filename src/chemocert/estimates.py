@@ -274,14 +274,24 @@ def probe_uniform_integrability(traj: Trajectory, eta: float, delta: float,
     n_time, n_cells = u_flat.shape
     atom_measure = np.repeat(weights, n_cells) * vol
     atom_integral = (u_flat * weights[:, None]).ravel() * vol
+    n_atoms = n_time * n_cells
+    min_measure = float(atom_measure.min())
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     violations = 0
     for _ in range(trials):
         target = rng.uniform(0.2, 0.999) * delta
-        order = rng.permutation(n_time * n_cells)
-        meas = np.cumsum(atom_measure[order])
+        order = rng.permutation(n_atoms)
+        # every atom weighs at least min_measure, so the running measure
+        # passes target within this prefix unless roundoff says otherwise;
+        # cumsum adds left to right, so the prefix sums are bitwise those of
+        # the full length
+        bound = target / min_measure if min_measure > 0 else np.inf
+        n_prefix = int(min(n_atoms, bound + 2))
+        meas = np.cumsum(atom_measure[order[:n_prefix]])
+        if n_prefix < n_atoms and meas[-1] < target:
+            meas = np.cumsum(atom_measure[order])
         n_take = int(np.searchsorted(meas, target))
         take = order[:n_take]
         value = float(atom_integral[take].sum())

@@ -17,7 +17,7 @@ over the grid's axes and never branches on their number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.fft
@@ -64,7 +64,9 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.cells
 
-    @property
+    # cached on the instance: the stepper reads these on every step, and the
+    # frozen dataclass compares and hashes by its fields only
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(l / n for l, n in zip(self.lengths, self.cells))
 
@@ -72,7 +74,7 @@ class Grid:
     def min_spacing(self) -> float:
         return min(self.spacing)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import ConfigError, RunConfig, _fmt
+from .config import FLOAT_FORMAT, ConfigError, RunConfig, _fmt
 from .estimates import (
     EstimateRecord,
     check_dissipation_bounds,
@@ -53,11 +53,22 @@ from .solver import Trajectory, simulate
 CERTIFICATE_KINDS = ("mass", "weakform_w", "weakform_v", "entropy", "z_evolution")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
+    """Header plus one line per row, every float as ``_fmt`` writes it.
+
+    ``rows`` may be a 2-D float array; it is then formatted in one pass of
+    ``FLOAT_FORMAT``, the format ``_fmt`` applies to each value, joined the
+    way ``csv.writer`` joins numbers.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        if isinstance(rows, np.ndarray):
+            n_rows, n_cols = rows.shape
+            line = ",".join([FLOAT_FORMAT] * n_cols) + writer.dialect.lineterminator
+            fh.write((line * n_rows) % tuple(rows.ravel().tolist()))
+            return
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
 
@@ -91,16 +102,14 @@ def _write_diagnostics(traj: Trajectory, out: Path) -> None:
 
 def _write_fields(traj: Trajectory, out: Path) -> None:
     grid = traj.grid
-    meshes = grid.meshes()
     coord_names = ["x", "y"][: grid.dim]
+    table = np.empty((grid.n_cells, grid.dim + 3))
+    for a, mesh in enumerate(grid.meshes()):
+        table[:, a] = mesh.ravel()
     for t, state in traj.snapshots:
-        rows = []
-        flat = [m.ravel() for m in meshes]
-        u, v, w = state.u.values.ravel(), state.v.values.ravel(), state.w.values.ravel()
-        for i in range(grid.n_cells):
-            rows.append([float(c[i]) for c in flat] +
-                        [float(u[i]), float(v[i]), float(w[i])])
-        _write_csv(out / f"fields_{t:g}.csv", coord_names + ["u", "v", "w"], rows)
+        for j, f in enumerate((state.u, state.v, state.w)):
+            table[:, grid.dim + j] = f.values.ravel()
+        _write_csv(out / f"fields_{t:g}.csv", coord_names + ["u", "v", "w"], table)
 
 
 def _estimate_rows(records: list[EstimateRecord]) -> list[list]:

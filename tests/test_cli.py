@@ -77,6 +77,14 @@ def write_cfg(tmp_path, text=SMALL_CFG, name="run.cfg"):
     return path
 
 
+def switch_kind(text, name, kind, **options):
+    """``text`` with field ``name`` set to ``kind``; the old kind's options go."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"init.{name}.")]
+    lines.append(f"init.{name}.kind = {kind}")
+    lines += [f"init.{name}.{key} = {value}" for key, value in options.items()]
+    return "\n".join(lines) + "\n"
+
+
 class TestConfigParsing:
     def test_round_trip_mapping(self):
         mapping = parse_config_text(SMALL_CFG)
@@ -160,18 +168,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(f"'{key}': unknown key")):
             config_from_mapping(mapping)
 
-    def test_initial_kinds_build(self):
+    def test_option_of_another_kind_named(self):
+        mapping = parse_config_text(switch_kind(SMALL_CFG, "u", "constant", value="0.5"))
+        config_from_mapping(mapping)
+        mapping["init.u.sigma"] = "0.2"
+        with pytest.raises(ConfigError, match=re.escape("'init.u.sigma': unknown key")):
+            config_from_mapping(mapping)
+
+    @pytest.mark.parametrize("value", ["2.5", "1", "0"])
+    def test_refine_levels_named(self, value):
         mapping = parse_config_text(SMALL_CFG)
-        mapping["init.u.kind"] = "two-bump"
-        mapping["init.u.center1"] = "0.3, 0.3"
-        mapping["init.u.center2"] = "0.7, 0.7"
-        mapping["init.u.sigma1"] = "0.1"
-        mapping["init.u.sigma2"] = "0.15"
-        mapping["init.u.mass"] = "0.5"
-        mapping["init.v.kind"] = "random-seeded"
-        mapping["init.v.amplitude"] = "0.5"
-        mapping["init.v.seed"] = "3"
-        cfg = config_from_mapping(mapping)
+        mapping["refine.levels"] = value
+        with pytest.raises(ConfigError, match=re.escape("'refine.levels'")):
+            config_from_mapping(mapping)
+
+    def test_initial_kinds_build(self):
+        text = switch_kind(SMALL_CFG, "u", "two-bump", center1="0.3, 0.3",
+                           center2="0.7, 0.7", sigma1="0.1", sigma2="0.15", mass="0.5")
+        text = switch_kind(text, "v", "random-seeded", amplitude="0.5", seed="3")
+        cfg = config_from_mapping(parse_config_text(text))
         fam = cfg.build_initial_family()
         assert fam.u0.min() >= 0.0
         total = fam.u0.values.sum() * cfg.grid.cell_volume
@@ -223,10 +238,8 @@ class TestSimulateCommand:
 
 class TestSweepCommand:
     def test_zero_data_gaps_exactly_zero(self, tmp_path):
-        text = SMALL_CFG.replace("init.u.kind = gaussian-bump", "init.u.kind = constant")
-        text = text.replace("init.u.mass = 0.5", "init.u.value = 0.0")
-        text = text.replace("init.v.kind = gaussian-bump", "init.v.kind = constant")
-        text = text.replace("init.v.mass = 0.3", "init.v.value = 0.0")
+        text = switch_kind(SMALL_CFG, "u", "constant", value="0.0")
+        text = switch_kind(text, "v", "constant", value="0.0")
         text = text.replace("init.w.value = 0.1", "init.w.value = 0.0")
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "sweep"
@@ -239,10 +252,8 @@ class TestSweepCommand:
     def test_constant_data_gaps_match_ode_oracle(self, tmp_path):
         # constant (1/2, 1/2) data: species gaps vanish and the w gap between
         # rungs is |g' - g| * int_0^T (1 - e^-t) dt with g = 1/(1 + eps)
-        text = SMALL_CFG.replace("init.u.kind = gaussian-bump", "init.u.kind = constant")
-        text = text.replace("init.u.mass = 0.5", "init.u.value = 0.5")
-        text = text.replace("init.v.kind = gaussian-bump", "init.v.kind = constant")
-        text = text.replace("init.v.mass = 0.3", "init.v.value = 0.5")
+        text = switch_kind(SMALL_CFG, "u", "constant", value="0.5")
+        text = switch_kind(text, "v", "constant", value="0.5")
         text = text.replace("run.T = 0.4", "run.T = 1.0")
         text = text.replace("run.output_times = 0.0:0.4:5", "run.output_times = 0.0:1.0:11")
         text = text.replace("solver.max_dt = 0.01", "solver.max_dt = 0.001")
@@ -367,6 +378,22 @@ class TestRefineCommand:
         assert main(["refine", "--config", str(cfg), "--out",
                      str(tmp_path / "r"), "--levels", "1"]) == 2
         assert "levels" in capsys.readouterr().err
+
+    def test_manifest_rerun_walks_same_ladder(self, tmp_path):
+        # the manifest echoes refine.levels; without --levels the re-run reads it
+        cfg = write_cfg(tmp_path)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        main(["refine", "--config", str(cfg), "--out", str(out1), "--levels", "2"])
+        main(["refine", "--config", str(out1 / "manifest.cfg"), "--out", str(out2)])
+        first = (out1 / "refine.csv").read_bytes()
+        assert len(first.splitlines()) == 5  # header, two levels, order, C
+        assert (out2 / "refine.csv").read_bytes() == first
+
+    def test_explicit_levels_win(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_CFG + "refine.levels = 3\n")
+        out = tmp_path / "r"
+        main(["refine", "--config", str(cfg), "--out", str(out), "--levels", "2"])
+        assert len((out / "refine.csv").read_text().splitlines()) == 5
 
     def test_two_level_study(self, tmp_path):
         text = SMALL_CFG.replace("grid.cells = 16, 16", "grid.cells = 12, 12")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,31 @@ def zero_run(T=1.0):
                  w=g.constant_field(0.0))
     return simulate(zero, PARAMS, SolverConfig(max_dt=0.01), T,
                     output_times=np.linspace(0.0, T, 6))
+
+
+def full_cumsum_probe(traj, eta, delta, trials, seed):
+    """The probe's trial loop with the running measure over every atom."""
+    times = traj.snapshot_times()
+    weights = np.empty_like(times)
+    weights[1:-1] = 0.5 * (times[2:] - times[:-2])
+    weights[0] = 0.5 * (times[1] - times[0])
+    weights[-1] = 0.5 * (times[-1] - times[-2])
+    vol = traj.grid.cell_volume
+    u_flat = np.stack([s.u.values.ravel() for _, s in traj.snapshots])
+    n_time, n_cells = u_flat.shape
+    atom_measure = np.repeat(weights, n_cells) * vol
+    atom_integral = (u_flat * weights[:, None]).ravel() * vol
+    rng = np.random.default_rng(seed)
+    worst, violations = 0.0, 0
+    for _ in range(trials):
+        target = rng.uniform(0.2, 0.999) * delta
+        order = rng.permutation(n_time * n_cells)
+        meas = np.cumsum(atom_measure[order])
+        take = order[:int(np.searchsorted(meas, target))]
+        value = float(atom_integral[take].sum())
+        worst = max(worst, value)
+        violations += value >= eta
+    return worst, float(violations)
 
 
 class TestClosedFormBounds:
@@ -247,6 +274,26 @@ class TestUniformIntegrability:
         assert rec.details["violations"] == 0.0
         assert rec.details["analytic_ok"] == 1.0
         assert rec.details["holder_bound"] <= eta * (1 + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_probe_matches_full_cumsum(self, seed):
+        traj, params, norms = small_run(T=0.5)
+        m1 = u_mass_cap(norms["u0_l1"], params.theta, traj.grid.measure)
+        for eta in (0.25, 1.0, 1e6):  # at 1e6 the set takes every atom
+            delta = uniform_integrability_threshold(eta, traj.final_time, params.theta,
+                                                    m1, norms["u0_l1"])
+            rec = probe_uniform_integrability(traj, eta, delta, trials=30, seed=seed)
+            assert (rec.value, rec.details["violations"]) == full_cumsum_probe(
+                traj, eta, delta, trials=30, seed=seed)
+
+    def test_probe_zero_measure_atoms(self):
+        # a repeated snapshot time gives its middle instant zero weight
+        traj, _, _ = small_run(T=0.5)
+        snaps = traj.snapshots
+        traj = dataclasses.replace(traj, snapshots=snaps[:5] + [snaps[5]] * 3 + snaps[6:])
+        rec = probe_uniform_integrability(traj, 0.5, 0.01, trials=20, seed=4)
+        assert (rec.value, rec.details["violations"]) == full_cumsum_probe(
+            traj, 0.5, 0.01, trials=20, seed=4)
 
     def test_probe_is_seeded(self):
         traj, _, _ = small_run(T=0.5)

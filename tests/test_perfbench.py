@@ -5,7 +5,8 @@ up in another. A function renamed, inlined or called through another name
 leaves its layer at zero, and the traced benchmark run then reads incorrect.
 These tests run the recorder on a small config for each benchmarked command
 and apply the benchmark's own rule: every layer the workload should reach
-reads above zero.
+reads above zero. They also check that the write counters account for every
+artifact the command leaves.
 """
 
 import importlib.util
@@ -74,3 +75,10 @@ def test_recorders_reach_every_layer(tmp_path, bench, command, workload):
                  if not (counters.get(name, 0) if span is None
                          else totals.get(span, {}).get(fld, 0)) > 0]
     assert not unreached
+    # the write counters cover every artifact: one row per CSV data line, and
+    # every byte in the output directory
+    files = [p for p in (tmp_path / "out").iterdir() if p.is_file()]
+    data_rows = sum(len(p.read_text(encoding="utf-8").splitlines()) - 1
+                    for p in files if p.suffix == ".csv")
+    assert counters["runner.write.rows"] == data_rows
+    assert counters["runner.write.bytes"] == sum(p.stat().st_size for p in files)
