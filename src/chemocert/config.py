@@ -9,13 +9,13 @@ is itself a valid config, and re-running it reproduces the run byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .grid import Field, Grid
-from .identities import weight_threshold
+from .identities import EntropyWeights
 from .model import InitialFamily, ModelParams, theta_threshold
 from .solver import SolverConfig
 
@@ -192,7 +192,7 @@ def _gaussian(grid: Grid, key: str, bumps, opts: dict[str, str]) -> Field:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one simulation/certification run needs, plus its raw echo."""
+    """Everything one simulation/certification run needs."""
 
     grid: Grid
     params: ModelParams
@@ -201,7 +201,7 @@ class RunConfig:
     output_times: tuple[float, ...]
     initial: dict[str, InitialSpec]
     estimates_enabled: bool
-    weights: tuple[tuple[float, float], ...]
+    weights: tuple[EntropyWeights, ...]
     bump_count: int
     bump_seed: int
     tol_c: dict[str, float]
@@ -209,10 +209,8 @@ class RunConfig:
     probe_trials: int
     probe_seed: int
     eps_ladder: tuple[float, ...]
-    sweep_smoothing: float
     # not echoed: only a refine manifest carries it, as the levels walked
     refine_levels: int = DEFAULT_REFINE_LEVELS
-    raw: dict[str, str] = dataclass_field(default_factory=dict, compare=False)
 
     def build_initial_family(self) -> InitialFamily:
         fields = {name: spec.build(self.grid, name)
@@ -226,7 +224,6 @@ class RunConfig:
         m["grid.lengths"] = ", ".join(_fmt(x) for x in self.grid.lengths)
         m["model.theta"] = _fmt(self.params.theta)
         m["model.eps"] = _fmt(self.params.eps)
-        m["model.dim_n"] = str(self.params.dim_N)
         m["solver.cfl_safety"] = _fmt(self.solver.cfl_safety)
         m["solver.max_dt"] = _fmt(self.solver.max_dt)
         m["run.T"] = _fmt(self.T)
@@ -236,7 +233,7 @@ class RunConfig:
             m[f"init.{name}.kind"] = spec.kind
             for k, v in sorted(spec.options.items()):
                 m[k] = v
-        m["certify.weights"] = "; ".join(f"{_fmt(p)}:{_fmt(k)}" for p, k in self.weights)
+        m["certify.weights"] = "; ".join(f"{_fmt(w.p)}:{_fmt(w.k)}" for w in self.weights)
         m["certify.bumps"] = str(self.bump_count)
         m["certify.seed"] = str(self.bump_seed)
         for kind, c in sorted(self.tol_c.items()):
@@ -245,7 +242,6 @@ class RunConfig:
         m["probe.trials"] = str(self.probe_trials)
         m["probe.seed"] = str(self.probe_seed)
         m["sweep.eps_ladder"] = ", ".join(_fmt(x) for x in self.eps_ladder)
-        m["sweep.smoothing"] = _fmt(self.sweep_smoothing)
         return m
 
 
@@ -280,11 +276,7 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     eps = _get_float(mapping, "model.eps", 0.0)
     if not (0.0 <= eps < 1.0):
         raise ConfigError("model.eps", f"must lie in [0, 1), got {eps}")
-    dim_n = _get_int(mapping, "model.dim_n", grid.dim)
-    try:
-        params = ModelParams(theta=theta, eps=eps, dim_N=dim_n)
-    except ValueError as exc:
-        raise ConfigError("model.dim_n", str(exc)) from None
+    params = ModelParams(theta=theta, eps=eps)
 
     try:
         solver = SolverConfig(
@@ -319,16 +311,11 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         opts.setdefault(f"init.{name}.value", "0")
         initial[name] = InitialSpec(kind=kind, options=opts)
 
-    weights = _parse_weights(mapping.get("certify.weights", "1:2"))
-    for p, k in weights:
-        try:
-            thr = weight_threshold(p)
-        except ValueError as exc:
-            raise ConfigError("certify.weights", str(exc)) from None
-        if not k > thr:
-            raise ConfigError("certify.weights",
-                              f"pair p={p}, k={k} is inadmissible: need "
-                              f"k > sqrt(p)(p+1)/2 = {thr:.6g}")
+    pairs = _parse_weights(mapping.get("certify.weights", "1:2"))
+    try:
+        weights = tuple(EntropyWeights(p=p, k=k) for p, k in pairs)
+    except ValueError as exc:
+        raise ConfigError("certify.weights", str(exc)) from None
 
     tol_c = dict(DEFAULT_TOL_C)
     for key in mapping:
@@ -356,9 +343,6 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     probe_trials = _get_int(mapping, "probe.trials", 200)
     if probe_trials < 1:
         raise ConfigError("probe.trials", "must be >= 1")
-    smoothing = _get_float(mapping, "sweep.smoothing", 0.0)
-    if smoothing < 0:
-        raise ConfigError("sweep.smoothing", "must be >= 0")
     refine_levels = _get_int(mapping, "refine.levels", DEFAULT_REFINE_LEVELS)
     if refine_levels < 2:
         raise ConfigError("refine.levels",
@@ -376,20 +360,19 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         probe_trials=probe_trials,
         probe_seed=_get_int(mapping, "probe.seed", 7),
         eps_ladder=tuple(eps_ladder),
-        sweep_smoothing=smoothing,
         refine_levels=refine_levels,
-        raw=dict(mapping),
     )
     # the manifest echoes every key read; refine.levels is the one extra it adds
     unknown = sorted(set(mapping) - set(cfg.to_mapping()) - {"refine.levels"})
     if unknown:
         raise ConfigError(unknown[0], "unknown key")
     cfg.build_initial_family()  # fail fast on bad initial-data fields
-    if cfg.estimates_enabled and cfg.params.theta <= theta_threshold(cfg.params.dim_N):
+    # N of the paper's threshold is the grid's dimension
+    if cfg.estimates_enabled and cfg.params.theta <= theta_threshold(grid.dim):
         raise ConfigError(
             "model.theta",
             f"signal L^p checks need theta above the threshold "
-            f"{theta_threshold(cfg.params.dim_N)} for N={cfg.params.dim_N}")
+            f"{theta_threshold(grid.dim)} for N={grid.dim}")
     return cfg
 
 

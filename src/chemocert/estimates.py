@@ -16,9 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .identities import second_order_floor, weight_threshold, z_values
+from .identities import EntropyWeights, second_order_floor, z_values
 from .model import ModelParams, u_mass_cap, v_mass_cap, w_lp_exponent_cap
 from .solver import Trajectory
+
+# relative tolerance of the closed-form bounds, scaled by max(1, |bound|)
+REL_TOL = 1e-3
+# eps-uniformity: the final ladder ratio must sit inside 1 + BAND
+BAND = 0.05
+# ladder values at or below this count as zero
+ZERO_FLOOR = 1e-12
 
 
 @dataclass
@@ -34,12 +41,11 @@ class EstimateRecord:
     details: dict[str, float] = field(default_factory=dict)
 
 
-def _bounded_record(name: str, value: float, bound: float, rel_tol: float,
-                    **details) -> EstimateRecord:
-    tol = rel_tol * max(1.0, abs(bound))
+def _bounded_record(name: str, value: float, bound: float) -> EstimateRecord:
+    tol = REL_TOL * max(1.0, abs(bound))
     slack = bound - value
     return EstimateRecord(name=name, value=value, bound=bound, slack=slack,
-                          tol=tol, passed=bool(slack >= -tol), details=dict(details))
+                          tol=tol, passed=bool(slack >= -tol))
 
 
 # ---------------------------------------------------------------------------
@@ -47,23 +53,21 @@ def _bounded_record(name: str, value: float, bound: float, rel_tol: float,
 # ---------------------------------------------------------------------------
 
 def check_mass_bounds(traj: Trajectory, params: ModelParams, u0_l1: float,
-                      v0_l1: float, omega_measure: float | None = None,
-                      rel_tol: float = 1e-3) -> list[EstimateRecord]:
+                      v0_l1: float) -> list[EstimateRecord]:
     """Sup-in-time species masses against their closed-form caps."""
     if len(traj.times) == 0:
         raise ValueError("trajectory is empty")
-    omega = traj.grid.measure if omega_measure is None else omega_measure
+    omega = traj.grid.measure
     m1 = u_mass_cap(u0_l1, params.theta, omega)
     m2 = v_mass_cap(v0_l1, omega)
     return [
-        _bounded_record("mass_u_cap", traj.sup_series("mass_u"), m1, rel_tol),
-        _bounded_record("mass_v_cap", traj.sup_series("mass_v"), m2, rel_tol),
+        _bounded_record("mass_u_cap", traj.sup_series("mass_u"), m1),
+        _bounded_record("mass_v_cap", traj.sup_series("mass_v"), m2),
     ]
 
 
 def check_spacetime_bounds(traj: Trajectory, params: ModelParams, u0_l1: float,
-                           v0_l1: float, rel_tol: float = 1e-3,
-                           ) -> list[EstimateRecord]:
+                           v0_l1: float) -> list[EstimateRecord]:
     """Accumulated iint u^theta and iint v^2 against cap*T + 1 + initial mass."""
     omega = traj.grid.measure
     T = traj.final_time
@@ -71,28 +75,25 @@ def check_spacetime_bounds(traj: Trajectory, params: ModelParams, u0_l1: float,
     m2 = v_mass_cap(v0_l1, omega)
     return [
         _bounded_record("spacetime_u_theta", traj.accumulators["int_u_theta"],
-                        m1 * T + 1.0 + u0_l1, rel_tol),
+                        m1 * T + 1.0 + u0_l1),
         _bounded_record("spacetime_v_sq", traj.accumulators["int_v_sq"],
-                        m2 * T + 1.0 + v0_l1, rel_tol),
+                        m2 * T + 1.0 + v0_l1),
     ]
 
 
-def check_reaction_l1(traj: Trajectory, u0_l1: float, v0_l1: float,
-                      omega_measure: float | None = None,
-                      rel_tol: float = 1e-3) -> list[EstimateRecord]:
+def check_reaction_l1(traj: Trajectory, u0_l1: float,
+                      v0_l1: float) -> list[EstimateRecord]:
     """Space-time L^1 of each reaction against 2|Omega|T + 1 + initial mass.
 
     The bound rests on the sign split: |f| = 2 f_plus - f with f_plus <= 1
     pointwise, plus the exact mass balance for the signed part.
     """
-    omega = traj.grid.measure if omega_measure is None else omega_measure
-    T = traj.final_time
-    base = 2.0 * omega * T + 1.0
+    base = 2.0 * traj.grid.measure * traj.final_time + 1.0
     return [
         _bounded_record("reaction_u_l1", traj.accumulators["int_abs_reaction_u"],
-                        base + u0_l1, rel_tol),
+                        base + u0_l1),
         _bounded_record("reaction_v_l1", traj.accumulators["int_abs_reaction_v"],
-                        base + v0_l1, rel_tol),
+                        base + v0_l1),
     ]
 
 
@@ -137,39 +138,39 @@ def check_positivity(traj: Trajectory) -> EstimateRecord:
 # eps-uniformity bands
 # ---------------------------------------------------------------------------
 
-def uniformity_band(values: list[float], band: float = 0.05,
-                    floor: float = 1e-12) -> tuple[bool, list[float]]:
+def uniformity_band(values: list[float]) -> tuple[bool, list[float]]:
     """Saturation test for a quantity along a decreasing-eps ladder.
 
-    Ratios r_j = values[j+1]/values[j] must (a) end inside 1 + band and
+    Ratios r_j = values[j+1]/values[j] must (a) end inside 1 + BAND and
     (b) never rise once above the band: each ratio may exceed its predecessor
-    only while staying inside the band. Pairs of values below ``floor`` count
-    as ratio one. A diverging sequence fails (a); an erratic one fails (b).
+    only while staying inside the band. Pairs of values at or below
+    ``ZERO_FLOOR`` count as ratio one. A diverging sequence fails (a); an
+    erratic one fails (b).
     """
     if len(values) < 2:
         raise ValueError("uniformity band needs at least two ladder values")
     ratios = []
     for a, b in zip(values[:-1], values[1:]):
-        if abs(a) <= floor and abs(b) <= floor:
+        if abs(a) <= ZERO_FLOOR and abs(b) <= ZERO_FLOOR:
             ratios.append(1.0)
-        elif abs(a) <= floor:
+        elif abs(a) <= ZERO_FLOOR:
             ratios.append(np.inf)
         else:
             ratios.append(b / a)
-    ok = ratios[-1] <= 1.0 + band
+    ok = ratios[-1] <= 1.0 + BAND
     for prev, nxt in zip(ratios[:-1], ratios[1:]):
-        if nxt > max(prev, 1.0 + band) + 1e-9:
+        if nxt > max(prev, 1.0 + BAND) + 1e-9:
             ok = False
     return bool(ok), ratios
 
 
-def _band_record(name: str, eps_ladder: list[float], values: list[float],
-                 band: float) -> EstimateRecord:
-    passed, ratios = uniformity_band(values, band=band)
+def _band_record(name: str, eps_ladder: list[float],
+                 values: list[float]) -> EstimateRecord:
+    passed, ratios = uniformity_band(values)
     details = {f"eps_{e:g}": v for e, v in zip(eps_ladder, values)}
     details.update({f"ratio_{j}": r for j, r in enumerate(ratios)})
     return EstimateRecord(name=name, value=values[-1], bound=None, slack=None,
-                          tol=band, passed=passed, details=details)
+                          tol=BAND, passed=passed, details=details)
 
 
 def _validate_ladder(trajs_by_eps: dict[float, Trajectory]) -> list[float]:
@@ -182,7 +183,7 @@ def _validate_ladder(trajs_by_eps: dict[float, Trajectory]) -> list[float]:
 
 
 def check_dissipation_bounds(trajs_by_eps: dict[float, Trajectory],
-                             band: float = 0.05) -> list[EstimateRecord]:
+                             ) -> list[EstimateRecord]:
     """eps-uniformity of the gradient dissipation accumulators over (1+T)."""
     eps_ladder = _validate_ladder(trajs_by_eps)
     records = []
@@ -191,24 +192,19 @@ def check_dissipation_bounds(trajs_by_eps: dict[float, Trajectory],
                       ("int_grad_w_sq", "eps_uniform_grad_w")):
         values = [trajs_by_eps[e].accumulators[key] / (1.0 + trajs_by_eps[e].final_time)
                   for e in eps_ladder]
-        records.append(_band_record(name, eps_ladder, values, band))
+        records.append(_band_record(name, eps_ladder, values))
     return records
 
 
-def check_w_lp(traj: Trajectory, params: ModelParams, w0_lr: float,
-               p: float | None = None) -> EstimateRecord:
+def check_w_lp(traj: Trajectory, params: ModelParams, w0_lr: float) -> EstimateRecord:
     """Sup over snapshots of the signal's L^p norm (single run, informational).
 
-    The admissibility preconditions are enforced here; the pass/fail content
-    lives in :func:`check_w_lp_family`, because the bound's constant is only
-    known to be eps-independent, not explicit.
+    p is the admissible cap for theta in the grid's dimension; the cap
+    enforces theta above the threshold. The pass/fail content lives in
+    :func:`check_w_lp_family`, because the bound's constant is only known to
+    be eps-independent, not explicit.
     """
-    cap = w_lp_exponent_cap(params.theta, params.dim_N)
-    if p is None:
-        p = cap
-    if p > cap + 1e-12:
-        raise ValueError(f"p={p} exceeds the admissible cap {cap} "
-                         f"(theta={params.theta}, N={params.dim_N})")
+    p = w_lp_exponent_cap(params.theta, traj.grid.dim)
     value = traj.sup_w_lp(p)
     return EstimateRecord(name="w_lp_sup", value=value, bound=None, slack=None,
                           tol=0.0, passed=True,
@@ -216,13 +212,12 @@ def check_w_lp(traj: Trajectory, params: ModelParams, w0_lr: float,
 
 
 def check_w_lp_family(trajs_by_eps: dict[float, Trajectory], params: ModelParams,
-                      w0_lr: float, p: float | None = None,
-                      band: float = 0.05) -> EstimateRecord:
+                      w0_lr: float) -> EstimateRecord:
     """eps-uniform stability of sup_t |w|_{L^p} across the ladder."""
     eps_ladder = _validate_ladder(trajs_by_eps)
-    records = [check_w_lp(trajs_by_eps[e], params, w0_lr, p=p) for e in eps_ladder]
+    records = [check_w_lp(trajs_by_eps[e], params, w0_lr) for e in eps_ladder]
     values = [r.value for r in records]
-    rec = _band_record("eps_uniform_w_lp", eps_ladder, values, band)
+    rec = _band_record("eps_uniform_w_lp", eps_ladder, values)
     rec.details["p"] = records[0].details["p"]
     return rec
 
@@ -314,7 +309,8 @@ def probe_uniform_integrability(traj: Trajectory, eta: float, delta: float,
 # superposition-field dissipation (snapshot reconstruction)
 # ---------------------------------------------------------------------------
 
-def z_dissipation_integrals(traj: Trajectory, p: float, k: float) -> dict[str, float]:
+def z_dissipation_integrals(traj: Trajectory,
+                            weights: EntropyWeights) -> dict[str, float]:
     """Time-trapezoid reconstruction of iint |grad z^(1/2)|^2 and iint z |grad w|^2.
 
     z = (u+1)^(-p) e^(-kw) is the superposition field; both integrals are
@@ -330,7 +326,7 @@ def z_dissipation_integrals(traj: Trajectory, p: float, k: float) -> dict[str, f
     vals_grad_z = []
     vals_z_gradw = []
     for _, s in traj.snapshots:
-        z_half = z_values(s.u.values, s.w.values, p / 2.0, k / 2.0)
+        z_half = z_values(s.u.values, s.w.values, weights.p / 2.0, weights.k / 2.0)
         vals_grad_z.append(float(gradient_sq_values(grid, z_half).sum()) * grid.cell_volume)
         z_full = z_half ** 2
         gw = gradient_sq_values(grid, s.w.values)
@@ -342,28 +338,22 @@ def z_dissipation_integrals(traj: Trajectory, p: float, k: float) -> dict[str, f
     }
 
 
-def check_z_dissipation_bounds(trajs_by_eps: dict[float, Trajectory], p: float,
-                               k: float, band: float = 0.05,
-                               ) -> list[EstimateRecord]:
+def check_z_dissipation_bounds(trajs_by_eps: dict[float, Trajectory],
+                               weights: EntropyWeights) -> list[EstimateRecord]:
     """eps-uniformity of the superposition-field dissipation integrals.
 
-    Requires the weight admissibility k > sqrt(p)(p+1)/2, which makes the
+    The weights are admissible, k > sqrt(p)(p+1)/2, which makes the
     second-order coefficient floor (4k^2 - p(p+1)^2) / (4(p+1)) positive.
     """
-    thr = weight_threshold(p)
-    if not k > thr:
-        raise ValueError(
-            f"weights (p={p}, k={k}) violate admissibility: need k > "
-            f"sqrt(p)(p+1)/2 = {thr:.6g}")
-    floor_const = second_order_floor(p, k)
+    floor_const = second_order_floor(weights.p, weights.k)
     eps_ladder = _validate_ladder(trajs_by_eps)
-    per_eps = {e: z_dissipation_integrals(trajs_by_eps[e], p, k) for e in eps_ladder}
+    per_eps = {e: z_dissipation_integrals(trajs_by_eps[e], weights) for e in eps_ladder}
     records = []
     for key, name in (("int_grad_z_half_sq", "eps_uniform_grad_z_half"),
                       ("int_z_grad_w_sq", "eps_uniform_z_gradw")):
         values = [per_eps[e][key] / (1.0 + trajs_by_eps[e].final_time)
                   for e in eps_ladder]
-        rec = _band_record(name, eps_ladder, values, band)
+        rec = _band_record(name, eps_ladder, values)
         rec.details["coefficient_floor"] = floor_const
         rec.details["time_quadrature_step"] = max(
             per_eps[e]["time_quadrature_step"] for e in eps_ladder)

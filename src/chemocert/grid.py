@@ -102,9 +102,6 @@ class Grid:
     def constant_field(self, value: float) -> "Field":
         return Field(self, np.full(self.shape, float(value)))
 
-    def field_from_function(self, fn) -> "Field":
-        return Field(self, np.asarray(fn(*self.meshes()), dtype=float))
-
 
 @dataclass(frozen=True)
 class Field:

@@ -544,15 +544,15 @@ def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
         bump.require_fits(grid, traj.final_time)
         if bump.amplitude < 0:
             raise ValueError("weak form of v needs a nonnegative bump")
-    times, history = traj.require_history()
-    if weights_list:
-        if len(times) < 3:
-            raise ValueError("history too short for centered time differences")
-        max_gap = float(np.max(np.diff(times)))
-        if max_gap > 2.0 * traj.max_dt_taken * (1.0 + 1e-9):
-            raise ValueError(
-                f"history cadence {max_gap:.3g} exceeds twice the step size "
-                f"{traj.max_dt_taken:.3g}; rerun with a denser history")
+    times, history = traj.times, traj.history
+    if history is None:
+        raise ValueError("trajectory was run without dense field history")
+    if len(history) != len(times):
+        raise ValueError(
+            f"history holds {len(history)} instants for {len(times)} step "
+            "boundaries; its cadence must be one step")
+    if weights_list and len(times) < 3:
+        raise ValueError("history too short for centered time differences")
 
     test_values, test_grads = _stacked_tests(bumps, grid)
     psi = np.column_stack([bump.time_profile(times) for bump in bumps])
@@ -653,7 +653,7 @@ def z_evolution_residual(tested: HistoryPass, weights: EntropyWeights,
     """Instantaneous evolution identity of z tested against each bump.
 
     The time derivative of z comes from centered differences of the stored
-    history (cadence at most 2*dt required); all other terms are assembled
+    history, which holds every step boundary; all other terms are assembled
     from the grid calculus at each instant. The reported residual is the
     worst instantaneous mismatch inside the bump's time window.
     """

@@ -22,32 +22,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _pow, solve_diffusion
+from .grid import Field, Grid, _pow
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Competition exponent, regularization strength, analytic dimension.
+    """Competition exponent and regularization strength.
 
-    ``dim_N`` feeds the exponent formulas only; it is deliberately decoupled
-    from the grid dimension so the formulas can be exercised for dimensions
-    no grid is built for.
+    The dimension N of the exponent formulas is the grid's, read from the
+    fields the parameters are applied to.
     """
 
     theta: float
     eps: float = 0.0
-    dim_N: int = 2
 
     def __post_init__(self):
         if not self.theta > 1.0:
             raise ValueError(f"theta must exceed 1, got {self.theta}")
         if not (0.0 <= self.eps < 1.0):
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
-        if int(self.dim_N) < 1:
-            raise ValueError(f"dim_N must be a positive integer, got {self.dim_N}")
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "dim_N", int(self.dim_N))
 
 
 @dataclass(frozen=True)
@@ -202,23 +197,20 @@ def v_mass_cap(v0_l1: float, omega_measure: float) -> float:
 # regularized initial data
 # ---------------------------------------------------------------------------
 
-def regularize_initial(base: tuple[Field, Field, Field], eps: float,
-                       smoothing_time: float = 0.0) -> tuple[Field, Field, Field]:
-    """Clip each base field at 1/eps, optionally followed by one heat step.
+def regularize_initial(base: tuple[Field, Field, Field],
+                       eps: float) -> tuple[Field, Field, Field]:
+    """Clip each base field at 1/eps.
 
     The clip only removes mass and deactivates once 1/eps exceeds the data's
     sup, so L^1 norms never grow and the family converges to the base data in
-    L^1 and almost everywhere as eps -> 0. ``smoothing_time > 0`` additionally
-    mollifies by one implicit heat step of that pseudo-time (mass-conserving,
-    constant-preserving). The default is no mollification: a smoothing step
-    tied to eps leaves an imprint on the fields that decays far slower than
-    the O(eps) the regularized dynamics themselves contribute, which would
-    drown the sweep's convergence diagnostics in initial-data artifacts.
+    L^1 and almost everywhere as eps -> 0. There is no mollification: a
+    smoothing step tied to eps leaves an imprint on the fields that decays far
+    slower than the O(eps) the regularized dynamics themselves contribute,
+    which would drown the sweep's convergence diagnostics in initial-data
+    artifacts.
     """
     if not (0.0 <= eps < 1.0):
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    if smoothing_time < 0.0:
-        raise ValueError(f"smoothing_time must be >= 0, got {smoothing_time}")
     out = []
     for f in base:
         if f.min() < 0:
@@ -226,9 +218,6 @@ def regularize_initial(base: tuple[Field, Field, Field], eps: float,
         vals = f.values
         if eps > 0.0:
             vals = np.minimum(vals, 1.0 / eps)
-        if smoothing_time > 0.0:
-            vals = solve_diffusion(f.grid, vals, smoothing_time)
-            vals = np.maximum(vals, 0.0)
         out.append(Field(f.grid, vals))
     return tuple(out)
 
@@ -244,17 +233,19 @@ class InitialFamily:
     def base(self) -> tuple[Field, Field, Field]:
         return (self.u0, self.v0, self.w0)
 
-    def regularized(self, eps: float,
-                    smoothing_time: float = 0.0) -> tuple[Field, Field, Field]:
+    def regularized(self, eps: float) -> tuple[Field, Field, Field]:
         if eps == 0.0:
             return self.base()
-        return regularize_initial(self.base(), eps, smoothing_time=smoothing_time)
+        return regularize_initial(self.base(), eps)
 
-    def base_norms(self, theta: float, dim_N: int) -> dict[str, float]:
-        """L^1 norms of u0, v0 and the L^r norm of w0 demanded of the data."""
+    def base_norms(self, theta: float) -> dict[str, float]:
+        """L^1 norms of u0, v0 and the L^r norm of w0 demanded of the data.
+
+        The exponent r is taken for the dimension of the data's grid.
+        """
         from .grid import lp_norm
 
-        r = w_data_exponent(theta, dim_N)
+        r = w_data_exponent(theta, self.w0.grid.dim)
         return {
             "u0_l1": lp_norm(self.u0, 1.0),
             "v0_l1": lp_norm(self.v0, 1.0),

@@ -47,7 +47,7 @@ from .identities import (
     weight_threshold,
     z_evolution_residual,
 )
-from .model import ModelParams, initial_state, u_mass_cap
+from .model import initial_state, u_mass_cap
 from .solver import Trajectory, simulate
 
 CERTIFICATE_KINDS = ("mass", "weakform_w", "weakform_v", "entropy", "z_evolution")
@@ -100,6 +100,11 @@ def _write_diagnostics(traj: Trajectory, out: Path) -> None:
     _write_csv(out / "diagnostics.csv", header, rows)
 
 
+def _fields_name(t: float) -> str:
+    """File name of the field snapshot at time t."""
+    return f"fields_{t:g}.csv"
+
+
 def _write_fields(traj: Trajectory, out: Path) -> None:
     grid = traj.grid
     coord_names = ["x", "y"][: grid.dim]
@@ -109,7 +114,7 @@ def _write_fields(traj: Trajectory, out: Path) -> None:
     for t, state in traj.snapshots:
         for j, f in enumerate((state.u, state.v, state.w)):
             table[:, grid.dim + j] = f.values.ravel()
-        _write_csv(out / f"fields_{t:g}.csv", coord_names + ["u", "v", "w"], table)
+        _write_csv(out / _fields_name(t), coord_names + ["u", "v", "w"], table)
 
 
 def _estimate_rows(records: list[EstimateRecord]) -> list[list]:
@@ -153,10 +158,27 @@ def _single_run_estimates(cfg: RunConfig, traj: Trajectory,
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _require_distinct_snapshot_names(cfg: RunConfig) -> None:
+    """Refuse output times whose snapshots would share one file name.
+
+    simulate snapshots t = 0, every output time in (0, T], and T; config
+    keeps the output times inside [0, T].
+    """
+    seen: dict[str, float] = {}
+    for t in sorted({0.0, cfg.T, *cfg.output_times}):
+        name = _fields_name(t)
+        if name in seen:
+            raise ConfigError("run.output_times",
+                              f"times {seen[name]!r} and {t!r} would both be "
+                              f"written to {name}")
+        seen[name] = t
+
+
 def run_simulate(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
+    _require_distinct_snapshot_names(cfg)
     family = cfg.build_initial_family()
-    norms = family.base_norms(cfg.params.theta, cfg.params.dim_N)
+    norms = family.base_norms(cfg.params.theta)
     traj = simulate(initial_state(family.base()), cfg.params, cfg.solver, cfg.T,
                     cfg.output_times)
     _write_manifest(cfg, out)
@@ -195,14 +217,14 @@ def _l1_gaps(coarse: Trajectory, fine: Trajectory) -> dict[str, float]:
 def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     family = cfg.build_initial_family()
-    norms = family.base_norms(cfg.params.theta, cfg.params.dim_N)
+    norms = family.base_norms(cfg.params.theta)
     _write_manifest(cfg, out)
 
     trajs: dict[float, Trajectory] = {}
     failures: list[str] = []
     for eps in cfg.eps_ladder:
-        params = ModelParams(theta=cfg.params.theta, eps=eps, dim_N=cfg.params.dim_N)
-        init = initial_state(family.regularized(eps, cfg.sweep_smoothing))
+        params = replace(cfg.params, eps=eps)
+        init = initial_state(family.regularized(eps))
         try:
             trajs[eps] = simulate(init, params, cfg.solver, cfg.T, cfg.output_times)
             print(f"[sweep] eps={eps:g}: {len(trajs[eps].dts)} steps")
@@ -218,10 +240,10 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
         sub = {e: trajs[e] for e in eps_done}
         records += check_dissipation_bounds(sub)
         records.append(check_w_lp_family(sub, cfg.params, norms["w0_lr"]))
-        for p, k in cfg.weights:
-            recs = check_z_dissipation_bounds(sub, p, k)
+        for weights in cfg.weights:
+            recs = check_z_dissipation_bounds(sub, weights)
             for r in recs:
-                r.name = f"{r.name}_p{p:g}_k{k:g}"
+                r.name = f"{r.name}_p{weights.p:g}_k{weights.k:g}"
             records += recs
 
     header = ["eps", "gap_u", "gap_v", "gap_w", "diss_grad_log1v", "diss_vgradw",
@@ -259,7 +281,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     return 0 if ok else 1
 
 
-def run_certificates(traj: Trajectory, weights_list: list[EntropyWeights],
+def run_certificates(traj: Trajectory, weights_list: tuple[EntropyWeights, ...],
                      bumps, tols: dict[str, float]) -> list[CertificateRecord]:
     """Mass certificate, then every weak-form kind from one pass over the history.
 
@@ -305,9 +327,8 @@ def run_certify(cfg: RunConfig, out_dir: str | Path, seed: int | None = None) ->
                     cfg.output_times, keep_history=True)
     bump_seed = cfg.bump_seed if seed is None else seed
     bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, bump_seed)
-    weights_list = [EntropyWeights(p=p, k=k) for p, k in cfg.weights]
     tols = certificate_tolerances(cfg, traj)
-    records = run_certificates(traj, weights_list, bumps, tols)
+    records = run_certificates(traj, cfg.weights, bumps, tols)
     _write_manifest(cfg, out, extra={"certify.seed": str(bump_seed)})
     _write_certificates(records, out)
     ok = True
@@ -357,16 +378,19 @@ def _scaled_level(cfg: RunConfig, level: int) -> RunConfig:
     return replace(cfg, grid=grid, solver=solver)
 
 
-def fit_order(values: list[float], floor: float = 1e-14) -> float:
+# values below this floor are fitted as the floor (log2 of zero is -inf)
+ORDER_FIT_FLOOR = 1e-14
+
+
+def fit_order(values: list[float]) -> float:
     """Least-squares slope of log2(value) against level (h halves per level)."""
-    vals = np.maximum(np.asarray(values, dtype=float), floor)
+    vals = np.maximum(np.asarray(values, dtype=float), ORDER_FIT_FLOOR)
     levels = np.arange(len(vals))
     slope = np.polyfit(levels, np.log2(vals), 1)[0]
     return float(-slope)
 
 
-def refinement_study(cfg: RunConfig, levels: int,
-                     verbose: bool = True) -> dict:
+def refinement_study(cfg: RunConfig, levels: int) -> dict:
     """(h, dt) -> (h/2, dt/4) ladder: residuals, L^1 gaps, orders, and C.
 
     Bumps are drawn once on the coarsest grid and reused across levels so the
@@ -378,7 +402,6 @@ def refinement_study(cfg: RunConfig, levels: int,
     if levels < 2:
         raise ConfigError("levels", f"refinement needs >= 2 levels, got {levels}")
     bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
-    weights_list = [EntropyWeights(p=p, k=k) for p, k in cfg.weights]
 
     trajs: list[Trajectory] = []
     level_meta: list[dict[str, float]] = []
@@ -389,12 +412,11 @@ def refinement_study(cfg: RunConfig, levels: int,
         traj = simulate(initial_state(family.base()), sub.params, sub.solver,
                         sub.T, sub.output_times, keep_history=True)
         trajs.append(traj)
-        if verbose:
-            print(f"[refine] level {level}: cells {sub.grid.cells}, "
-                  f"{len(traj.dts)} steps, mean dt {traj.mean_dt:.3e}")
+        print(f"[refine] level {level}: cells {sub.grid.cells}, "
+              f"{len(traj.dts)} steps, mean dt {traj.mean_dt:.3e}")
         # tolerance 1.0: residual magnitudes are what the ladder measures
         loose = {k: 1.0 for k in CERTIFICATE_KINDS}
-        records = run_certificates(traj, weights_list, bumps, loose)
+        records = run_certificates(traj, cfg.weights, bumps, loose)
         per_kind: dict[str, list[float]] = {k: [] for k in CERTIFICATE_KINDS}
         for r in records:
             per_kind[r.name.replace("mass_inequality", "mass")

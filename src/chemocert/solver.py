@@ -101,20 +101,13 @@ class Trajectory:
     cumulative: dict[str, np.ndarray]       # signed space-time integrals
     accumulators: dict[str, float]          # final rectangle-rule integrals
     snapshots: list[tuple[float, State]]
-    history_times: np.ndarray | None = None
-    history: list[dict[str, np.ndarray]] | None = None
+    history: list[dict[str, np.ndarray]] | None = None  # fields, one per entry of times
 
     @property
     def mean_dt(self) -> float:
         if len(self.dts) == 0:
             return 0.0
         return float(np.mean(self.dts))
-
-    @property
-    def max_dt_taken(self) -> float:
-        if len(self.dts) == 0:
-            return 0.0
-        return float(np.max(self.dts))
 
     def snapshot_times(self) -> np.ndarray:
         return np.array([t for t, _ in self.snapshots])
@@ -126,18 +119,18 @@ class Trajectory:
         """Sup over snapshots of the signal's L^p norm."""
         return max(lp_norm_values(self.grid, s.w.values, p) for _, s in self.snapshots)
 
-    def require_history(self) -> tuple[np.ndarray, list[dict[str, np.ndarray]]]:
-        if self.history is None or self.history_times is None:
-            raise ValueError("trajectory was run without dense field history")
-        return self.history_times, self.history
-
 
 def stable_dt(state: State, params: ModelParams, cfg: SolverConfig) -> float:
     """Largest step the explicit substages tolerate, scaled by cfl_safety.
 
     Transport limit: h_min / (2 * dim * max |dw/dn|) over all faces. Reaction
-    limit: 1 / L with L = 1 + theta*max(u)^(theta-1) + max(u) + 2*max(v), a
-    bound on the reaction Lipschitz constants. The configured max_dt caps both.
+    limit: 1 / L with L = 1 + theta*U^(theta-1) + U + 2*V, a bound on the
+    reaction Lipschitz constants at the values the reactions see. Those are
+    the post-advection values, where converging drift can raise a maximum:
+    U = a*max(u) and V = a*max(v) with a = 1 + 2 * dim * max |dw/dn| * dt0 /
+    h_min, which bounds what the faces of a cell carry in over a step no
+    longer than dt0 = cfl_safety * min(transport, max_dt). Without drift
+    a = 1. The configured max_dt caps both limits.
     """
     return _stable_dt(state.grid, state.u.values, state.v.values,
                       face_gradient_values(state.grid, state.w.values), params, cfg)
@@ -152,8 +145,11 @@ def _stable_dt(grid: Grid, u: np.ndarray, v: np.ndarray, face_g: tuple,
         transport = grid.min_spacing / (2.0 * grid.dim * max_g)
     else:
         transport = np.inf
-    umax = float(u.max())
-    vmax = float(v.max())
+    # inflow over a step no longer than dt0 grows a maximum by at most this
+    dt0 = cfg.cfl_safety * min(transport, cfg.max_dt)
+    growth = 1.0 + 2.0 * grid.dim * max_g * dt0 / grid.min_spacing
+    umax = growth * float(u.max())
+    vmax = growth * float(v.max())
     l_reac = 1.0 + params.theta * _pow(umax, params.theta - 1.0) + umax + 2.0 * vmax
     dt = cfg.cfl_safety * min(transport, 1.0 / l_reac, cfg.max_dt)
     return float(dt)
@@ -286,7 +282,6 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
     cumulative: dict[str, list[float]] = {k: [0.0] for k in CUMULATIVE_NAMES}
     accumulators = {k: 0.0 for k in ACCUMULATOR_NAMES}
     snapshots: list[tuple[float, State]] = [(0.0, initial)]
-    hist_times: list[float] = []
     history: list[dict[str, np.ndarray]] = []
 
     def record_series():
@@ -295,13 +290,12 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
             series[key].append(val)
         return grad_w_sq
 
-    def record_history(t):
-        hist_times.append(t)
+    def record_history():
         history.append({"u": u.copy(), "v": v.copy(), "w": w.copy()})
 
     grad_w_sq = record_series()
     if keep_history:
-        record_history(0.0)
+        record_history()
 
     t = 0.0
     event_idx = 0
@@ -349,7 +343,7 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
         dts.append(dt)
         grad_w_sq = record_series()
         if keep_history:
-            record_history(t)
+            record_history()
 
         if not np.all(np.isfinite(list(accumulators.values()))):
             raise SimulationAbortError(
@@ -369,6 +363,5 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
         cumulative={k: np.array(vals) for k, vals in cumulative.items()},
         accumulators=accumulators,
         snapshots=snapshots,
-        history_times=np.array(hist_times) if keep_history else None,
         history=history if keep_history else None,
     )

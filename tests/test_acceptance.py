@@ -5,6 +5,7 @@ summary test reprints them all). Heavy runs are shared through session
 fixtures; the whole module targets well under ten minutes on a laptop.
 """
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -46,7 +47,6 @@ from chemocert.runner import (
 
 from conftest import bumpy_state
 
-REL_TOL = 1e-3
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 _LINES: list[str] = []
 
@@ -80,7 +80,7 @@ def six_runs():
     runs = []
     for theta, eps, cells in SIX_CONFIGS:
         grid = Grid(cells=cells, lengths=(1.0,) * len(cells))
-        params = ModelParams(theta=theta, eps=eps, dim_N=grid.dim)
+        params = ModelParams(theta=theta, eps=eps)
         init = bumpy_state(grid)
         cfg = SolverConfig(cfl_safety=0.5, max_dt=0.002)
         t0 = time.time()
@@ -108,7 +108,7 @@ def canonical_traj(canonical_cfg):
 @pytest.fixture(scope="session")
 def refinement(canonical_cfg):
     refine_cfg = load_config(CONFIG_DIR / "refine.cfg")
-    return refinement_study(refine_cfg, levels=3, verbose=False)
+    return refinement_study(refine_cfg, levels=3)
 
 
 @pytest.fixture(scope="session")
@@ -117,9 +117,8 @@ def sweep_trajs(canonical_cfg):
     family = cfg.build_initial_family()
     trajs = {}
     for eps in cfg.eps_ladder:
-        params = ModelParams(theta=cfg.params.theta, eps=eps,
-                             dim_N=cfg.params.dim_N)
-        init = initial_state(family.regularized(eps, cfg.sweep_smoothing))
+        params = dataclasses.replace(cfg.params, eps=eps)
+        init = initial_state(family.regularized(eps))
         trajs[eps] = simulate(init, params, cfg.solver, cfg.T, cfg.output_times)
     return trajs
 
@@ -133,8 +132,7 @@ def test_criterion_1_mass_bounds(six_runs):
     slowest = 0.0
     for params, traj, norms, elapsed in six_runs:
         slowest = max(slowest, elapsed)
-        for rec in check_mass_bounds(traj, params, norms["u0_l1"],
-                                     norms["v0_l1"], rel_tol=REL_TOL):
+        for rec in check_mass_bounds(traj, params, norms["u0_l1"], norms["v0_l1"]):
             assert rec.passed, rec
             worst = min(worst, rec.slack / max(1.0, rec.bound))
     report(1, "mass bounds", True,
@@ -145,8 +143,7 @@ def test_criterion_1_mass_bounds(six_runs):
 def test_criterion_2_spacetime_bounds(six_runs):
     worst = np.inf
     for params, traj, norms, _ in six_runs:
-        for rec in check_spacetime_bounds(traj, params, norms["u0_l1"],
-                                          norms["v0_l1"], rel_tol=REL_TOL):
+        for rec in check_spacetime_bounds(traj, params, norms["u0_l1"], norms["v0_l1"]):
             assert rec.passed, rec
             worst = min(worst, rec.slack / max(1.0, rec.bound))
     report(2, "space-time bounds", True, f"min relative slack {worst:.3f}")
@@ -155,8 +152,7 @@ def test_criterion_2_spacetime_bounds(six_runs):
 def test_criterion_3_reaction_l1(six_runs):
     worst_gap = 0.0
     for params, traj, norms, _ in six_runs:
-        for rec in check_reaction_l1(traj, norms["u0_l1"], norms["v0_l1"],
-                                     rel_tol=REL_TOL):
+        for rec in check_reaction_l1(traj, norms["u0_l1"], norms["v0_l1"]):
             assert rec.passed, rec
         gaps = reaction_l1_identity_gap(traj)
         scale = max(1.0, gaps["abs_reaction_u"], gaps["abs_reaction_v"])
@@ -204,7 +200,7 @@ def test_criterion_6_exact_solution_oracle():
     grid = Grid(cells=(32, 32), lengths=(1.0, 1.0))
     init = State(u=grid.constant_field(0.5), v=grid.constant_field(0.5),
                  w=grid.constant_field(0.1))
-    params = ModelParams(theta=2.0, eps=0.0, dim_N=2)
+    params = ModelParams(theta=2.0, eps=0.0)
     cfg = SolverConfig(cfl_safety=0.5, max_dt=1e-3)
     traj = simulate(init, params, cfg, T=5.0,
                     output_times=np.linspace(0.5, 5.0, 10))
@@ -222,12 +218,11 @@ def test_criterion_7_weakform_certificates(canonical_cfg, canonical_traj,
                                            refinement):
     cfg, traj = canonical_cfg, canonical_traj
     bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
-    weights = [EntropyWeights(p=p, k=k) for p, k in cfg.weights]
     tols = certificate_tolerances(cfg, traj)
     for kind, c in refinement["calibrated_c"].items():
         # pinned config constants must dominate the fresh calibration
         assert cfg.tol_c[kind] >= c * 0.99, (kind, c, cfg.tol_c[kind])
-    records = run_certificates(traj, weights, bumps, tols)
+    records = run_certificates(traj, cfg.weights, bumps, tols)
     assert all(r.passed for r in records), \
         [r for r in records if not r.passed]
     orders = {k: refinement["cert_orders"][k]
@@ -246,7 +241,7 @@ def test_criterion_8_z_evolution(refinement):
     grid = Grid(cells=(16, 16), lengths=(1.0, 1.0))
     init = State(u=grid.constant_field(0.5), v=grid.constant_field(0.5),
                  w=grid.constant_field(0.1))
-    params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
+    params = ModelParams(theta=2.0, eps=0.25)
     traj = simulate(init, params, SolverConfig(max_dt=0.002), T=1.0,
                     output_times=np.linspace(0.1, 1.0, 10), keep_history=True)
     dt = traj.mean_dt
@@ -282,7 +277,7 @@ def test_criterion_9_eps_sweep(canonical_cfg, sweep_trajs):
         ratios[name] = gaps[-1] / gaps[0]
     records = check_dissipation_bounds(trajs)
     records.append(check_w_lp_family(trajs, cfg.params, w0_lr=0.1))
-    records += check_z_dissipation_bounds(trajs, 1.0, 2.0)
+    records += check_z_dissipation_bounds(trajs, EntropyWeights(1.0, 2.0))
     assert all(r.passed for r in records), [r.name for r in records if not r.passed]
     report(9, "eps-sweep convergence and uniformity bands", True,
            "final/first gaps " + ", ".join(f"{n}={r:.3f}" for n, r in ratios.items())

@@ -132,7 +132,6 @@ class TestConfigParsing:
         ("run.T", "inf"),
         ("grid.cells", "64.7, 64"),
         ("probe.eta", "nan"),
-        ("sweep.smoothing", "nan"),
         ("run.output_times", "0, nan"),
         ("solver.max_dt", "inf"),
         ("model.theta", "inf"),
@@ -150,16 +149,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sweep.eps_ladder"):
             config_from_mapping(mapping)
 
-    def test_bad_dim_n_named(self):
-        mapping = parse_config_text(SMALL_CFG)
-        mapping["model.dim_n"] = "0"
-        with pytest.raises(ConfigError, match="model.dim_n"):
-            config_from_mapping(mapping)
-
     @pytest.mark.parametrize("key, value", [
         ("model.esp", "0.25"),
         ("solver.linear_solver", "cg"),
         ("run.history_every", "2"),
+        # N is the grid's dimension; the initial data are only clipped
+        ("model.dim_n", "2"),
+        ("sweep.smoothing", "0"),
         ("init.u.sigmma", "0.2"),
     ])
     def test_unknown_key_named(self, key, value):
@@ -213,6 +209,21 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         fields = [p.name for p in out.glob("fields_*.csv")]
         assert fields == ["fields_0.csv"]
+
+    @pytest.mark.parametrize("T, times, clash", [
+        ("0.2", "0, 0.1234561, 0.1234562, 0.2", "fields_0.123456.csv"),
+        ("1", "0, 0.5, 0.9999999", "fields_1.csv"),  # collides with T's file
+    ], ids=["six-digit-twins", "next-to-T"])
+    def test_snapshot_name_collision_exit_2(self, tmp_path, capsys, T, times, clash):
+        text = SMALL_CFG.replace("grid.cells = 16, 16", "grid.cells = 8, 8")
+        text = text.replace("run.T = 0.4", f"run.T = {T}")
+        text = text.replace("run.output_times = 0.0:0.4:5", f"run.output_times = {times}")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "run.output_times" in err and clash in err
+        assert not out.exists()
 
     def test_invalid_theta_exit_2_names_field(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_CFG.replace("model.theta = 2.0",
@@ -336,7 +347,7 @@ class TestCertifyCommand:
         cfg = write_cfg(tmp_path)
         assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
         weight_pairs = 1  # SMALL_CFG keeps the default certify.weights = 1:2
-        instants = len(trajs[0].history_times)
+        instants = len(trajs[0].times)
         assert 0 < len(calls) <= (2 + weight_pairs) * instants
 
     def test_weak_form_records_pinned(self, tmp_path):

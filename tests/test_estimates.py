@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from chemocert import (
+    EntropyWeights,
     Grid,
+    InitialFamily,
     ModelParams,
     SolverConfig,
     State,
@@ -28,12 +30,12 @@ from chemocert import (
 from conftest import bumpy_state
 
 
-PARAMS = ModelParams(theta=2.0, eps=0.25, dim_N=2)
+PARAMS = ModelParams(theta=2.0, eps=0.25)
 
 
 def small_run(T=1.0, cells=(24, 24), eps=0.25, theta=2.0):
     g = Grid(cells=cells, lengths=(1.0,) * len(cells))
-    params = ModelParams(theta=theta, eps=eps, dim_N=len(cells))
+    params = ModelParams(theta=theta, eps=eps)
     init = bumpy_state(g)
     traj = simulate(init, params, SolverConfig(max_dt=0.004), T,
                     output_times=np.linspace(0.0, T, 11))
@@ -88,7 +90,7 @@ class TestClosedFormBounds:
         g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
         init = State(u=g.constant_field(0.5), v=g.constant_field(0.5),
                      w=g.constant_field(0.1))
-        params = ModelParams(theta=2.0, eps=0.0, dim_N=2)
+        params = ModelParams(theta=2.0, eps=0.0)
         traj = simulate(init, params, SolverConfig(max_dt=0.002), T=2.0,
                         output_times=[1.0, 2.0])
         recs = check_mass_bounds(traj, params, 0.5, 0.5)
@@ -106,7 +108,7 @@ class TestClosedFormBounds:
         g = Grid(cells=(32,), lengths=(1.0,))
         init = State(u=g.constant_field(5.0), v=g.constant_field(0.0),
                      w=g.constant_field(0.0))
-        params = ModelParams(theta=2.0, eps=0.0, dim_N=1)
+        params = ModelParams(theta=2.0, eps=0.0)
         traj = simulate(init, params, SolverConfig(max_dt=0.002), T=1.0,
                         output_times=[0.5, 1.0])
         recs = check_mass_bounds(traj, params, 5.0, 0.0)
@@ -182,7 +184,7 @@ def constant_family(eps_ladder, T=2.0):
     for eps in eps_ladder:
         init = State(u=g.constant_field(0.5), v=g.constant_field(0.5),
                      w=g.constant_field(0.1))
-        params = ModelParams(theta=2.0, eps=eps, dim_N=2)
+        params = ModelParams(theta=2.0, eps=eps)
         trajs[eps] = simulate(init, params, SolverConfig(max_dt=0.002), T,
                               output_times=np.linspace(0.0, T, 21))
     return trajs
@@ -210,7 +212,7 @@ class TestEpsUniformity:
         # needs enough rungs for the (1+eps)^-1 source factor to settle into
         # the 5% band: the final ratio is (1+eps_5)/(1+eps_6) ~= 1.03
         trajs = constant_family(LADDER[:5], T=6.0)
-        params = ModelParams(theta=2.0, eps=0.0, dim_N=2)
+        params = ModelParams(theta=2.0, eps=0.0)
         rec = check_w_lp_family(trajs, params, w0_lr=0.1)
         assert rec.passed
         # oracle: w(t) = g + (w0 - g) e^{-t} with g = s/(1+eps*s), s = 1, rises
@@ -220,19 +222,27 @@ class TestEpsUniformity:
             expected = max(0.1, g_level + (0.1 - g_level) * np.exp(-6.0))
             assert trajs[eps].sup_w_lp(2.0) == pytest.approx(expected, rel=1e-3)
 
-    def test_w_lp_rejects_inadmissible_p(self):
-        traj, params, norms = small_run(T=0.2)
-        with pytest.raises(ValueError, match="cap"):
-            check_w_lp(traj, params, norms["w0_lr"], p=5.0)
+    @pytest.mark.parametrize("cells, exponent", [((16,), 2.0), ((8, 8), 4.0)],
+                             ids=["1D", "2D"])
+    def test_w_lp_exponent_follows_grid(self, cells, exponent):
+        # N is the grid's dimension: at theta = 1.2 the cap and the data
+        # exponent are max(2, N(2-theta)/(2(theta-1))) = max(2, 2N)
+        traj, params, norms = small_run(T=0.05, cells=cells, theta=1.2)
+        p = check_w_lp(traj, params, norms["w0_lr"]).details["p"]
+        assert p == pytest.approx(exponent, rel=1e-12)
+        initial = traj.snapshots[0][1]
+        family = InitialFamily(u0=initial.u, v0=initial.v, w0=initial.w)
+        r = family.base_norms(1.2)["w_data_exponent"]
+        assert r == pytest.approx(exponent, rel=1e-12)
 
     def test_z_dissipation_requires_admissible_weights(self):
         trajs = constant_family(LADDER[:2])
         with pytest.raises(ValueError, match="sqrt"):
-            check_z_dissipation_bounds(trajs, 1.0, 1.0)
+            check_z_dissipation_bounds(trajs, EntropyWeights(1.0, 1.0))
 
     def test_z_dissipation_constant_data(self):
         trajs = constant_family(LADDER[:4])
-        for rec in check_z_dissipation_bounds(trajs, 1.0, 2.0):
+        for rec in check_z_dissipation_bounds(trajs, EntropyWeights(1.0, 2.0)):
             assert rec.passed
             assert rec.value == 0.0
             assert rec.details["coefficient_floor"] == pytest.approx(1.5)

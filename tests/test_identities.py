@@ -260,7 +260,7 @@ def zero_traj(T=1.0):
     g = Grid(cells=(16, 16), lengths=(1.0, 1.0))
     zero = State(u=g.constant_field(0.0), v=g.constant_field(0.0),
                  w=g.constant_field(0.0))
-    params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
+    params = ModelParams(theta=2.0, eps=0.25)
     return simulate(zero, params, SolverConfig(max_dt=0.01), T,
                     output_times=[T], keep_history=True)
 
@@ -285,7 +285,7 @@ class TestCertificatesOnOracles:
         g = Grid(cells=(16, 16), lengths=(1.0, 1.0))
         init = State(u=g.constant_field(0.5), v=g.constant_field(0.5),
                      w=g.constant_field(0.1))
-        params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
+        params = ModelParams(theta=2.0, eps=0.25)
         traj = simulate(init, params, SolverConfig(max_dt=0.002), T=1.0,
                         output_times=np.linspace(0.1, 1.0, 10), keep_history=True)
         weights = EntropyWeights(1.0, 2.0)
@@ -300,7 +300,7 @@ class TestCertificatesOnOracles:
 
     def test_mass_certificate_near_equality(self):
         g = Grid(cells=(24,), lengths=(1.0,))
-        params = ModelParams(theta=2.0, eps=0.25, dim_N=1)
+        params = ModelParams(theta=2.0, eps=0.25)
         traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.002),
                         T=1.0, output_times=[1.0])
         rec = certify_mass_inequality(traj, 1e-8)
@@ -309,7 +309,7 @@ class TestCertificatesOnOracles:
 
     def test_entropy_eps_discrepancy_sign(self):
         g = Grid(cells=(16, 16), lengths=(1.0, 1.0))
-        params = ModelParams(theta=2.0, eps=0.5, dim_N=2)
+        params = ModelParams(theta=2.0, eps=0.5)
         traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.004),
                         T=0.6, output_times=[0.6], keep_history=True)
         weights = EntropyWeights(1.0, 2.0)
@@ -324,19 +324,18 @@ class TestCertificatesOnOracles:
 
     def test_z_evolution_requires_dense_history(self):
         g = Grid(cells=(16, 16), lengths=(1.0, 1.0))
-        params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
+        params = ModelParams(theta=2.0, eps=0.25)
         traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.004),
                         T=0.5, output_times=[0.5], keep_history=True)
         # every fifth instant: a cadence of five steps
-        traj = replace(traj, history=traj.history[::5],
-                       history_times=traj.history_times[::5])
+        traj = replace(traj, history=traj.history[::5])
         bump = sample_bumps(g, 0.5, 1, seed=1)[0]
         with pytest.raises(ValueError, match="cadence"):
             history_pass(traj, [bump], [EntropyWeights(1.0, 2.0)])
 
     def test_certificates_need_history(self):
         g = Grid(cells=(16, 16), lengths=(1.0, 1.0))
-        params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
+        params = ModelParams(theta=2.0, eps=0.25)
         traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.004),
                         T=0.5, output_times=[0.5])
         bump = sample_bumps(g, 0.5, 1, seed=1)[0]
@@ -352,7 +351,7 @@ class TestCertificatesOnOracles:
     ])
     def test_history_pass_errors_named(self, case, message):
         g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
-        params = ModelParams(theta=2.0, eps=0.25, dim_N=2)
+        params = ModelParams(theta=2.0, eps=0.25)
         T = 0.004 if case == "short" else 0.1  # a single step when short
         traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.01),
                         T=T, output_times=[T], keep_history=True)

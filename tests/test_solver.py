@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chemocert import (
     Grid,
@@ -10,13 +12,13 @@ from chemocert import (
     stable_dt,
     step,
 )
-from chemocert.grid import gradient_sq_values
-from chemocert.solver import SchemeViolationError, _clamp_nonneg
+from chemocert.grid import face_gradient_values, gradient_sq_values
+from chemocert.solver import SchemeViolationError, _advance, _clamp_nonneg
 
 from conftest import bumpy_state
 
 
-PARAMS = ModelParams(theta=2.0, eps=0.25, dim_N=2)
+PARAMS = ModelParams(theta=2.0, eps=0.25)
 
 
 class TestStableDt:
@@ -45,6 +47,79 @@ class TestStableDt:
         dt2 = stable_dt(State(u=zero, v=zero, w=g.field(1.0 * x)), PARAMS, cfg)
         assert dt2 == pytest.approx(dt1 / 2.0)
         assert dt2 == pytest.approx(g.min_spacing / (2.0 * 1.0 * 1.0))
+
+
+def converging_drift_case(theta, cfl):
+    """3 cells of u = 5, v = 0, w peaked in the middle so steeply that the
+    transport limit equals the reaction limit 1/L at the pre-advection maxima.
+
+    The drift carries u into the middle cell, where the reactions then see
+    up to (1 + cfl) times the old maximum.
+    """
+    h = 1.0 / 3.0
+    l_reac = 1.0 + theta * 5.0 ** (theta - 1.0) + 5.0
+    peak = h * h * l_reac / 2.0  # h / (2 * peak / h) == 1 / l_reac
+    return ((3,), [5.0] * 3, [0.0] * 3, [0.0, peak, 0.0], theta, cfl, 10.0)
+
+
+# a reaction limit taken at the pre-advection maxima lets one stable_dt step
+# drive u to -1.46 and to -0.51 on these
+CONVERGING_DRIFT = [converging_drift_case(3.0, 1.0), converging_drift_case(8.0, 0.5)]
+
+
+@st.composite
+def stepper_cases(draw):
+    """A nonnegative state on a 1D or 2D grid of at most 8 cells per axis."""
+    cells = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)))
+    n = int(np.prod(cells))
+
+    def values(hi):
+        return draw(st.lists(st.floats(0.0, hi), min_size=n, max_size=n))
+
+    return (cells, values(10.0), values(10.0), values(50.0),
+            draw(st.floats(1.05, 12.0)), draw(st.sampled_from([0.25, 0.5, 1.0])),
+            draw(st.floats(1e-3, 1.0)))
+
+
+def one_stable_step(case):
+    cells, u, v, w, theta, cfl, max_dt = case
+    g = Grid(cells=cells, lengths=(1.0,) * len(cells))
+    state = State(u=g.field(np.reshape(u, cells)), v=g.field(np.reshape(v, cells)),
+                  w=g.field(np.reshape(w, cells)))
+    params = ModelParams(theta=theta, eps=0.25)
+    cfg = SolverConfig(cfl_safety=cfl, max_dt=max_dt)
+    return state, params, cfg, stable_dt(state, params, cfg)
+
+
+class TestStableStepInvariants:
+    @pytest.mark.parametrize("case", CONVERGING_DRIFT, ids=["theta3-cfl1", "theta8-cfl0.5"])
+    def test_converging_drift_keeps_u_nonnegative(self, case):
+        state, params, cfg, dt = one_stable_step(case)
+        out = step(state, params, cfg, dt)
+        assert out.u.min() >= 0.0
+
+    @given(case=stepper_cases())
+    @example(case=CONVERGING_DRIFT[0])
+    @example(case=CONVERGING_DRIFT[1])
+    @settings(max_examples=40, deadline=None)
+    def test_one_step_nonnegative_and_mass_balanced(self, case):
+        state, params, cfg, dt = one_stable_step(case)
+        out = step(state, params, cfg, dt)
+        for f in (out.u, out.v, out.w):
+            assert f.min() >= 0.0
+        # the per-step mass identity, with the stage integrals the step applied
+        g, w = state.grid, state.w.values
+        *fields, stats = _advance(g, state.u.values, state.v.values, w,
+                                  face_gradient_values(g, w), params, cfg, dt, 0.0)
+        for values, f in zip(fields, (out.u, out.v, out.w)):
+            assert np.array_equal(values, f.values)
+        vol = g.cell_volume
+        for before, after, rate in ((state.u, out.u, "reaction_u"),
+                                    (state.v, out.v, "reaction_v"),
+                                    (state.w, out.w, "source_w")):
+            scale = max(1.0, before.values.sum() * vol, after.values.sum() * vol)
+            gap = (after.values.sum() - before.values.sum()) * vol - dt * stats[rate]
+            assert abs(gap) <= 1e-12 * scale
 
 
 class TestStep:
@@ -110,7 +185,7 @@ class TestConstantDataOracle:
         g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
         init = State(u=g.constant_field(0.5), v=g.constant_field(0.5),
                      w=g.constant_field(0.1))
-        params = ModelParams(theta=2.0, eps=eps, dim_N=2)
+        params = ModelParams(theta=2.0, eps=eps)
         cfg = SolverConfig(cfl_safety=0.5, max_dt=max_dt)
         return simulate(init, params, cfg, T,
                         output_times=np.linspace(0.1, T, 10))
@@ -146,7 +221,7 @@ class TestLogisticOracle:
         for u0 in (0.2, 1.0, 1.7):
             init = State(u=g.constant_field(u0), v=g.constant_field(0.0),
                          w=g.constant_field(0.0))
-            params = ModelParams(theta=2.0, eps=0.0, dim_N=1)
+            params = ModelParams(theta=2.0, eps=0.0)
             cfg = SolverConfig(cfl_safety=0.5, max_dt=1e-3)
             traj = simulate(init, params, cfg, T=3.0,
                             output_times=np.linspace(0.5, 3.0, 6))
@@ -162,10 +237,9 @@ class TestSimulate:
         g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
         traj = simulate(bumpy_state(g), PARAMS, SolverConfig(max_dt=0.01), T=0.1,
                         output_times=[0.05, 0.1], keep_history=True)
-        assert np.array_equal(traj.history_times, traj.times)
         assert len(traj.history) == len(traj.times)
         for (t, snap) in traj.snapshots:
-            kept = traj.history[int(np.flatnonzero(traj.history_times == t)[0])]
+            kept = traj.history[int(np.flatnonzero(traj.times == t)[0])]
             for name in ("u", "v", "w"):
                 assert np.array_equal(kept[name], getattr(snap, name).values)
         assert simulate(bumpy_state(g), PARAMS, SolverConfig(max_dt=0.01), T=0.1).history is None
@@ -268,7 +342,7 @@ class TestSimulate:
         g = Grid(cells=(8,), lengths=(1.0,))
         init = State(u=g.constant_field(1.5), v=g.constant_field(0.0),
                      w=g.constant_field(0.0))
-        params = ModelParams(theta=2.0, eps=0.0, dim_N=1)
+        params = ModelParams(theta=2.0, eps=0.0)
         traj = simulate(init, params, SolverConfig(max_dt=1e-3), T=0.1,
                         output_times=[0.1])
         masses = traj.series["mass_u"]
@@ -279,7 +353,7 @@ class TestSimulate:
             assert masses[n + 1] - masses[n] <= bound + 1e-12
 
     def test_refinement_decreases_l1_gap(self):
-        params = ModelParams(theta=2.0, eps=0.25, dim_N=1)
+        params = ModelParams(theta=2.0, eps=0.25)
         diffs = []
         trajs = []
         for n, mdt in ((64, 0.016), (128, 0.004), (256, 0.001)):
