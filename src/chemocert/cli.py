@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import ConfigError, load_config
 from .runner import (
@@ -22,29 +23,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "certify its a-priori estimates, identities, and weak forms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
+    def add_common(p, seeded: str | None, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seeded randomness of this subcommand")
+        if seeded is not None:
+            p.add_argument("--seed", type=int, default=None, help=f"override {seeded}")
 
     p = sub.add_parser("simulate", help="single run: diagnostics, fields, estimates")
-    add_common(p)
+    add_common(p, seeded="probe.seed, the uniform-integrability probe's seed")
 
     p = sub.add_parser("sweep", help="regularization ladder with convergence gaps")
-    add_common(p)
+    add_common(p, seeded=None)  # nothing random to seed
 
     p = sub.add_parser("certify", help="weak-form certificates on sampled bumps")
-    add_common(p)
+    add_common(p, seeded="certify.seed, the seed of the bump family")
 
     p = sub.add_parser("verify-identities", help="entropy-weight identity suite")
-    add_common(p, needs_config=False)
+    add_common(p, seeded="the seed of the evaluation points (default 0)",
+               needs_config=False)
     p.add_argument("--samples", type=int, default=100,
                    help="random evaluation points per identity (default 100)")
 
     p = sub.add_parser("refine", help="grid/time refinement ladder and calibration")
-    add_common(p)
+    add_common(p, seeded="certify.seed, the seed of the bump family")
     p.add_argument("--levels", type=int, default=None,
                    help="number of (h, dt) -> (h/2, dt/4) levels (default: the "
                         "config's refine.levels, else 3)")
@@ -59,12 +61,16 @@ def main(argv: list[str] | None = None) -> int:
                                          seed=0 if args.seed is None else args.seed,
                                          out_dir=args.out)
         cfg = load_config(args.config)
+        if getattr(args, "seed", None) is not None:
+            # set once here, so the manifest echoes the seed actually used
+            key = "probe_seed" if args.command == "simulate" else "bump_seed"
+            cfg = replace(cfg, **{key: args.seed})
         if args.command == "simulate":
             return run_simulate(cfg, args.out)
         if args.command == "sweep":
             return run_sweep(cfg, args.out)
         if args.command == "certify":
-            return run_certify(cfg, args.out, seed=args.seed)
+            return run_certify(cfg, args.out)
         if args.command == "refine":
             levels = cfg.refine_levels if args.levels is None else args.levels
             return run_refine(cfg, levels, args.out)

@@ -277,15 +277,16 @@ def probe_uniform_integrability(traj: Trajectory, eta: float, delta: float,
     violations = 0
     for _ in range(trials):
         target = rng.uniform(0.2, 0.999) * delta
-        order = rng.permutation(n_atoms)
         # every atom weighs at least min_measure, so the running measure
-        # passes target within this prefix unless roundoff says otherwise;
-        # cumsum adds left to right, so the prefix sums are bitwise those of
-        # the full length
+        # passes target within this many atoms unless roundoff says
+        # otherwise; an ordered sample without replacement of that many is
+        # distributed as the same prefix of a permutation of all of them
         bound = target / min_measure if min_measure > 0 else np.inf
         n_prefix = int(min(n_atoms, bound + 2))
-        meas = np.cumsum(atom_measure[order[:n_prefix]])
+        order = rng.choice(n_atoms, n_prefix, replace=False)
+        meas = np.cumsum(atom_measure[order])
         if n_prefix < n_atoms and meas[-1] < target:
+            order = rng.permutation(n_atoms)
             meas = np.cumsum(atom_measure[order])
         n_take = int(np.searchsorted(meas, target))
         take = order[:n_take]

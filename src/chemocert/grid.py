@@ -153,9 +153,13 @@ def integrate(f: Field) -> float:
 def _pow(base, expo: float):
     """base**expo for nonnegative base with the convention 0**expo := 0."""
     base = np.asarray(base, dtype=float)
-    out = np.zeros_like(base)
-    pos = base > 0
-    out[pos] = np.exp(expo * np.log(base[pos]))
+    if base.size and base.min() > 0.0:
+        # no zero to mask: the same exp(expo*log) without the gather and scatter
+        out = np.exp(expo * np.log(base))
+    else:
+        out = np.zeros_like(base)
+        pos = base > 0
+        out[pos] = np.exp(expo * np.log(base[pos]))
     if out.ndim == 0:
         return float(out)
     return out
@@ -210,31 +214,45 @@ def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ..
     return tuple(out)
 
 
-def gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Cell-centered gradient: average of the two adjacent face values.
-
-    Interior cells see the usual central difference; boundary cells see the
-    one-sided half difference implied by the mirrored ghost.
-    """
+def _faces_to_cells(grid: Grid, face_g: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Per axis, the mean of each cell's two face values."""
     comps = []
-    for a, g in enumerate(face_gradient_values(grid, values)):
+    for a, g in enumerate(face_g):
         lo = g[_axis_slice(grid.dim, a, slice(None, -1))]
         hi = g[_axis_slice(grid.dim, a, slice(1, None))]
         comps.append(0.5 * (lo + hi))
     return tuple(comps)
 
 
+def gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cell-centered gradient: average of the two adjacent face values.
+
+    Interior cells see the usual central difference; boundary cells see the
+    one-sided half difference implied by the mirrored ghost.
+    """
+    return _faces_to_cells(grid, face_gradient_values(grid, values))
+
+
 def gradient(f: Field) -> tuple[Field, ...]:
     return tuple(Field(f.grid, c) for c in gradient_values(f.grid, f.values))
 
 
-def gradient_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Pointwise squared magnitude of the cell-centered gradient."""
-    comps = gradient_values(grid, values)
+def gradient_sq_from_faces(grid: Grid, face_g: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Squared magnitude of the cell-centered gradient with these face values.
+
+    ``face_g`` is what :func:`face_gradient_values` returns; a caller that
+    already holds it skips the differencing.
+    """
+    comps = _faces_to_cells(grid, face_g)
     out = comps[0] ** 2
     for c in comps[1:]:
         out = out + c ** 2
     return out
+
+
+def gradient_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Pointwise squared magnitude of the cell-centered gradient."""
+    return gradient_sq_from_faces(grid, face_gradient_values(grid, values))
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,21 +53,54 @@ from .solver import Trajectory, simulate
 CERTIFICATE_KINDS = ("mass", "weakform_w", "weakform_v", "entropy", "z_evolution")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
+# the line end of csv.writer's default dialect, which the header row uses
+_LINE_END = csv.excel.lineterminator
+
+
+def _body_template(n_slots: int, n_rows: int, text_columns: np.ndarray | None = None) -> str:
+    """%-template of a CSV body: per line any text columns, then float slots.
+
+    The slots are ``FLOAT_FORMAT``, the format ``_fmt`` applies to each
+    value. ``text_columns`` (one row per line) are formatted here, once,
+    however often the template is filled.
+    """
+    slots = ",".join([FLOAT_FORMAT] * n_slots) + _LINE_END
+    if text_columns is None:
+        return slots * n_rows
+    line = ",".join([FLOAT_FORMAT] * text_columns.shape[1]) + "," + slots.replace("%", "%%")
+    return (line * n_rows) % tuple(text_columns.ravel().tolist())
+
+
+@dataclass(frozen=True)
+class _Table:
+    """Float rows and the body template whose slots they fill, row by row.
+
+    ``len`` counts data rows.
+    """
+
+    template: str
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def _write_csv(path: Path, header: list[str],
+               rows: list[list] | np.ndarray | _Table) -> None:
     """Header plus one line per row, every float as ``_fmt`` writes it.
 
-    ``rows`` may be a 2-D float array; it is then formatted in one pass of
-    ``FLOAT_FORMAT``, the format ``_fmt`` applies to each value, joined the
-    way ``csv.writer`` joins numbers.
+    ``rows`` may be a 2-D float array or a :class:`_Table`; it is then
+    formatted in one pass of its body template, joined the way ``csv.writer``
+    joins numbers.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
-            n_rows, n_cols = rows.shape
-            line = ",".join([FLOAT_FORMAT] * n_cols) + writer.dialect.lineterminator
-            fh.write((line * n_rows) % tuple(rows.ravel().tolist()))
+            rows = _Table(_body_template(rows.shape[1], len(rows)), rows)
+        if isinstance(rows, _Table):
+            fh.write(rows.template % tuple(rows.values.ravel().tolist()))
             return
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
@@ -108,13 +141,12 @@ def _fields_name(t: float) -> str:
 def _write_fields(traj: Trajectory, out: Path) -> None:
     grid = traj.grid
     coord_names = ["x", "y"][: grid.dim]
-    table = np.empty((grid.n_cells, grid.dim + 3))
-    for a, mesh in enumerate(grid.meshes()):
-        table[:, a] = mesh.ravel()
+    coords = np.column_stack([mesh.ravel() for mesh in grid.meshes()])
+    template = _body_template(3, grid.n_cells, text_columns=coords)
     for t, state in traj.snapshots:
-        for j, f in enumerate((state.u, state.v, state.w)):
-            table[:, grid.dim + j] = f.values.ravel()
-        _write_csv(out / _fields_name(t), coord_names + ["u", "v", "w"], table)
+        uvw = np.column_stack([f.values.ravel() for f in (state.u, state.v, state.w)])
+        _write_csv(out / _fields_name(t), coord_names + ["u", "v", "w"],
+                   _Table(template, uvw))
 
 
 def _estimate_rows(records: list[EstimateRecord]) -> list[list]:
@@ -318,18 +350,17 @@ def _write_certificates(records: list[CertificateRecord], out: Path) -> None:
                 "tolerance", "passed", "extras"], rows)
 
 
-def run_certify(cfg: RunConfig, out_dir: str | Path, seed: int | None = None) -> int:
+def run_certify(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     if cfg.T <= 0:
         raise ConfigError("run.T", "certification needs T > 0")
     family = cfg.build_initial_family()
     traj = simulate(initial_state(family.base()), cfg.params, cfg.solver, cfg.T,
                     cfg.output_times, keep_history=True)
-    bump_seed = cfg.bump_seed if seed is None else seed
-    bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, bump_seed)
+    bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
     tols = certificate_tolerances(cfg, traj)
     records = run_certificates(traj, cfg.weights, bumps, tols)
-    _write_manifest(cfg, out, extra={"certify.seed": str(bump_seed)})
+    _write_manifest(cfg, out)
     _write_certificates(records, out)
     ok = True
     by_kind: dict[str, list[CertificateRecord]] = {}

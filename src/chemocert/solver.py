@@ -29,6 +29,7 @@ from .grid import (
     Field,
     Grid,
     _axis_slice,
+    gradient_sq_from_faces,
     face_gradient_values,
     gradient_sq_values,
     lp_norm_values,
@@ -132,14 +133,15 @@ def stable_dt(state: State, params: ModelParams, cfg: SolverConfig) -> float:
     longer than dt0 = cfl_safety * min(transport, max_dt). Without drift
     a = 1. The configured max_dt caps both limits.
     """
-    return _stable_dt(state.grid, state.u.values, state.v.values,
+    u, v = state.u.values, state.v.values
+    if u.size == 0:
+        raise ValueError("empty state")
+    return _stable_dt(state.grid, float(u.max()), float(v.max()),
                       face_gradient_values(state.grid, state.w.values), params, cfg)
 
 
-def _stable_dt(grid: Grid, u: np.ndarray, v: np.ndarray, face_g: tuple,
+def _stable_dt(grid: Grid, max_u: float, max_v: float, face_g: tuple,
                params: ModelParams, cfg: SolverConfig) -> float:
-    if u.size == 0:
-        raise ValueError("empty state")
     max_g = max(float(np.max(np.abs(g))) for g in face_g)
     if max_g > 0.0:
         transport = grid.min_spacing / (2.0 * grid.dim * max_g)
@@ -148,23 +150,26 @@ def _stable_dt(grid: Grid, u: np.ndarray, v: np.ndarray, face_g: tuple,
     # inflow over a step no longer than dt0 grows a maximum by at most this
     dt0 = cfg.cfl_safety * min(transport, cfg.max_dt)
     growth = 1.0 + 2.0 * grid.dim * max_g * dt0 / grid.min_spacing
-    umax = growth * float(u.max())
-    vmax = growth * float(v.max())
+    umax = growth * max_u
+    vmax = growth * max_v
     l_reac = 1.0 + params.theta * _pow(umax, params.theta - 1.0) + umax + 2.0 * vmax
     dt = cfg.cfl_safety * min(transport, 1.0 / l_reac, cfg.max_dt)
     return float(dt)
 
 
-def _clamp_nonneg(name: str, values: np.ndarray, t: float) -> np.ndarray:
+def _clamp_nonneg(name: str, values: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    """The values with roundoff negatives set to zero, and their minimum."""
     m = float(values.min())
     if m >= 0.0:
-        return values
+        return values, m
     if m < -CLAMP_FLOOR:
         idx = np.unravel_index(int(np.argmin(values)), values.shape)
         raise SchemeViolationError(
             f"{name} reached {m:.6e} at cell {tuple(int(i) for i in idx)}, "
             f"t={t:.6g}: below the -{CLAMP_FLOOR:g} roundoff floor")
-    return np.maximum(values, 0.0)
+    out = np.maximum(values, 0.0)
+    # fires rarely; the result's own minimum, so a -0.0 left in place is kept
+    return out, float(out.min())
 
 
 def _advect(grid: Grid, s: np.ndarray, face_grads: tuple[np.ndarray, ...],
@@ -191,15 +196,19 @@ def _advect(grid: Grid, s: np.ndarray, face_grads: tuple[np.ndarray, ...],
 def _advance(grid: Grid, u: np.ndarray, v: np.ndarray, w: np.ndarray, face_g: tuple,
              params: ModelParams, cfg: SolverConfig, dt: float, t: float,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, float]]:
-    """One IMEX step on raw arrays; returns new fields plus step integrals."""
+    """One IMEX step on raw arrays; returns new fields plus step integrals.
+
+    The step integrals also carry ``min_u``, ``min_v`` and ``min_w``, the
+    minima of the new fields.
+    """
     vol = grid.cell_volume
 
-    u1 = _clamp_nonneg("u", _advect(grid, u, face_g, dt), t)
-    v1 = _clamp_nonneg("v", _advect(grid, v, face_g, dt), t)
+    u1, _ = _clamp_nonneg("u", _advect(grid, u, face_g, dt), t)
+    v1, _ = _clamp_nonneg("v", _advect(grid, v, face_g, dt), t)
 
     fu = reaction_u(u1, v1, params.theta)
     fv = reaction_v(u1, v1)
-    src = source_w(u1, v1, params.eps)
+    dw = source_w(u1, v1, params.eps) - w
     fu_plus, fu_minus = sign_split(fu)
     fv_plus, fv_minus = sign_split(fv)
 
@@ -211,18 +220,18 @@ def _advance(grid: Grid, u: np.ndarray, v: np.ndarray, w: np.ndarray, face_g: tu
         "reaction_u_plus": float(fu_plus.sum()) * vol,
         "reaction_v_plus": float(fv_plus.sum()) * vol,
         "sup_reaction_u_plus": float(fu_plus.max()),
-        "source_w": float((src - w).sum()) * vol,
+        "source_w": float(dw.sum()) * vol,
         "u_theta": float(_pow(u1, params.theta).sum()) * vol,
         "v_sq": float((v1 ** 2).sum()) * vol,
     }
 
     u2 = u1 + dt * fu
     v2 = v1 + dt * fv
-    w2 = w + dt * (src - w)
+    w2 = w + dt * dw
 
-    u3 = _clamp_nonneg("u", solve_diffusion(grid, u2, dt), t + dt)
-    v3 = _clamp_nonneg("v", solve_diffusion(grid, v2, dt), t + dt)
-    w3 = _clamp_nonneg("w", solve_diffusion(grid, w2, dt), t + dt)
+    u3, stats["min_u"] = _clamp_nonneg("u", solve_diffusion(grid, u2, dt), t + dt)
+    v3, stats["min_v"] = _clamp_nonneg("v", solve_diffusion(grid, v2, dt), t + dt)
+    w3, stats["min_w"] = _clamp_nonneg("w", solve_diffusion(grid, w2, dt), t + dt)
     return u3, v3, w3, stats
 
 
@@ -242,7 +251,9 @@ def step(state: State, params: ModelParams, cfg: SolverConfig, dt: float) -> Sta
                  time=state.time + dt)
 
 
-def _state_diagnostics(grid: Grid, u, v, w, grad_w_sq, theta: float) -> dict[str, float]:
+def _state_diagnostics(grid: Grid, u, v, w, grad_w_sq, theta: float,
+                       minima: dict[str, float]) -> dict[str, float]:
+    """Diagnostics row of one step boundary; ``minima`` holds min_u/v/w."""
     return {
         "mass_u": float(u.sum()) * grid.cell_volume,
         "mass_v": float(v.sum()) * grid.cell_volume,
@@ -250,9 +261,9 @@ def _state_diagnostics(grid: Grid, u, v, w, grad_w_sq, theta: float) -> dict[str
         "int_u_theta_now": float(_pow(u, theta).sum()) * grid.cell_volume,
         "int_v_sq_now": float((v ** 2).sum()) * grid.cell_volume,
         "int_grad_w_sq_now": float(grad_w_sq.sum()) * grid.cell_volume,
-        "min_u": float(u.min()), "max_u": float(u.max()),
-        "min_v": float(v.min()), "max_v": float(v.max()),
-        "min_w": float(w.min()), "max_w": float(w.max()),
+        "min_u": minima["min_u"], "max_u": float(u.max()),
+        "min_v": minima["min_v"], "max_v": float(v.max()),
+        "min_w": minima["min_w"], "max_w": float(w.max()),
     }
 
 
@@ -284,26 +295,31 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
     snapshots: list[tuple[float, State]] = [(0.0, initial)]
     history: list[dict[str, np.ndarray]] = []
 
-    def record_series():
-        grad_w_sq = gradient_sq_values(grid, w)
-        for key, val in _state_diagnostics(grid, u, v, w, grad_w_sq, params.theta).items():
+    def record_series(minima):
+        # the face gradient of w serves the diagnostics here and the next
+        # step's dt choice and advection
+        face_g = face_gradient_values(grid, w)
+        grad_w_sq = gradient_sq_from_faces(grid, face_g)
+        for key, val in _state_diagnostics(grid, u, v, w, grad_w_sq, params.theta,
+                                           minima).items():
             series[key].append(val)
-        return grad_w_sq
+        return face_g, grad_w_sq
 
     def record_history():
         history.append({"u": u.copy(), "v": v.copy(), "w": w.copy()})
 
-    grad_w_sq = record_series()
     if keep_history:
         record_history()
+    face_g, grad_w_sq = record_series({"min_u": float(u.min()), "min_v": float(v.min()),
+                                       "min_w": float(w.min())})
 
     t = 0.0
     event_idx = 0
     time_eps = 1e-12 * max(1.0, T)
     while event_idx < len(events):
         target = events[event_idx]
-        face_g = face_gradient_values(grid, w)
-        dt = _stable_dt(grid, u, v, face_g, params, cfg)
+        dt = _stable_dt(grid, series["max_u"][-1], series["max_v"][-1], face_g,
+                        params, cfg)
         hit = False
         if t + dt >= target - time_eps:
             dt = target - t
@@ -317,7 +333,7 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
         diss_vgradw = float(((v / (1.0 + v)) ** 2 * grad_w_sq).sum()) * grid.cell_volume
 
         u, v, w, stats = _advance(grid, u, v, w, face_g, params, cfg, dt, t)
-        del face_g  # held across the history copies it costs 1.5 MB of peak RSS at 64^2
+        del face_g, grad_w_sq  # held across the history copies they cost peak RSS
         t = target if hit else t + dt
 
         accumulators["int_u_theta"] += dt * stats["u_theta"]
@@ -341,9 +357,9 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
 
         times.append(t)
         dts.append(dt)
-        grad_w_sq = record_series()
         if keep_history:
             record_history()
+        face_g, grad_w_sq = record_series(stats)
 
         if not np.all(np.isfinite(list(accumulators.values()))):
             raise SimulationAbortError(

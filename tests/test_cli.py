@@ -231,6 +231,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "model.theta" in capsys.readouterr().err
 
+    def test_seed_sets_probe_seed(self, tmp_path):
+        # --seed is the probe's seed, echoed as such in the manifest
+        flag, keyed = tmp_path / "flag", tmp_path / "keyed"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path)), "--out", str(flag),
+                     "--seed", "3"]) == 0
+        cfg = write_cfg(tmp_path, SMALL_CFG + "probe.seed = 3\n", name="keyed.cfg")
+        assert main(["simulate", "--config", str(cfg), "--out", str(keyed)]) == 0
+        assert (flag / "estimates.csv").read_bytes() == (keyed / "estimates.csv").read_bytes()
+        assert "probe.seed = 3" in (flag / "manifest.cfg").read_text().splitlines()
+
     def test_manifest_round_trip_reproduces(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -248,6 +258,13 @@ class TestSimulateCommand:
 
 
 class TestSweepCommand:
+    def test_takes_no_seed(self, tmp_path):
+        # the ladder has no randomness for a seed to override
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(write_cfg(tmp_path)), "--out",
+                  str(tmp_path / "s"), "--seed", "5"])
+        assert exc.value.code == 2
+
     def test_zero_data_gaps_exactly_zero(self, tmp_path):
         text = switch_kind(SMALL_CFG, "u", "constant", value="0.0")
         text = switch_kind(text, "v", "constant", value="0.0")
@@ -405,6 +422,17 @@ class TestRefineCommand:
         out = tmp_path / "r"
         main(["refine", "--config", str(cfg), "--out", str(out), "--levels", "2"])
         assert len((out / "refine.csv").read_text().splitlines()) == 5
+
+    def test_seed_sets_bump_seed(self, tmp_path):
+        text = SMALL_CFG.replace("grid.cells = 16, 16", "grid.cells = 12, 12")
+        flag, keyed = tmp_path / "flag", tmp_path / "keyed"
+        main(["refine", "--config", str(write_cfg(tmp_path, text)), "--out", str(flag),
+              "--levels", "2", "--seed", "5"])
+        cfg = write_cfg(tmp_path, text.replace("certify.seed = 7", "certify.seed = 5"),
+                        name="keyed.cfg")
+        main(["refine", "--config", str(cfg), "--out", str(keyed), "--levels", "2"])
+        assert (flag / "refine.csv").read_bytes() == (keyed / "refine.csv").read_bytes()
+        assert "certify.seed = 5" in (flag / "manifest.cfg").read_text().splitlines()
 
     def test_two_level_study(self, tmp_path):
         text = SMALL_CFG.replace("grid.cells = 16, 16", "grid.cells = 12, 12")

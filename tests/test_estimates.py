@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chemocert import (
     EntropyWeights,
@@ -53,7 +55,12 @@ def zero_run(T=1.0):
 
 
 def full_cumsum_probe(traj, eta, delta, trials, seed):
-    """The probe's trial loop with the running measure over every atom."""
+    """The probe's trial loop with the running measure over every drawn atom.
+
+    The draw is the probe's: a sample without replacement of as many atoms as
+    can reach the target, then a whole permutation if roundoff left that
+    short of it.
+    """
     times = traj.snapshot_times()
     weights = np.empty_like(times)
     weights[1:-1] = 0.5 * (times[2:] - times[:-2])
@@ -68,8 +75,15 @@ def full_cumsum_probe(traj, eta, delta, trials, seed):
     worst, violations = 0.0, 0
     for _ in range(trials):
         target = rng.uniform(0.2, 0.999) * delta
-        order = rng.permutation(n_time * n_cells)
+        n_atoms = n_time * n_cells
+        n_draw = n_atoms
+        if atom_measure.min() > 0:
+            n_draw = int(min(n_atoms, target / atom_measure.min() + 2))
+        order = rng.choice(n_atoms, n_draw, replace=False)
         meas = np.cumsum(atom_measure[order])
+        if meas[-1] < target and n_draw < n_atoms:
+            order = rng.permutation(n_atoms)
+            meas = np.cumsum(atom_measure[order])
         take = order[:int(np.searchsorted(meas, target))]
         value = float(atom_integral[take].sum())
         worst = max(worst, value)
@@ -295,6 +309,33 @@ class TestUniformIntegrability:
             rec = probe_uniform_integrability(traj, eta, delta, trials=30, seed=seed)
             assert (rec.value, rec.details["violations"]) == full_cumsum_probe(
                 traj, eta, delta, trials=30, seed=seed)
+
+    @given(c=st.floats(0.01, 100.0), cells=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+           times=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6, unique=True),
+           share=st.floats(1e-3, 1.0), trials=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_probe_constant_field_takes_the_right_atoms(self, c, cells, times, share,
+                                                        trials, seed):
+        # with u = c everywhere, each trial's set E has |E| < target <= |E| +
+        # the largest atom, and its integral is c|E|; the target lies in
+        # [0.2, 0.999) * delta. A draw of too few or too many atoms leaves that.
+        # A single trial's target is the seed's first draw, which pins it.
+        g = Grid(cells=tuple(cells), lengths=(1.0,) * len(cells))
+        snap_times = [0.0] + sorted(times)
+        state = State(u=g.constant_field(c), v=g.constant_field(0.0),
+                      w=g.constant_field(0.0))
+        traj = dataclasses.replace(zero_run(), grid=g, final_time=snap_times[-1],
+                                   snapshots=[(t, state) for t in snap_times])
+        half_steps = 0.5 * np.diff(snap_times)
+        widths = np.concatenate([half_steps, [0.0]]) + np.concatenate([[0.0], half_steps])
+        m_max = widths.max() * g.cell_volume
+        delta = share * snap_times[-1] * g.measure
+        roundoff = 1e-12 * c * delta
+        rec = probe_uniform_integrability(traj, np.inf, delta, trials=trials, seed=seed)
+        assert c * (0.2 * delta - m_max) - roundoff <= rec.value < c * 0.999 * delta + roundoff
+        target = np.random.default_rng(seed).uniform(0.2, 0.999) * delta
+        one = probe_uniform_integrability(traj, np.inf, delta, trials=1, seed=seed)
+        assert c * (target - m_max) - roundoff <= one.value < c * target + roundoff
 
     def test_probe_zero_measure_atoms(self):
         # a repeated snapshot time gives its middle instant zero weight

@@ -18,7 +18,7 @@ from chemocert import (
     restrict_values,
     solve_diffusion,
 )
-from chemocert.grid import _neumann_eigenvalues
+from chemocert.grid import _neumann_eigenvalues, _pow
 
 
 class TestGridConstruction:
@@ -113,6 +113,30 @@ class TestLpNorm:
         rng = np.random.default_rng(3)
         vals = rng.random(g.shape)
         assert lp_norm_values(g, scale * vals, 2.0) >= lp_norm_values(g, vals, 2.0)
+
+
+class TestPow:
+    @pytest.mark.parametrize("expo", [1.0, 2.0, 0.5, 1.7])
+    def test_bitwise_masked_exp_log(self, expo):
+        # a base without zeros skips the mask; every bit must stay as the
+        # masked exp(expo*log) gives it, on strided views too
+        rng = np.random.default_rng(1)
+        base = rng.uniform(1e-3, 3.0, size=(40, 37))
+        zeros = base.copy()
+        zeros[::3, ::5] = 0.0
+        for x in (base, base[::2, 1::3], base.T, base[5], zeros, zeros[1::2, ::2]):
+            want = np.zeros(x.shape)
+            pos = x > 0
+            want[pos] = np.exp(expo * np.log(x[pos]))
+            got = _pow(x, expo)
+            assert got.shape == x.shape
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    def test_zero_dim_returns_float(self):
+        for x, want in ((2.5, float(np.exp(1.7 * np.log(np.array([2.5])))[0])),
+                        (0.0, 0.0)):
+            got = _pow(np.float64(x), 1.7)
+            assert type(got) is float and got == want
 
 
 class TestGradient:

@@ -13,6 +13,7 @@ from chemocert import (
     step,
 )
 from chemocert.grid import face_gradient_values, gradient_sq_values
+from chemocert import solver
 from chemocert.solver import SchemeViolationError, _advance, _clamp_nonneg
 
 from conftest import bumpy_state
@@ -153,7 +154,8 @@ class TestStep:
             assert abs(gap) < 1e-10
 
     def test_clamp_floor(self):
-        assert np.all(_clamp_nonneg("u", np.array([-5e-14, 1.0]), 0.0) >= 0.0)
+        clamped, minimum = _clamp_nonneg("u", np.array([-5e-14, 1.0]), 0.0)
+        assert np.all(clamped >= 0.0) and minimum == clamped.min() == 0.0
         with pytest.raises(SchemeViolationError, match="u"):
             _clamp_nonneg("u", np.array([-1e-12, 1.0]), 0.0)
 
@@ -232,6 +234,55 @@ class TestLogisticOracle:
             assert worst < 2e-3, f"u0={u0}: error {worst}"
 
 
+def assert_matches_public_step_loop(init, cfg, T, outputs):
+    """simulate against a loop over the public stable_dt and step."""
+    g = init.grid
+    traj = simulate(init, PARAMS, cfg, T, outputs)
+
+    def grad_w_sq_now(state):
+        return float(gradient_sq_values(g, state.w.values).sum()) * g.cell_volume
+
+    state, t = init, 0.0
+    times, dts, now, snapshots = [t], [], [grad_w_sq_now(state)], [state]
+    minima = {name: [getattr(state, name).min()] for name in ("u", "v", "w")}
+    int_grad_w_sq = int_vgradw_sq = 0.0
+    time_eps = 1e-12 * max(1.0, T)
+    for target in outputs:
+        hit = False
+        while not hit:
+            dt = stable_dt(state, PARAMS, cfg)
+            hit = t + dt >= target - time_eps
+            if hit:
+                dt = target - t
+            v = state.v.values
+            grad_w_sq = gradient_sq_values(g, state.w.values)
+            int_grad_w_sq += dt * now[-1]
+            int_vgradw_sq += dt * (float(((v / (1.0 + v)) ** 2 * grad_w_sq).sum())
+                                   * g.cell_volume)
+            state = step(state, PARAMS, cfg, dt)
+            t = target if hit else t + dt
+            times.append(t)
+            dts.append(dt)
+            now.append(grad_w_sq_now(state))
+            for name, mins in minima.items():
+                mins.append(getattr(state, name).min())
+        snapshots.append(state)
+
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.dts, dts)
+    assert np.array_equal(traj.series["int_grad_w_sq_now"], now)
+    for name, mins in minima.items():
+        assert np.array_equal(traj.series[f"min_{name}"], mins)
+        assert np.array_equal(np.signbit(traj.series[f"min_{name}"]), np.signbit(mins))
+    assert traj.accumulators["int_grad_w_sq"] == int_grad_w_sq
+    assert traj.accumulators["int_vgradw_sq"] == int_vgradw_sq
+    assert [t for t, _ in traj.snapshots] == [0.0] + outputs
+    for (_, got), want in zip(traj.snapshots, snapshots, strict=True):
+        for name in ("u", "v", "w"):
+            assert np.array_equal(getattr(got, name).values,
+                                  getattr(want, name).values)
+
+
 class TestSimulate:
     def test_keep_history_records_every_step(self):
         g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
@@ -273,52 +324,48 @@ class TestSimulate:
                         T=0.5, output_times=[0.1, 0.25, 0.3333, 0.5])
         assert [t for t, _ in traj.snapshots] == [0.0, 0.1, 0.25, 0.3333, 0.5]
 
-    def test_matches_public_step_loop(self):
-        # simulate shares one face gradient of w per step between the dt
-        # choice and the step, and samples the dissipation from the |grad w|^2
-        # of the previous step's diagnostics; that reuse must change no bit of
-        # what a loop over the public stable_dt and step computes
+    @given(cells=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+           T=st.floats(1e-3, 0.2),
+           fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+                              max_size=6, unique=True))
+    @settings(max_examples=30, deadline=None)
+    def test_lands_on_every_output_time(self, cells, T, fractions):
+        g = Grid(cells=tuple(cells), lengths=(1.0,) * len(cells))
+        outputs = [f * T for f in fractions]  # in (0, T], in drawn order
+        traj = simulate(bumpy_state(g), PARAMS, SolverConfig(max_dt=0.01), T, outputs)
+        assert traj.snapshot_times().tolist() == [0.0] + sorted({*outputs, T})
+        for t in outputs:
+            assert np.any(traj.times == t)
+        assert np.all(traj.dts > 0.0)
+
+    def test_matches_public_step_loop(self, monkeypatch):
+        # simulate shares one face gradient of w per step boundary between the
+        # diagnostics, the dt choice and the step, samples the dissipation
+        # from the |grad w|^2 of the previous step's diagnostics, takes max u
+        # and max v for dt from the diagnostics, and their minima from the
+        # post-diffusion clamp; that reuse must change no bit of what a loop
+        # over the public stable_dt and step computes. The one-cell spikes
+        # make the diffusion solve undershoot zero, so that clamp fires.
+        fired = []
+
+        def recorded(grid, rhs, tau):
+            out = solve(grid, rhs, tau)
+            fired.append(float(out.min()) < 0.0)
+            return out
+
+        solve = solver.solve_diffusion
+        monkeypatch.setattr(solver, "solve_diffusion", recorded)
         g = Grid(cells=(12, 12), lengths=(1.0, 1.0))
-        cfg = SolverConfig(max_dt=0.004)
-        T, outputs = 0.1, [0.03, 0.05, 0.1]
-        traj = simulate(bumpy_state(g), PARAMS, cfg, T, outputs)
-
-        def grad_w_sq_now(state):
-            return float(gradient_sq_values(g, state.w.values).sum()) * g.cell_volume
-
-        state, t = bumpy_state(g), 0.0
-        times, dts, now, snapshots = [t], [], [grad_w_sq_now(state)], [state]
-        int_grad_w_sq = int_vgradw_sq = 0.0
-        time_eps = 1e-12 * max(1.0, T)
-        for target in outputs:
-            hit = False
-            while not hit:
-                dt = stable_dt(state, PARAMS, cfg)
-                hit = t + dt >= target - time_eps
-                if hit:
-                    dt = target - t
-                v = state.v.values
-                grad_w_sq = gradient_sq_values(g, state.w.values)
-                int_grad_w_sq += dt * now[-1]
-                int_vgradw_sq += dt * (float(((v / (1.0 + v)) ** 2 * grad_w_sq).sum())
-                                       * g.cell_volume)
-                state = step(state, PARAMS, cfg, dt)
-                t = target if hit else t + dt
-                times.append(t)
-                dts.append(dt)
-                now.append(grad_w_sq_now(state))
-            snapshots.append(state)
-
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.dts, dts)
-        assert np.array_equal(traj.series["int_grad_w_sq_now"], now)
-        assert traj.accumulators["int_grad_w_sq"] == int_grad_w_sq
-        assert traj.accumulators["int_vgradw_sq"] == int_vgradw_sq
-        assert [t for t, _ in traj.snapshots] == [0.0] + outputs
-        for (_, got), want in zip(traj.snapshots, snapshots, strict=True):
-            for name in ("u", "v", "w"):
-                assert np.array_equal(getattr(got, name).values,
-                                      getattr(want, name).values)
+        assert_matches_public_step_loop(bumpy_state(g), SolverConfig(max_dt=0.004),
+                                        0.1, [0.03, 0.05, 0.1])
+        line = Grid(cells=(32,), lengths=(1.0,))
+        spikes = [np.zeros(32) for _ in range(3)]
+        for values, cell, height in zip(spikes, (10, 21, 16), (5.0, 3.0, 2.0)):
+            values[cell] = height
+        fired.clear()
+        assert_matches_public_step_loop(State(*(line.field(x) for x in spikes)),
+                                        SolverConfig(max_dt=0.004), 0.05, [0.02, 0.05])
+        assert any(fired)
 
     def test_positivity_and_monotone_time(self):
         g = Grid(cells=(24, 24), lengths=(1.0, 1.0))
