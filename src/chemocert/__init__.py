@@ -15,13 +15,9 @@ from .grid import (
     GridError,
     NonFiniteFieldError,
     face_gradient_values,
-    gradient,
     gradient_values,
-    integrate,
     integrate_values,
-    laplacian,
     laplacian_values,
-    lp_norm,
     lp_norm_values,
     restrict_values,
     solve_diffusion,
@@ -81,7 +77,6 @@ from .identities import (
     second_order_floor,
     weight_threshold,
     z_evolution_residual,
-    z_field,
     z_values,
 )
 

@@ -16,6 +16,16 @@ from .runner import (
 )
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chemocert",
@@ -28,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         if seeded is not None:
-            p.add_argument("--seed", type=int, default=None, help=f"override {seeded}")
+            p.add_argument("--seed", type=_seed, default=None, help=f"override {seeded}")
 
     p = sub.add_parser("simulate", help="single run: diagnostics, fields, estimates")
     add_common(p, seeded="probe.seed, the uniform-integrability probe's seed")

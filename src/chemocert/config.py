@@ -53,14 +53,18 @@ class ConfigError(ValueError):
 
 def parse_config_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(key, f"set twice, on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
+        out[key] = value
     return out
 
 
@@ -93,15 +97,11 @@ def _get_int(mapping, key, default=None) -> int:
         raise ConfigError(key, f"not an integer: {mapping[key]!r}") from None
 
 
-def _get_bool(mapping, key, default: bool) -> bool:
-    if key not in mapping:
-        return default
-    val = mapping[key].lower()
-    if val in ("on", "true", "1", "yes"):
-        return True
-    if val in ("off", "false", "0", "no"):
-        return False
-    raise ConfigError(key, f"not a boolean: {mapping[key]!r}")
+def _get_seed(mapping, key, default: int) -> int:
+    seed = _get_int(mapping, key, default)
+    if seed < 0:
+        raise ConfigError(key, f"seeds must be >= 0, got {seed}")
+    return seed
 
 
 def _get_floats(mapping, key, default=None) -> tuple[float, ...]:
@@ -160,7 +160,7 @@ class InitialSpec:
             return _gaussian(grid, key, [(c1, s1, 1.0), (c2, s2, w2)], opts)
         if self.kind == "random-seeded":
             amp = _get_float(opts, f"{key}.amplitude", 1.0)
-            seed = _get_int(opts, f"{key}.seed", 0)
+            seed = _get_seed(opts, f"{key}.seed", 0)
             rng = np.random.default_rng(seed)
             return grid.field(rng.uniform(0.0, amp, size=grid.shape))
         raise ConfigError(f"{key}.kind",
@@ -200,7 +200,6 @@ class RunConfig:
     T: float
     output_times: tuple[float, ...]
     initial: dict[str, InitialSpec]
-    estimates_enabled: bool
     weights: tuple[EntropyWeights, ...]
     bump_count: int
     bump_seed: int
@@ -228,7 +227,6 @@ class RunConfig:
         m["solver.max_dt"] = _fmt(self.solver.max_dt)
         m["run.T"] = _fmt(self.T)
         m["run.output_times"] = ", ".join(_fmt(t) for t in self.output_times)
-        m["run.estimates"] = "on" if self.estimates_enabled else "off"
         for name, spec in self.initial.items():
             m[f"init.{name}.kind"] = spec.kind
             for k, v in sorted(spec.options.items()):
@@ -332,6 +330,9 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         raise ConfigError("sweep.eps_ladder", "entries must lie in (0, 1)")
     if any(b >= a for a, b in zip(eps_ladder[:-1], eps_ladder[1:])):
         raise ConfigError("sweep.eps_ladder", "must be strictly decreasing")
+    if len(eps_ladder) < 2:
+        raise ConfigError("sweep.eps_ladder",
+                          f"a sweep compares rungs and needs >= 2, got {len(eps_ladder)}")
 
     probe_eta = _get_floats(mapping, "probe.eta", (0.25, 1.0))
     if any(e <= 0 for e in probe_eta):
@@ -351,14 +352,13 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     cfg = RunConfig(
         grid=grid, params=params, solver=solver, T=T,
         output_times=tuple(output_times), initial=initial,
-        estimates_enabled=_get_bool(mapping, "run.estimates", True),
         weights=weights,
         bump_count=bump_count,
-        bump_seed=_get_int(mapping, "certify.seed", 2024),
+        bump_seed=_get_seed(mapping, "certify.seed", 2024),
         tol_c=tol_c,
         probe_eta=tuple(probe_eta),
         probe_trials=probe_trials,
-        probe_seed=_get_int(mapping, "probe.seed", 7),
+        probe_seed=_get_seed(mapping, "probe.seed", 7),
         eps_ladder=tuple(eps_ladder),
         refine_levels=refine_levels,
     )
@@ -368,7 +368,7 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         raise ConfigError(unknown[0], "unknown key")
     cfg.build_initial_family()  # fail fast on bad initial-data fields
     # N of the paper's threshold is the grid's dimension
-    if cfg.estimates_enabled and cfg.params.theta <= theta_threshold(grid.dim):
+    if cfg.params.theta <= theta_threshold(grid.dim):
         raise ConfigError(
             "model.theta",
             f"signal L^p checks need theta above the threshold "

@@ -6,7 +6,7 @@ encodes the homogeneous Neumann (zero normal flux) boundary condition and
 makes three identities exact in floating point:
 
 * the gradient of a constant field vanishes,
-* the Laplacian telescopes, so ``integrate(laplacian(f)) == 0``,
+* the Laplacian telescopes, so the integral of ``laplacian_values`` is 0,
 * midpoint quadrature is exact for cellwise-constant integrands.
 
 Both 1D and 2D grids are supported; 1D grids exist mainly as fast oracles for
@@ -146,10 +146,6 @@ def integrate_values(grid: Grid, values: np.ndarray) -> float:
     return float(values.sum()) * grid.cell_volume
 
 
-def integrate(f: Field) -> float:
-    return integrate_values(f.grid, f.values)
-
-
 def _pow(base, expo: float):
     """base**expo for nonnegative base with the convention 0**expo := 0."""
     base = np.asarray(base, dtype=float)
@@ -174,10 +170,6 @@ def lp_norm_values(grid: Grid, values: np.ndarray, p: float) -> float:
     if p < 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
     return integrate_values(grid, _pow(np.abs(values), p)) ** (1.0 / p)
-
-
-def lp_norm(f: Field, p: float) -> float:
-    return lp_norm_values(f.grid, f.values, p)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +225,6 @@ def gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
     return _faces_to_cells(grid, face_gradient_values(grid, values))
 
 
-def gradient(f: Field) -> tuple[Field, ...]:
-    return tuple(Field(f.grid, c) for c in gradient_values(f.grid, f.values))
-
-
 def gradient_sq_from_faces(grid: Grid, face_g: tuple[np.ndarray, ...]) -> np.ndarray:
     """Squared magnitude of the cell-centered gradient with these face values.
 
@@ -258,8 +246,8 @@ def gradient_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Second differences with mirrored ghosts, summed over axes.
 
-    Telescoping of the flux differences makes integrate(laplacian(f)) vanish
-    identically; a single-cell axis contributes nothing.
+    Telescoping of the flux differences makes the integral of the result
+    vanish identically; a single-cell axis contributes nothing.
     """
     values = np.asarray(values, dtype=float)
     out = np.zeros_like(values)
@@ -278,10 +266,6 @@ def _pad_width(ndim: int, axis: int) -> list[tuple[int, int]]:
     pw = [(0, 0)] * ndim
     pw[axis] = (1, 1)
     return pw
-
-
-def laplacian(f: Field) -> Field:
-    return Field(f.grid, laplacian_values(f.grid, f.values))
 
 
 # ---------------------------------------------------------------------------

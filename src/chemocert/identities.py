@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
-from .grid import Field, Grid, gradient_values
+from .grid import Grid, gradient_values
 from .model import _pow, source_w
 from .solver import Trajectory
 
@@ -142,12 +142,6 @@ def z_values(u, w, p: float, k: float) -> np.ndarray:
     if not (p > 0 and k > 0):
         raise ValueError(f"p and k must be positive, got p={p}, k={k}")
     return np.exp(-p * np.log1p(u) - k * w)
-
-
-def z_field(u: Field, w: Field, p: float, k: float) -> Field:
-    if u.grid != w.grid:
-        raise ValueError("u and w must share one grid")
-    return Field(u.grid, z_values(u.values, w.values, p, k))
 
 
 # ---------------------------------------------------------------------------
@@ -304,33 +298,21 @@ class SpaceTimeBump:
     def time_profile(self, times: np.ndarray) -> np.ndarray:
         return bump_profile((times - self.t_center) / self.t_radius)
 
-    def spatial_values(self, grid: Grid) -> np.ndarray:
-        return _bump_spatial(self, grid)[0]
+    def spatial(self, grid: Grid) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Spatial factor on the grid's cell centers and its analytic gradient."""
+        axes_vals = []
+        axes_ders = []
+        for a in range(grid.dim):
+            y = (grid.centers(a) - self.center[a]) / self.radius[a]
+            axes_vals.append(bump_profile(y))
+            axes_ders.append(bump_profile_d1(y) / self.radius[a])
 
-    def spatial_gradient(self, grid: Grid) -> tuple[np.ndarray, ...]:
-        return _bump_spatial(self, grid)[1]
+        def outer(factors):
+            return reduce(np.multiply.outer, [self.amplitude * factors[0], *factors[1:]])
 
-
-@lru_cache(maxsize=256)
-def _bump_spatial(bump: SpaceTimeBump, grid: Grid):
-    """Cached spatial factor and its analytic gradient on a grid."""
-    axes_vals = []
-    axes_ders = []
-    for a in range(grid.dim):
-        y = (grid.centers(a) - bump.center[a]) / bump.radius[a]
-        axes_vals.append(bump_profile(y))
-        axes_ders.append(bump_profile_d1(y) / bump.radius[a])
-
-    def outer(factors):
-        return reduce(np.multiply.outer, [bump.amplitude * factors[0], *factors[1:]])
-
-    vals = outer(axes_vals)
-    grads = tuple(outer(axes_vals[:a] + [axes_ders[a]] + axes_vals[a + 1:])
-                  for a in range(grid.dim))
-    vals.setflags(write=False)
-    for g in grads:
-        g.setflags(write=False)
-    return vals, grads
+        grads = tuple(outer(axes_vals[:a] + [axes_ders[a]] + axes_vals[a + 1:])
+                      for a in range(grid.dim))
+        return outer(axes_vals), grads
 
 
 def sample_bumps(grid: Grid, T: float, count: int, seed: int) -> list[SpaceTimeBump]:
@@ -430,8 +412,9 @@ def _history_window(times: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
 
 def _stacked_tests(bumps, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """One row per bump of S, raveled, and one of grad S, axis after axis."""
-    return (np.array([bump.spatial_values(grid).ravel() for bump in bumps]),
-            np.array([np.ravel(bump.spatial_gradient(grid)) for bump in bumps]))
+    factors = [bump.spatial(grid) for bump in bumps]
+    return (np.array([vals.ravel() for vals, _ in factors]),
+            np.array([np.ravel(grads) for _, grads in factors]))
 
 
 def _time_weights(times: np.ndarray, psi: np.ndarray,

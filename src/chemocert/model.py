@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, _pow
+from .grid import Field, Grid, _pow, lp_norm_values
 
 
 @dataclass(frozen=True)
@@ -243,13 +243,11 @@ class InitialFamily:
 
         The exponent r is taken for the dimension of the data's grid.
         """
-        from .grid import lp_norm
-
         r = w_data_exponent(theta, self.w0.grid.dim)
         return {
-            "u0_l1": lp_norm(self.u0, 1.0),
-            "v0_l1": lp_norm(self.v0, 1.0),
-            "w0_lr": lp_norm(self.w0, r),
+            "u0_l1": lp_norm_values(self.u0.grid, self.u0.values, 1.0),
+            "v0_l1": lp_norm_values(self.v0.grid, self.v0.values, 1.0),
+            "w0_lr": lp_norm_values(self.w0.grid, self.w0.values, r),
             "w_data_exponent": r,
         }
 

@@ -123,14 +123,11 @@ def _write_diagnostics(traj: Trajectory, out: Path) -> None:
     header = ["t", "dt", "mass_u", "mass_v", "mass_w", "int_u_theta", "int_v_sq",
               "int_grad_w_sq", "min_u", "max_u", "min_v", "max_v", "min_w", "max_w"]
     dts = np.concatenate([[0.0], traj.dts])
-    rows = []
-    for i, t in enumerate(traj.times):
-        rows.append([float(t), float(dts[i])] +
-                    [float(traj.series[k][i]) for k in
-                     ("mass_u", "mass_v", "mass_w", "int_u_theta_now", "int_v_sq_now",
-                      "int_grad_w_sq_now", "min_u", "max_u", "min_v", "max_v",
-                      "min_w", "max_w")])
-    _write_csv(out / "diagnostics.csv", header, rows)
+    columns = [traj.times, dts] + [traj.series[k] for k in
+                                   ("mass_u", "mass_v", "mass_w", "int_u_theta_now",
+                                    "int_v_sq_now", "int_grad_w_sq_now", "min_u", "max_u",
+                                    "min_v", "max_v", "min_w", "max_w")]
+    _write_csv(out / "diagnostics.csv", header, np.column_stack(columns))
 
 
 def _fields_name(t: float) -> str:
@@ -217,7 +214,7 @@ def run_simulate(cfg: RunConfig, out_dir: str | Path) -> int:
     _write_diagnostics(traj, out)
     _write_fields(traj, out)
     ok = True
-    if cfg.estimates_enabled and cfg.T > 0:
+    if cfg.T > 0:
         records = _single_run_estimates(cfg, traj, norms)
         _write_estimates(records, out)
         for r in records:
@@ -280,19 +277,16 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
 
     header = ["eps", "gap_u", "gap_v", "gap_w", "diss_grad_log1v", "diss_vgradw",
               "diss_grad_w", "w_lp_sup"]
-    rows = []
-    for j, eps in enumerate(eps_done):
-        traj = trajs[eps]
-        denom = 1.0 + traj.final_time
-        gaps = gap_rows[j] if j < len(gap_rows) else {"u": float("nan"),
-                                                      "v": float("nan"),
-                                                      "w": float("nan")}
-        rows.append([eps, gaps["u"], gaps["v"], gaps["w"],
-                     traj.accumulators["int_grad_log1v_sq"] / denom,
-                     traj.accumulators["int_vgradw_sq"] / denom,
-                     traj.accumulators["int_grad_w_sq"] / denom,
-                     traj.sup_w_lp(2.0)])
-    _write_csv(out / "sweep.csv", header, rows)
+    # the last rung has no finer one to take a gap to
+    gaps = (gap_rows + [{name: float("nan") for name in ("u", "v", "w")}])[:len(eps_done)]
+    done = [trajs[e] for e in eps_done]
+    table = np.column_stack(
+        [eps_done]
+        + [[g[name] for g in gaps] for name in ("u", "v", "w")]
+        + [[t.accumulators[key] / (1.0 + t.final_time) for t in done]
+           for key in ("int_grad_log1v_sq", "int_vgradw_sq", "int_grad_w_sq")]
+        + [[t.sup_w_lp(2.0) for t in done]])
+    _write_csv(out / "sweep.csv", header, table)
     if records:
         _write_estimates(records, out)
 

@@ -94,7 +94,6 @@ class Trajectory:
 
     grid: Grid
     params: ModelParams
-    config: SolverConfig
     final_time: float
     times: np.ndarray                       # step boundaries, t_0 .. t_M
     dts: np.ndarray                         # step sizes, length M
@@ -373,7 +372,7 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
             event_idx += 1
 
     return Trajectory(
-        grid=grid, params=params, config=cfg, final_time=T,
+        grid=grid, params=params, final_time=T,
         times=np.array(times), dts=np.array(dts),
         series={k: np.array(vals) for k, vals in series.items()},
         cumulative={k: np.array(vals) for k, vals in cumulative.items()},

@@ -26,7 +26,7 @@ from chemocert import (
     check_weight_identities,
     check_z_dissipation_bounds,
     history_pass,
-    lp_norm,
+    lp_norm_values,
     probe_uniform_integrability,
     reaction_l1_identity_gap,
     sample_bumps,
@@ -87,7 +87,8 @@ def six_runs():
         traj = simulate(init, params, cfg, T=2.0,
                         output_times=np.linspace(0.0, 2.0, 21))
         elapsed = time.time() - t0
-        norms = {"u0_l1": lp_norm(init.u, 1.0), "v0_l1": lp_norm(init.v, 1.0)}
+        norms = {"u0_l1": lp_norm_values(grid, init.u.values, 1.0),
+                 "v0_l1": lp_norm_values(grid, init.v.values, 1.0)}
         runs.append((params, traj, norms, elapsed))
     return runs
 
@@ -287,7 +288,7 @@ def test_criterion_9_eps_sweep(canonical_cfg, sweep_trajs):
 def test_criterion_10_uniform_integrability(canonical_cfg, canonical_traj):
     cfg, traj = canonical_cfg, canonical_traj
     family = cfg.build_initial_family()
-    u0_l1 = lp_norm(family.u0, 1.0)
+    u0_l1 = lp_norm_values(family.u0.grid, family.u0.values, 1.0)
     m1 = u_mass_cap(u0_l1, cfg.params.theta, cfg.grid.measure)
     details = []
     for j, eta in enumerate((0.25, 1.0)):

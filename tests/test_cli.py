@@ -136,12 +136,28 @@ class TestConfigParsing:
         ("solver.max_dt", "inf"),
         ("model.theta", "inf"),
         ("certify.tol_c.mass", "-1"),
+        ("certify.seed", "-1"),
+        ("probe.seed", "-1"),
+        ("sweep.eps_ladder", "0.25"),  # a sweep compares at least two rungs
     ])
     def test_meaningless_value_names_field(self, key, value):
         mapping = parse_config_text(SMALL_CFG)
         mapping[key] = value
         with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
             config_from_mapping(mapping)
+
+    def test_negative_initial_seed_named(self):
+        text = switch_kind(SMALL_CFG, "w", "random-seeded", amplitude="0.5", seed="-2")
+        with pytest.raises(ConfigError, match=re.escape("'init.w.seed'")):
+            config_from_mapping(parse_config_text(text))
+
+    def test_repeated_key_names_both_lines(self):
+        text = SMALL_CFG + "model.theta = 3.0\n"
+        lines = text.splitlines()
+        first = lines.index("model.theta = 2.0") + 1
+        with pytest.raises(ConfigError, match=re.escape(
+                f"'model.theta': set twice, on lines {first} and {len(lines)}")):
+            parse_config_text(text)
 
     def test_increasing_ladder_rejected(self):
         mapping = parse_config_text(SMALL_CFG)
@@ -157,6 +173,8 @@ class TestConfigParsing:
         ("model.dim_n", "2"),
         ("sweep.smoothing", "0"),
         ("init.u.sigmma", "0.2"),
+        # the estimates always run; older manifests carry this line
+        ("run.estimates", "on"),
     ])
     def test_unknown_key_named(self, key, value):
         mapping = parse_config_text(SMALL_CFG)
@@ -240,6 +258,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(keyed)]) == 0
         assert (flag / "estimates.csv").read_bytes() == (keyed / "estimates.csv").read_bytes()
         assert "probe.seed = 3" in (flag / "manifest.cfg").read_text().splitlines()
+
+    @pytest.mark.parametrize("command", ["simulate", "certify", "refine",
+                                         "verify-identities"])
+    def test_negative_seed_exit_2_before_running(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        config = [] if command == "verify-identities" else ["--config",
+                                                            str(write_cfg(tmp_path))]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *config, "--out", str(out), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_round_trip_reproduces(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -20,7 +20,7 @@ from chemocert import (
     check_w_lp,
     check_w_lp_family,
     check_z_dissipation_bounds,
-    lp_norm,
+    lp_norm_values,
     probe_uniform_integrability,
     reaction_l1_identity_gap,
     simulate,
@@ -41,8 +41,9 @@ def small_run(T=1.0, cells=(24, 24), eps=0.25, theta=2.0):
     init = bumpy_state(g)
     traj = simulate(init, params, SolverConfig(max_dt=0.004), T,
                     output_times=np.linspace(0.0, T, 11))
-    norms = {"u0_l1": lp_norm(init.u, 1.0), "v0_l1": lp_norm(init.v, 1.0),
-             "w0_lr": lp_norm(init.w, 2.0)}
+    norms = {"u0_l1": lp_norm_values(g, init.u.values, 1.0),
+             "v0_l1": lp_norm_values(g, init.v.values, 1.0),
+             "w0_lr": lp_norm_values(g, init.w.values, 2.0)}
     return traj, params, norms
 
 

@@ -25,7 +25,6 @@ from chemocert import (
     simulate,
     weight_threshold,
     z_evolution_residual,
-    z_field,
     z_values,
 )
 from chemocert.identities import (
@@ -141,16 +140,13 @@ class TestWeightsAndZ:
         assert z_values(0.0, 1e3, 1.0, 2.0) < 1e-300 or \
             z_values(0.0, 1e3, 1.0, 2.0) >= 0.0
 
-    def test_z_field_range_and_grid_check(self):
+    def test_z_range_on_a_field(self):
         g = Grid(cells=(8,), lengths=(1.0,))
         rng = np.random.default_rng(0)
         u = g.field(rng.uniform(0, 5, g.shape))
         w = g.field(rng.uniform(0, 5, g.shape))
-        zf = z_field(u, w, 1.0, 2.0)
-        assert np.all(zf.values > 0.0) and np.all(zf.values <= 1.0)
-        g2 = Grid(cells=(9,), lengths=(1.0,))
-        with pytest.raises(ValueError):
-            z_field(u, g2.constant_field(0.0), 1.0, 2.0)
+        z = z_values(u.values, w.values, 1.0, 2.0)
+        assert np.all(z > 0.0) and np.all(z <= 1.0)
 
     @given(u=st.floats(0, 100), w=st.floats(0, 100),
            p=st.floats(0.1, 5), k=st.floats(0.1, 5))
@@ -217,7 +213,7 @@ class TestBumps:
         errs = []
         for n in (64, 256):
             g = Grid(cells=(n,), lengths=(1.0,))
-            got = bump.spatial_values(g).sum() * g.cell_volume
+            got = bump.spatial(g)[0].sum() * g.cell_volume
             errs.append(abs(got - 0.3 * i_b))
         assert errs[1] < 1e-4
         assert errs[1] < errs[0]
@@ -240,8 +236,9 @@ class TestBumps:
                 expected = 0.7 * vals[0][:, None] * vals[1][None, :]
                 expected_grads = (0.7 * ders[0][:, None] * vals[1][None, :],
                                   0.7 * vals[0][:, None] * ders[1][None, :])
-            assert np.array_equal(bump.spatial_values(g), expected)
-            for got, want in zip(bump.spatial_gradient(g), expected_grads, strict=True):
+            got_vals, got_grads = bump.spatial(g)
+            assert np.array_equal(got_vals, expected)
+            for got, want in zip(got_grads, expected_grads, strict=True):
                 assert np.array_equal(got, want)
 
     def test_fits_validation(self):

@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chemocert import Grid, State
+from chemocert import Grid, ModelParams, SolverConfig, State, simulate
 from chemocert.config import _fmt
-from chemocert.runner import _write_csv, _write_fields
+from chemocert.runner import _write_csv, _write_diagnostics, _write_fields
 
 SPECIAL = (0.0, 5e-324, 1e300, 0.1 + 0.2, 1 / 3)
 
@@ -68,3 +68,22 @@ def test_table_matches_rows(tmp_path):
     _write_csv(tmp_path / "new.csv", ["a", "b", "c", "d"], table)
     reference_csv(tmp_path / "old.csv", ["a", "b", "c", "d"], table.tolist())
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_diagnostics_match_per_value_loop(tmp_path):
+    grid = Grid(cells=(16,), lengths=(1.0,))
+    rng = np.random.default_rng(1)
+    state = State(*(grid.field(rng.uniform(0.0, 2.0, size=grid.shape)) for _ in range(3)))
+    traj = simulate(state, ModelParams(theta=2.0, eps=0.25),
+                    SolverConfig(max_dt=0.01), 0.05, [0.0, 0.05])
+    _write_diagnostics(traj, tmp_path)
+    header = ["t", "dt", "mass_u", "mass_v", "mass_w", "int_u_theta", "int_v_sq",
+              "int_grad_w_sq", "min_u", "max_u", "min_v", "max_v", "min_w", "max_w"]
+    series = ["mass_u", "mass_v", "mass_w", "int_u_theta_now", "int_v_sq_now",
+              "int_grad_w_sq_now", "min_u", "max_u", "min_v", "max_v", "min_w", "max_w"]
+    dts = [0.0, *traj.dts]
+    rows = [[t, dts[i]] + [traj.series[k][i] for k in series]
+            for i, t in enumerate(traj.times)]
+    reference_csv(tmp_path / "old.csv", header, rows)
+    assert len(rows) > 2
+    assert (tmp_path / "diagnostics.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
