@@ -71,10 +71,12 @@ def main(argv: list[str] | None = None) -> int:
                                          seed=0 if args.seed is None else args.seed,
                                          out_dir=args.out)
         cfg = load_config(args.config)
+        # set once here, so the manifest echoes the seed and levels actually used
         if getattr(args, "seed", None) is not None:
-            # set once here, so the manifest echoes the seed actually used
             key = "probe_seed" if args.command == "simulate" else "bump_seed"
             cfg = replace(cfg, **{key: args.seed})
+        if getattr(args, "levels", None) is not None:
+            cfg = replace(cfg, refine_levels=args.levels)
         if args.command == "simulate":
             return run_simulate(cfg, args.out)
         if args.command == "sweep":
@@ -82,8 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "certify":
             return run_certify(cfg, args.out)
         if args.command == "refine":
-            levels = cfg.refine_levels if args.levels is None else args.levels
-            return run_refine(cfg, levels, args.out)
+            return run_refine(cfg, args.out)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,18 +29,15 @@ DEFAULT_TOL_C = {
     "z_evolution": 7e-2,
 }
 
-# the init.<field>.* options each kind reads, besides ``kind`` itself; every
-# kind also takes ``value``, which the manifest echoes for all of them
+# the init.<field>.* options each kind reads, besides ``kind`` itself
 INITIAL_OPTIONS = {
     "constant": ("value",),
-    "gaussian-bump": ("value", "center", "sigma", "mass", "amplitude"),
-    "two-bump": ("value", "center1", "center2", "sigma1", "sigma2", "weight2",
-                 "mass", "amplitude"),
-    "random-seeded": ("value", "amplitude", "seed"),
+    "gaussian-bump": ("center", "sigma", "mass", "amplitude"),
+    "two-bump": ("center1", "center2", "sigma1", "sigma2", "weight2", "mass",
+                 "amplitude"),
+    "random-seeded": ("amplitude", "seed"),
 }
 INITIAL_KINDS = tuple(INITIAL_OPTIONS)
-
-DEFAULT_REFINE_LEVELS = 3
 
 
 class ConfigError(ValueError):
@@ -208,8 +205,12 @@ class RunConfig:
     probe_trials: int
     probe_seed: int
     eps_ladder: tuple[float, ...]
-    # not echoed: only a refine manifest carries it, as the levels walked
-    refine_levels: int = DEFAULT_REFINE_LEVELS
+    refine_levels: int
+
+    def __post_init__(self):
+        if self.refine_levels < 3:  # an order is fitted to >= 2 gaps between levels
+            raise ConfigError("refine.levels", f"refinement needs >= 3 levels, "
+                                               f"got {self.refine_levels}")
 
     def build_initial_family(self) -> InitialFamily:
         fields = {name: spec.build(self.grid, name)
@@ -240,6 +241,7 @@ class RunConfig:
         m["probe.trials"] = str(self.probe_trials)
         m["probe.seed"] = str(self.probe_seed)
         m["sweep.eps_ladder"] = ", ".join(_fmt(x) for x in self.eps_ladder)
+        m["refine.levels"] = str(self.refine_levels)
         return m
 
 
@@ -306,7 +308,8 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
             option = key.removeprefix(f"init.{name}.")
             if option != "kind" and option not in INITIAL_OPTIONS[kind]:
                 raise ConfigError(key, f"unknown key for kind {kind!r}")
-        opts.setdefault(f"init.{name}.value", "0")
+        if kind == "constant":
+            opts.setdefault(f"init.{name}.value", "0")
         initial[name] = InitialSpec(kind=kind, options=opts)
 
     pairs = _parse_weights(mapping.get("certify.weights", "1:2"))
@@ -344,10 +347,6 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     probe_trials = _get_int(mapping, "probe.trials", 200)
     if probe_trials < 1:
         raise ConfigError("probe.trials", "must be >= 1")
-    refine_levels = _get_int(mapping, "refine.levels", DEFAULT_REFINE_LEVELS)
-    if refine_levels < 2:
-        raise ConfigError("refine.levels",
-                          f"refinement needs >= 2 levels, got {refine_levels}")
 
     cfg = RunConfig(
         grid=grid, params=params, solver=solver, T=T,
@@ -360,10 +359,10 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         probe_trials=probe_trials,
         probe_seed=_get_seed(mapping, "probe.seed", 7),
         eps_ladder=tuple(eps_ladder),
-        refine_levels=refine_levels,
+        refine_levels=_get_int(mapping, "refine.levels", 3),
     )
-    # the manifest echoes every key read; refine.levels is the one extra it adds
-    unknown = sorted(set(mapping) - set(cfg.to_mapping()) - {"refine.levels"})
+    # the manifest echoes every key read
+    unknown = sorted(set(mapping) - set(cfg.to_mapping()))
     if unknown:
         raise ConfigError(unknown[0], "unknown key")
     cfg.build_initial_family()  # fail fast on bad initial-data fields

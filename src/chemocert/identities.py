@@ -546,13 +546,13 @@ def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
     interior = inside.copy()
     interior[[0, -1]] = False
     need = interior.any(axis=1)
-    visit = inside.any(axis=1)
-    visit[0] = True  # carries the initial-data term
+    # up to the last instant a window holds (for z, the one after the last centred
+    # difference) and at least instant 0; instants outside every window weigh zero
+    stop = 1 + inside.any(axis=1).nonzero()[0].max(initial=0)
     if weights_list:
         if not interior.any(axis=0).all():
             raise ValueError("bump time window contains no interior history points")
-        visit[:-1] |= need[1:]
-        visit[1:] |= need[:-1]
+        stop = max(stop, 2 + need.nonzero()[0].max())
 
     sizes = [3, 2] + [4] * len(weights_list)  # rows of each block, density first
     block = np.repeat(np.arange(len(sizes)), sizes)
@@ -560,7 +560,7 @@ def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
     lhs, rhs = np.zeros((2, len(block), len(bumps)))
     worst = np.zeros((len(weights_list), 3, len(bumps)))
     recent: dict[int, np.ndarray] = {}
-    for i in np.flatnonzero(visit):
+    for i in range(stop):
         u, v, w = history[i]["u"], history[i]["v"], history[i]["w"]
         gw = gradient_values(grid, w)
         net_source = source_w(u, v, traj.params.eps) - w

@@ -252,6 +252,6 @@ class InitialFamily:
         }
 
 
-def initial_state(fields: tuple[Field, Field, Field], time: float = 0.0) -> State:
+def initial_state(fields: tuple[Field, Field, Field]) -> State:
     u0, v0, w0 = fields
-    return State(u=u0, v=v0, w=w0, time=time)
+    return State(u=u0, v=v0, w=w0)

@@ -50,7 +50,11 @@ from .identities import (
 from .model import initial_state, u_mass_cap
 from .solver import Trajectory, simulate
 
-CERTIFICATE_KINDS = ("mass", "weakform_w", "weakform_v", "entropy", "z_evolution")
+# each certificate kind and the name its records carry
+RECORD_NAMES = {"mass": "mass_inequality", "weakform_w": "weakform_w",
+                "weakform_v": "weakform_v", "entropy": "entropy_inequality",
+                "z_evolution": "z_evolution"}
+CERTIFICATE_KINDS = tuple(RECORD_NAMES)
 
 
 # the line end of csv.writer's default dialect, which the header row uses
@@ -106,16 +110,13 @@ def _write_csv(path: Path, header: list[str],
             writer.writerow([_fmt(x) for x in row])
 
 
-def _write_manifest(cfg: RunConfig, out: Path, extra: dict[str, str] | None = None) -> None:
+def _write_manifest(cfg: RunConfig, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     lines = [
         f"# chemocert {__version__} manifest (re-runnable config echo)",
         f"# numpy {np.__version__}, scipy {scipy.__version__}",
     ]
-    mapping = cfg.to_mapping()
-    if extra:
-        mapping.update(extra)
-    lines += [f"{k} = {v}" for k, v in mapping.items()]
+    lines += [f"{k} = {v}" for k, v in cfg.to_mapping().items()]
     (out / "manifest.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -295,6 +296,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     for name in ("u", "v", "w"):
         gaps = [g[name] for g in gap_rows]
         if len(gaps) < 2:
+            print(f"[sweep] {name} gaps: trend unchecked ({len(gaps)} gap; needs >= 2)")
             continue
         noninc = all(b <= a * (1.0 + 1e-9) + floor for a, b in zip(gaps[:-1], gaps[1:]))
         small_end = gaps[-1] < 0.1 * gaps[0] + floor
@@ -415,8 +417,8 @@ def fit_order(values: list[float]) -> float:
     return float(-slope)
 
 
-def refinement_study(cfg: RunConfig, levels: int) -> dict:
-    """(h, dt) -> (h/2, dt/4) ladder: residuals, L^1 gaps, orders, and C.
+def refinement_study(cfg: RunConfig) -> dict:
+    """(h, dt) -> (h/2, dt/4) ladder of cfg.refine_levels: residuals, L^1 gaps, orders, C.
 
     Bumps are drawn once on the coarsest grid and reused across levels so the
     residual decay measures discretization alone. The calibration constant per
@@ -424,62 +426,52 @@ def refinement_study(cfg: RunConfig, levels: int) -> dict:
     family-to-family safety margin (the certification family may probe scales
     the calibration family missed).
     """
-    if levels < 2:
-        raise ConfigError("levels", f"refinement needs >= 2 levels, got {levels}")
     bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
 
-    trajs: list[Trajectory] = []
     level_meta: list[dict[str, float]] = []
     residuals: dict[str, list[list[float]]] = {k: [] for k in CERTIFICATE_KINDS}
-    for level in range(levels):
+    sol_diffs: dict[str, list[float]] = {name: [] for name in ("u", "v", "w")}
+    coarse = None
+    for level in range(cfg.refine_levels):
         sub = _scaled_level(cfg, level)
         family = sub.build_initial_family()
         traj = simulate(initial_state(family.base()), sub.params, sub.solver,
                         sub.T, sub.output_times, keep_history=True)
-        trajs.append(traj)
         print(f"[refine] level {level}: cells {sub.grid.cells}, "
               f"{len(traj.dts)} steps, mean dt {traj.mean_dt:.3e}")
         # tolerance 1.0: residual magnitudes are what the ladder measures
         loose = {k: 1.0 for k in CERTIFICATE_KINDS}
         records = run_certificates(traj, cfg.weights, bumps, loose)
-        per_kind: dict[str, list[float]] = {k: [] for k in CERTIFICATE_KINDS}
-        for r in records:
-            per_kind[r.name.replace("mass_inequality", "mass")
-                     .replace("entropy_inequality", "entropy")].append(abs(r.residual))
         for kind in CERTIFICATE_KINDS:
-            residuals[kind].append(per_kind[kind])
+            residuals[kind].append([abs(r.residual) for r in records
+                                    if r.name == RECORD_NAMES[kind]])
         level_meta.append({"cells": sub.grid.cells[0], "h": sub.grid.min_spacing,
                            "dt_mean": traj.mean_dt})
-
-    gaps = [_l1_gaps(coarse, fine) for coarse, fine in zip(trajs[:-1], trajs[1:])]
-    sol_diffs = {name: [g[name] for g in gaps] for name in ("u", "v", "w")}
+        if coarse is not None:
+            for name, gap in _l1_gaps(coarse, traj).items():
+                sol_diffs[name].append(gap)
+        coarse = traj
 
     cert_orders = {}
     for kind in CERTIFICATE_KINDS:
         if kind == "mass":
             continue  # solver-exact; its residual sits at the noise floor
-        means = [float(np.mean(residuals[kind][lv])) for lv in range(levels)]
-        cert_orders[kind] = fit_order(means)
-    sol_orders = {}
-    for name in ("u", "v", "w"):
-        diffs = sol_diffs[name]
-        orders = [float(np.log2(a / b)) for a, b in zip(diffs[:-1], diffs[1:])]
-        sol_orders[name] = float(np.mean(orders)) if orders else float("nan")
+        cert_orders[kind] = fit_order([float(np.mean(r)) for r in residuals[kind]])
+    sol_orders = {name: fit_order(diffs) for name, diffs in sol_diffs.items()}
 
     calibrated_c = {}
     for kind in CERTIFICATE_KINDS:
-        raw = max(float(np.max(residuals[kind][lv]))
-                  / (level_meta[lv]["h"] + level_meta[lv]["dt_mean"])
-                  for lv in range(levels))
+        raw = max(float(np.max(resid)) / (meta["h"] + meta["dt_mean"])
+                  for resid, meta in zip(residuals[kind], level_meta))
         calibrated_c[kind] = 2.0 * raw
     return {"level_meta": level_meta, "residuals": residuals,
             "sol_diffs": sol_diffs, "cert_orders": cert_orders,
             "sol_orders": sol_orders, "calibrated_c": calibrated_c}
 
 
-def run_refine(cfg: RunConfig, levels: int, out_dir: str | Path) -> int:
+def run_refine(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
-    study = refinement_study(cfg, levels)
+    study = refinement_study(cfg)
     level_meta = study["level_meta"]
     residuals = study["residuals"]
     sol_diffs = study["sol_diffs"]
@@ -492,13 +484,13 @@ def run_refine(cfg: RunConfig, levels: int, out_dir: str | Path) -> int:
               + [f"max_resid_{k}" for k in CERTIFICATE_KINDS]
               + ["sol_diff_u", "sol_diff_v", "sol_diff_w"])
     rows = []
-    for level in range(levels):
-        meta = level_meta[level]
+    for level, meta in enumerate(level_meta):
         row = [level, int(meta["cells"]), meta["h"], meta["dt_mean"]]
         row += [float(np.mean(residuals[k][level])) for k in CERTIFICATE_KINDS]
         row += [float(np.max(residuals[k][level])) for k in CERTIFICATE_KINDS]
         for name in ("u", "v", "w"):
-            row.append(sol_diffs[name][level] if level < levels - 1 else float("nan"))
+            row.append(sol_diffs[name][level] if level < len(sol_diffs[name])
+                       else float("nan"))
         rows.append(row)
     rows.append(["order_fit", "", "", ""]
                 + [cert_orders.get(k, float("nan")) for k in CERTIFICATE_KINDS]
@@ -507,7 +499,7 @@ def run_refine(cfg: RunConfig, levels: int, out_dir: str | Path) -> int:
     rows.append(["calibrated_C", "", "", ""]
                 + [calibrated_c[k] for k in CERTIFICATE_KINDS]
                 + [""] * len(CERTIFICATE_KINDS) + ["", "", ""])
-    _write_manifest(cfg, out, extra={"refine.levels": str(levels)})
+    _write_manifest(cfg, out)
     _write_csv(out / "refine.csv", header, rows)
 
     ok = True
@@ -517,5 +509,5 @@ def run_refine(cfg: RunConfig, levels: int, out_dir: str | Path) -> int:
         ok &= order >= 0.9
     for name, order in sol_orders.items():
         print(f"[refine] solution {name}: order {order:.2f}")
-        ok &= not np.isfinite(order) or order >= 0.9
+        ok &= order >= 0.9
     return 0 if ok else 1

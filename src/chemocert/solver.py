@@ -94,7 +94,6 @@ class Trajectory:
 
     grid: Grid
     params: ModelParams
-    final_time: float
     times: np.ndarray                       # step boundaries, t_0 .. t_M
     dts: np.ndarray                         # step sizes, length M
     series: dict[str, np.ndarray]           # per-boundary diagnostics
@@ -102,6 +101,11 @@ class Trajectory:
     accumulators: dict[str, float]          # final rectangle-rule integrals
     snapshots: list[tuple[float, State]]
     history: list[dict[str, np.ndarray]] | None = None  # fields, one per entry of times
+
+    @property
+    def final_time(self) -> float:
+        """T: simulate lands its last step on it exactly."""
+        return float(self.times[-1])
 
     @property
     def mean_dt(self) -> float:
@@ -372,7 +376,7 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
             event_idx += 1
 
     return Trajectory(
-        grid=grid, params=params, final_time=T,
+        grid=grid, params=params,
         times=np.array(times), dts=np.array(dts),
         series={k: np.array(vals) for k, vals in series.items()},
         cumulative={k: np.array(vals) for k, vals in cumulative.items()},

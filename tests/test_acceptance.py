@@ -109,7 +109,7 @@ def canonical_traj(canonical_cfg):
 @pytest.fixture(scope="session")
 def refinement(canonical_cfg):
     refine_cfg = load_config(CONFIG_DIR / "refine.cfg")
-    return refinement_study(refine_cfg, levels=3)
+    return refinement_study(refine_cfg)
 
 
 @pytest.fixture(scope="session")

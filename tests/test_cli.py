@@ -71,6 +71,11 @@ PINNED_RECORDS = {
 }
 
 
+# the refine ladder from an 8x8 base: three levels end at 32x32
+REFINE_CFG = SMALL_CFG.replace("grid.cells = 16, 16", "grid.cells = 8, 8").replace(
+    "solver.max_dt = 0.01", "solver.max_dt = 0.02")
+
+
 def write_cfg(tmp_path, text=SMALL_CFG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -182,14 +187,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(f"'{key}': unknown key")):
             config_from_mapping(mapping)
 
-    def test_option_of_another_kind_named(self):
-        mapping = parse_config_text(switch_kind(SMALL_CFG, "u", "constant", value="0.5"))
+    @pytest.mark.parametrize("text, key, value", [
+        (switch_kind(SMALL_CFG, "u", "constant", value="0.5"), "init.u.sigma", "0.2"),
+        # only a constant reads value; older manifests echo it for every kind
+        (SMALL_CFG, "init.u.value", "0"),
+    ], ids=["sigma-of-constant", "value-of-gaussian-bump"])
+    def test_option_of_another_kind_named(self, text, key, value):
+        mapping = parse_config_text(text)
         config_from_mapping(mapping)
-        mapping["init.u.sigma"] = "0.2"
-        with pytest.raises(ConfigError, match=re.escape("'init.u.sigma': unknown key")):
+        mapping[key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}': unknown key")):
             config_from_mapping(mapping)
 
-    @pytest.mark.parametrize("value", ["2.5", "1", "0"])
+    @pytest.mark.parametrize("value", ["2.5", "2", "1", "0"])
     def test_refine_levels_named(self, value):
         mapping = parse_config_text(SMALL_CFG)
         mapping["refine.levels"] = value
@@ -272,7 +282,7 @@ class TestSimulateCommand:
         assert not out.exists()
 
     def test_manifest_round_trip_reproduces(self, tmp_path):
-        cfg = write_cfg(tmp_path)
+        cfg = write_cfg(tmp_path, REFINE_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(["simulate", "--config", str(out1 / "manifest.cfg"),
@@ -281,7 +291,7 @@ class TestSimulateCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         # every command's manifest, extras included, loads as the same config
         expected = load_config(cfg).to_mapping()
-        for command, extra in (("certify", []), ("sweep", []), ("refine", ["--levels", "2"])):
+        for command, extra in (("certify", []), ("sweep", []), ("refine", ["--levels", "3"])):
             out = tmp_path / command
             main([command, "--config", str(cfg), "--out", str(out), *extra])
             assert load_config(out / "manifest.cfg").to_mapping() == expected, command
@@ -327,6 +337,15 @@ class TestSweepCommand:
             gap_w = float(cols[3])
             dg = abs(1.0 / (1.0 + e2) - 1.0 / (1.0 + e1))
             assert gap_w == pytest.approx(dg * time_factor, rel=0.01)
+
+    def test_two_rungs_say_gap_trend_unchecked(self, tmp_path, capsys):
+        text = REFINE_CFG.replace("sweep.eps_ladder = 0.5, 0.25, 0.125",
+                                  "sweep.eps_ladder = 0.5, 0.25")
+        main(["sweep", "--config", str(write_cfg(tmp_path, text)), "--out",
+              str(tmp_path / "sweep")])
+        out = capsys.readouterr().out.splitlines()
+        for name in ("u", "v", "w"):
+            assert f"[sweep] {name} gaps: trend unchecked (1 gap; needs >= 2)" in out
 
     def test_bumpy_sweep_writes_estimates(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -437,40 +456,45 @@ class TestRefineCommand:
                      str(tmp_path / "r"), "--levels", "1"]) == 2
         assert "levels" in capsys.readouterr().err
 
+    def test_two_levels_exit_2_before_running(self, tmp_path, capsys):
+        # two levels leave one gap per field, too few to fit an order to
+        out = tmp_path / "r"
+        assert main(["refine", "--config", str(write_cfg(tmp_path, REFINE_CFG)), "--out",
+                     str(out), "--levels", "2"]) == 2
+        assert "'refine.levels'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_rerun_walks_same_ladder(self, tmp_path):
         # the manifest echoes refine.levels; without --levels the re-run reads it
-        cfg = write_cfg(tmp_path)
+        cfg = write_cfg(tmp_path, REFINE_CFG + "refine.levels = 4\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["refine", "--config", str(cfg), "--out", str(out1), "--levels", "2"])
+        main(["refine", "--config", str(cfg), "--out", str(out1), "--levels", "3"])
         main(["refine", "--config", str(out1 / "manifest.cfg"), "--out", str(out2)])
         first = (out1 / "refine.csv").read_bytes()
-        assert len(first.splitlines()) == 5  # header, two levels, order, C
+        assert len(first.splitlines()) == 6  # header, three levels, order, C
         assert (out2 / "refine.csv").read_bytes() == first
 
     def test_explicit_levels_win(self, tmp_path):
-        cfg = write_cfg(tmp_path, SMALL_CFG + "refine.levels = 3\n")
+        cfg = write_cfg(tmp_path, REFINE_CFG + "refine.levels = 4\n")
         out = tmp_path / "r"
-        main(["refine", "--config", str(cfg), "--out", str(out), "--levels", "2"])
-        assert len((out / "refine.csv").read_text().splitlines()) == 5
+        main(["refine", "--config", str(cfg), "--out", str(out), "--levels", "3"])
+        assert len((out / "refine.csv").read_text().splitlines()) == 6
 
     def test_seed_sets_bump_seed(self, tmp_path):
-        text = SMALL_CFG.replace("grid.cells = 16, 16", "grid.cells = 12, 12")
         flag, keyed = tmp_path / "flag", tmp_path / "keyed"
-        main(["refine", "--config", str(write_cfg(tmp_path, text)), "--out", str(flag),
-              "--levels", "2", "--seed", "5"])
-        cfg = write_cfg(tmp_path, text.replace("certify.seed = 7", "certify.seed = 5"),
+        main(["refine", "--config", str(write_cfg(tmp_path, REFINE_CFG)), "--out",
+              str(flag), "--levels", "3", "--seed", "5"])
+        cfg = write_cfg(tmp_path, REFINE_CFG.replace("certify.seed = 7", "certify.seed = 5"),
                         name="keyed.cfg")
-        main(["refine", "--config", str(cfg), "--out", str(keyed), "--levels", "2"])
+        main(["refine", "--config", str(cfg), "--out", str(keyed), "--levels", "3"])
         assert (flag / "refine.csv").read_bytes() == (keyed / "refine.csv").read_bytes()
         assert "certify.seed = 5" in (flag / "manifest.cfg").read_text().splitlines()
 
-    def test_two_level_study(self, tmp_path):
-        text = SMALL_CFG.replace("grid.cells = 16, 16", "grid.cells = 12, 12")
-        text = text.replace("solver.max_dt = 0.01", "solver.max_dt = 0.02")
-        cfg = write_cfg(tmp_path, text)
+    def test_three_level_study(self, tmp_path):
+        cfg = write_cfg(tmp_path, REFINE_CFG)
         out = tmp_path / "refine"
         code = main(["refine", "--config", str(cfg), "--out", str(out),
-                     "--levels", "2"])
+                     "--levels", "3"])
         assert code in (0, 1)
         rows = (out / "refine.csv").read_text().splitlines()
         assert rows[0].startswith("level,cells,h,dt_mean")

@@ -325,7 +325,7 @@ class TestUniformIntegrability:
         snap_times = [0.0] + sorted(times)
         state = State(u=g.constant_field(c), v=g.constant_field(0.0),
                       w=g.constant_field(0.0))
-        traj = dataclasses.replace(zero_run(), grid=g, final_time=snap_times[-1],
+        traj = dataclasses.replace(zero_run(), grid=g,
                                    snapshots=[(t, state) for t in snap_times])
         half_steps = 0.5 * np.diff(snap_times)
         widths = np.concatenate([half_steps, [0.0]]) + np.concatenate([[0.0], half_steps])

@@ -339,6 +339,41 @@ class TestCertificatesOnOracles:
         with pytest.raises(ValueError, match="history"):
             history_pass(traj, [bump])
 
+    def test_instants_outside_every_window_weigh_zero(self):
+        # the walk may visit instants no bump window holds: overwriting their
+        # fields, here two steps or more from every window, changes nothing
+        g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
+        params = ModelParams(theta=2.0, eps=0.25)
+        traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.01),
+                        T=1.0, output_times=[1.0], keep_history=True)
+        bumps = [SpaceTimeBump(center=(0.5, 0.5), radius=(0.2, 0.2),
+                               t_center=0.0, t_radius=0.15),
+                 SpaceTimeBump(center=(0.4, 0.6), radius=(0.25, 0.2),
+                               t_center=0.7, t_radius=0.1)]
+        near = np.zeros(len(traj.times), dtype=bool)
+        for bump in bumps:
+            lo, hi = bump.time_window()
+            held = np.flatnonzero((traj.times >= lo) & (traj.times <= hi))
+            near[max(held[0] - 2, 0):held[-1] + 3] = True
+        far = np.flatnonzero(~near)
+        # some lie between the windows, some after the last
+        assert far.min() < held[0] and far.max() > held[-1]
+        rng = np.random.default_rng(0)
+        history = list(traj.history)
+        for i in far:
+            history[i] = {name: rng.uniform(0.0, 3.0, g.shape) for name in "uvw"}
+        weights = [EntropyWeights(1.0, 2.0)]
+        want = history_pass(traj, bumps, weights)
+        got = history_pass(replace(traj, history=history), bumps, weights)
+        for name in ("signal", "log_v"):
+            for a, b in zip(getattr(want, name), getattr(got, name), strict=True):
+                np.testing.assert_array_equal(a, b)
+        for w in weights:
+            for a, b in zip(want.superposition[w], got.superposition[w], strict=True):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(want.z_worst[w], got.z_worst[w])
+        np.testing.assert_array_equal(want.z_instants, got.z_instants)
+
     @pytest.mark.parametrize("case, message", [
         ("empty", "bump family is empty"),
         ("outside", "must lie strictly inside"),
