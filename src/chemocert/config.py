@@ -29,6 +29,13 @@ DEFAULT_TOL_C = {
     "z_evolution": 7e-2,
 }
 
+# upper bounds on counts whose arrays grow with them, checked before any is
+# allocated: a start:stop:count list holds count doubles, and the stacked bump
+# family holds bumps * (1 + dim) * cells doubles: at 256 bumps 25 MB on 64^2,
+# 0.4 GB on 256^2
+MAX_LIST_COUNT = 100_000
+MAX_BUMPS = 256
+
 # the init.<field>.* options each kind reads, besides ``kind`` itself
 INITIAL_OPTIONS = {
     "constant": ("value",),
@@ -121,6 +128,8 @@ def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
             raise ConfigError(key, f"bad start:stop:count in {value!r}") from None
         if count < 2:
             raise ConfigError(key, "count must be >= 2")
+        if count > MAX_LIST_COUNT:
+            raise ConfigError(key, f"count must be <= {MAX_LIST_COUNT}, got {count}")
         values = tuple(float(t) for t in np.linspace(start, stop, count))
     else:
         try:
@@ -342,8 +351,8 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         raise ConfigError("probe.eta", "entries must be positive")
 
     bump_count = _get_int(mapping, "certify.bumps", 20)
-    if bump_count < 1:
-        raise ConfigError("certify.bumps", "must be >= 1")
+    if not 1 <= bump_count <= MAX_BUMPS:
+        raise ConfigError("certify.bumps", f"must lie in [1, {MAX_BUMPS}], got {bump_count}")
     probe_trials = _get_int(mapping, "probe.trials", 200)
     if probe_trials < 1:
         raise ConfigError("probe.trials", "must be >= 1")

@@ -11,7 +11,10 @@ makes three identities exact in floating point:
 
 Both 1D and 2D grids are supported; 1D grids exist mainly as fast oracles for
 the time-stepping and certification machinery. The calculus below is written
-over the grid's axes and never branches on their number.
+over the grid's axes and never branches on their number. The gradient
+functions index those axes from the end, so any leading axes are a batch:
+a stack of fields ``(k, *grid.shape)`` gives each field's result, bit for bit,
+in one call.
 """
 
 from __future__ import annotations
@@ -177,9 +180,10 @@ def lp_norm_values(grid: Grid, values: np.ndarray, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _axis_slice(ndim: int, axis: int, sl: slice) -> tuple:
+    """Index ``sl`` along grid axis ``axis`` of ``ndim``, after any batch axes."""
     out = [slice(None)] * ndim
     out[axis] = sl
-    return tuple(out)
+    return (Ellipsis, *out)
 
 
 def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -188,7 +192,8 @@ def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ..
     Along axis ``a`` the returned array has ``cells[a] + 1`` entries in that
     axis: interior faces carry ``(f[i+1] - f[i]) / h`` and the two boundary
     faces are zero (mirrored ghosts, i.e. no flux). A single-cell axis has
-    only boundary faces, hence a zero gradient.
+    only boundary faces, hence a zero gradient. ``values`` may carry leading
+    batch axes before the grid's.
     """
     values = np.asarray(values, dtype=float)
     out = []
@@ -196,7 +201,7 @@ def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ..
         n = grid.cells[a]
         h = grid.spacing[a]
         shape = list(values.shape)
-        shape[a] = n + 1
+        shape[a - grid.dim] = n + 1
         g = np.zeros(shape)
         if n >= 2:
             hi = values[_axis_slice(grid.dim, a, slice(1, None))]

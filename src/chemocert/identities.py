@@ -18,10 +18,11 @@ derivatives, so only the trajectory and the space-time quadrature contribute
 to the tolerance C*(h+dt). Every weak form is linear in the test function,
 so a certificate kind is just its integrand: rows (A, B) per history instant,
 tested as int A*S + B.grad S against the whole bump family. One walk over
-the history (:func:`history_pass`) serves every kind: at each instant it
-takes grad w once, assembles the rows of all kinds and contracts them with
-the family in two matrix products. Each certificate function then only
-reduces that result to its records.
+the history (:func:`history_pass`) serves every kind. It visits the instants
+in blocks of ``WALK_CELLS`` cells: per block it takes grad w once, assembles
+the rows of all kinds for every instant of the block at once, and contracts
+each instant's rows with the family in two matrix products. Each certificate
+function then only reduces that result to its records.
 
 Two assembled coefficients matter enough to spell out:
 
@@ -46,6 +47,9 @@ from .grid import Grid, gradient_values
 from .model import _pow, source_w
 from .solver import Trajectory
 
+# cells the history walk stacks per block of instants: 4 instants at 64^2, one
+# at 128^2 and above, so a block's temporaries stay near those of one instant
+WALK_CELLS = 16384
 
 # ---------------------------------------------------------------------------
 # weight pair
@@ -80,7 +84,7 @@ class EntropyWeights:
 
 def _check_domain(s, name="s"):
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
+    if s.size and s.min() < 0:
         raise ValueError(f"{name} must be nonnegative")
     return s
 
@@ -443,6 +447,12 @@ def _time_weights(times: np.ndarray, psi: np.ndarray,
     return trap * psi, dpsi
 
 
+def _sum_sq(terms):
+    """Sum of squares, with no 0 + pass: a square is never -0.0, so the bits
+    are those of Python's sum."""
+    return reduce(np.add, (t * t for t in terms))
+
+
 def _signal_rows(u, v, w, gw, net_source) -> tuple[list, tuple]:
     """w; its right side with net_source = source_w - w; the limit form with u+v."""
     return [w, net_source, u + v - w], tuple(-g for g in gw)
@@ -453,7 +463,7 @@ def _log_v_rows(grid: Grid, u, v, gw) -> tuple[list, tuple]:
     logv = np.log1p(v)
     glog = gradient_values(grid, logv)
     ratio = v / (1.0 + v)
-    a = (sum(g * g for g in glog)
+    a = (_sum_sq(glog)
          - ratio * sum(ga * gl for ga, gl in zip(gw, glog))
          + ratio * (1.0 - v - u))
     return [logv, a], tuple(ratio * ga - gl for ga, gl in zip(gw, glog))
@@ -473,23 +483,27 @@ def _superposition_rows(grid: Grid, u, v, w, gw, weights: EntropyWeights,
     z_half = np.sqrt(z)
     grad_z_half = gradient_values(grid, z_half)
     frac = u / (u + 1.0)
+    frac_z = p * frac * z
 
     def quad(drift):
-        return sum((gz + drift * z_half * ga) ** 2 for gz, ga in zip(grad_z_half, gw))
+        drift_z_half = drift * z_half
+        return _sum_sq(gz + drift_z_half * ga for gz, ga in zip(grad_z_half, gw))
 
     drift_num = 2.0 * k + p * (p + 1.0) * frac
-    quad_oracle = quad(drift_num / (4.0 * (p + 1.0)))
-    quad_printed = quad(drift_num / (2.0 * math.sqrt(p * (p + 1.0))))
+    coeff_quad = 4.0 * (p + 1.0) / p
+    gated = coeff_quad * quad(drift_num / (4.0 * (p + 1.0)))
+    printed = coeff_quad * quad(drift_num / (2.0 * math.sqrt(p * (p + 1.0))))
     c2 = (4.0 * k ** 2 - p * (p + 1.0) ** 2 * frac ** 2) / (4.0 * (p + 1.0))
     kinetic = 1.0 - _pow(u, theta - 1.0) - v
-    shared = -c2 * z * sum(g * g for g in gw) - p * frac * z * kinetic
+    shared = -c2 * z * _sum_sq(gw) - frac_z * kinetic
     source_part = -k * net_source * z
-    flux = tuple(-2.0 * z_half * gz - p * frac * z * ga for gz, ga in zip(grad_z_half, gw))
-    coeff_quad = 4.0 * (p + 1.0) / p
+    minus_2z_half = -2.0 * z_half
+    flux = tuple(minus_2z_half * gz - frac_z * ga for gz, ga in zip(grad_z_half, gw))
+    shared_gated = shared - gated
     return [z,
-            shared - coeff_quad * quad_oracle + source_part,
-            shared - coeff_quad * quad_printed + source_part,
-            shared - coeff_quad * quad_oracle - k * (u + v - w) * z], flux
+            shared_gated + source_part,
+            shared - printed + source_part,
+            shared_gated - k * (u + v - w) * z], flux
 
 
 @dataclass(frozen=True)
@@ -513,12 +527,15 @@ class HistoryPass:
 def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
     """Test the integrand of every weak-form kind in one walk over the history.
 
-    At each instant grad w is taken once and every kind gives a block of rows
-    (A, B): 3 for w, 2 for ln(1+v), 4 per weight pair for z, a density first
-    (B = 0) and right sides sharing one flux B. Each row becomes vol * sum(A*S
-    + B.grad S) per bump: all A against S in one matrix product, each block's
-    B against grad S once in another. The time-weighted sums and the three
-    instants a centred difference of z needs are folded on the way.
+    The instants are walked in blocks of ``WALK_CELLS // cells`` (at least
+    one). Per block grad w is taken once, on the stacked fields of all its
+    instants, and every kind gives rows (A, B) for each instant: 3 for w, 2
+    for ln(1+v), 4 per weight pair for z, a density first (B = 0) and right
+    sides sharing one flux B. Each row becomes vol * sum(A*S + B.grad S) per
+    bump: per instant, all A against S in one matrix product and each kind's
+    B against grad S once in another, the same products at any block size.
+    The time-weighted sums and the three instants a centred difference of z
+    needs are then folded instant by instant, in time order.
     """
     if not bumps:
         raise ValueError("bump family is empty")
@@ -554,33 +571,39 @@ def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
             raise ValueError("bump time window contains no interior history points")
         stop = max(stop, 2 + need.nonzero()[0].max())
 
-    sizes = [3, 2] + [4] * len(weights_list)  # rows of each block, density first
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    sides = np.flatnonzero(np.diff(block, prepend=-1) == 0)  # rows after the density
-    lhs, rhs = np.zeros((2, len(block), len(bumps)))
+    sizes = [3, 2] + [4] * len(weights_list)  # rows of each kind, density first
+    kind = np.repeat(np.arange(len(sizes)), sizes)
+    sides = np.flatnonzero(np.diff(kind, prepend=-1) == 0)  # rows after the density
+    lhs, rhs = np.zeros((2, len(kind), len(bumps)))
     worst = np.zeros((len(weights_list), 3, len(bumps)))
     recent: dict[int, np.ndarray] = {}
-    for i in range(stop):
-        u, v, w = history[i]["u"], history[i]["v"], history[i]["w"]
+    block = max(1, WALK_CELLS // grid.n_cells)
+    for start in range(0, stop, block):
+        instants = range(start, min(start + block, stop))
+        u, v, w = (np.array([history[i][name] for i in instants]) for name in "uvw")
         gw = gradient_values(grid, w)
         net_source = source_w(u, v, traj.params.eps) - w
-        blocks = [_signal_rows(u, v, w, gw, net_source), _log_v_rows(grid, u, v, gw)]
-        blocks += [_superposition_rows(grid, u, v, w, gw, weights, traj.params.theta,
-                                       net_source) for weights in weights_list]
-        values = np.array([a for rows, _ in blocks for a in rows]).reshape(len(block), -1)
-        fluxes = np.array([flux for _, flux in blocks]).reshape(len(blocks), -1)
-        # the right sides of a block share its flux, which is contracted once
-        c = values @ test_values.T
-        c[sides] += (fluxes @ test_grads.T)[block[sides]]
+        kinds = [_signal_rows(u, v, w, gw, net_source), _log_v_rows(grid, u, v, gw)]
+        kinds += [_superposition_rows(grid, u, v, w, gw, weights, traj.params.theta,
+                                      net_source) for weights in weights_list]
+        values = np.stack([a for rows, _ in kinds for a in rows], axis=1)
+        fluxes = np.stack([g for _, flux in kinds for g in flux], axis=1)
+        # one product per instant, of the same shape at any block size: the BLAS
+        # may sum an entry in another order when the product's shape changes.
+        # The right sides of a kind share its flux, which is contracted once.
+        c = values.reshape(len(instants), len(kind), -1) @ test_values.T
+        c[:, sides] += (fluxes.reshape(len(instants), len(kinds), -1)
+                        @ test_grads.T)[:, kind[sides]]
         c *= grid.cell_volume
-        lhs -= c * dpsi[i]
-        rhs += c * trap[i]
-        recent = {j: z for j, z in recent.items() if j >= i - 2}
-        recent[i] = c[sum(sizes[:2]):].reshape(len(weights_list), 4, len(bumps))
-        if i >= 2 and need[i - 1]:
-            rate = (recent[i][:, :1] - recent[i - 2][:, :1]) / (times[i] - times[i - 2])
-            mismatch = np.abs(psi[i - 1] * (rate - recent[i - 1][:, 1:]))
-            worst = np.maximum(worst, np.where(interior[i - 1], mismatch, 0.0))
+        for i, ci in zip(instants, c):
+            lhs -= ci * dpsi[i]
+            rhs += ci * trap[i]
+            recent = {j: z for j, z in recent.items() if j >= i - 2}
+            recent[i] = ci[sum(sizes[:2]):].reshape(len(weights_list), 4, len(bumps))
+            if i >= 2 and need[i - 1]:
+                rate = (recent[i][:, :1] - recent[i - 2][:, :1]) / (times[i] - times[i - 2])
+                mismatch = np.abs(psi[i - 1] * (rate - recent[i - 1][:, 1:]))
+                worst = np.maximum(worst, np.where(interior[i - 1], mismatch, 0.0))
 
     ends = np.cumsum(sizes)[:-1]
     signal, log_v, *z_blocks = [(left[0], right[1:]) for left, right

@@ -68,7 +68,7 @@ class State:
 
 def _check_nonneg(name: str, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if arr.size and arr.min() < 0:
         raise ValueError(f"{name} must be nonnegative, got min {arr.min()}")
     return arr
 

@@ -151,6 +151,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
             config_from_mapping(mapping)
 
+    @pytest.mark.parametrize("key, value, message", [
+        # one past the bound, so that a lost bound costs 0.8 MB here and not
+        # the 8 GB that 0:0.4:1000000000 would ask of linspace
+        ("run.output_times", "0:0.4:100001", "count must be <= 100000"),
+        ("probe.eta", "0.25:1:100001", "count must be <= 100000"),
+        ("certify.bumps", "257", "must lie in [1, 256]"),
+        ("certify.bumps", "0", "must lie in [1, 256]"),
+    ])
+    def test_counts_that_would_not_fit_named(self, key, value, message):
+        mapping = parse_config_text(SMALL_CFG)
+        mapping[key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}': {message}")):
+            config_from_mapping(mapping)
+
+    def test_counts_at_their_bounds_accepted(self):
+        mapping = parse_config_text(SMALL_CFG)
+        mapping["run.output_times"] = "0:0.4:100000"
+        mapping["certify.bumps"] = "256"
+        cfg = config_from_mapping(mapping)
+        assert len(cfg.output_times) == 100_000 and cfg.bump_count == 256
+
     def test_negative_initial_seed_named(self):
         text = switch_kind(SMALL_CFG, "w", "random-seeded", amplitude="0.5", seed="-2")
         with pytest.raises(ConfigError, match=re.escape("'init.w.seed'")):
@@ -391,7 +412,8 @@ class TestCertifyCommand:
 
     def test_one_history_walk_for_all_kinds(self, tmp_path, monkeypatch):
         # one walk takes grad w, grad ln(1+v) and one grad z^(1/2) per weight
-        # pair at each history instant; a walk per kind takes more
+        # pair once per block of history instants; a walk per kind, or one
+        # instant at a time, takes more
         from chemocert import identities, runner
 
         calls = []
@@ -414,7 +436,9 @@ class TestCertifyCommand:
         assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
         weight_pairs = 1  # SMALL_CFG keeps the default certify.weights = 1:2
         instants = len(trajs[0].times)
-        assert 0 < len(calls) <= (2 + weight_pairs) * instants
+        block = identities.WALK_CELLS // trajs[0].grid.n_cells
+        assert block > 1
+        assert 0 < len(calls) <= (2 + weight_pairs) * math.ceil(instants / block)
 
     def test_weak_form_records_pinned(self, tmp_path):
         # PINNED_RECORDS come from a bump-by-bump evaluation; the batched

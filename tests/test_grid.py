@@ -16,7 +16,7 @@ from chemocert import (
     restrict_values,
     solve_diffusion,
 )
-from chemocert.grid import _neumann_eigenvalues, _pow
+from chemocert.grid import _neumann_eigenvalues, _pow, gradient_sq_values
 
 
 class TestGridConstruction:
@@ -165,6 +165,21 @@ class TestGradient:
         gx, gy = face_gradient_values(grid_2d, vals)
         assert np.all(gx[0, :] == 0.0) and np.all(gx[-1, :] == 0.0)
         assert np.all(gy[:, 0] == 0.0) and np.all(gy[:, -1] == 0.0)
+
+    @pytest.mark.parametrize("cells", [(1,), (13,), (9, 7), (1, 6)])
+    def test_stack_is_each_field_bitwise(self, cells):
+        # leading axes are a batch: a stack of fields gives each field's
+        # result, bit for bit, in one call
+        g = Grid(cells=cells, lengths=(1.0,) * len(cells))
+        stack = np.random.default_rng(3).uniform(0.0, 2.0, (5, *g.shape))
+        for calculus in (face_gradient_values, gradient_values):
+            stacked = calculus(g, stack)
+            for k, field in enumerate(stack):
+                for got, want in zip(stacked, calculus(g, field), strict=True):
+                    np.testing.assert_array_equal(got[k], want)
+        stacked = gradient_sq_values(g, stack)
+        for k, field in enumerate(stack):
+            np.testing.assert_array_equal(stacked[k], gradient_sq_values(g, field))
 
 
 class TestLaplacian:

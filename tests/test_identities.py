@@ -27,6 +27,7 @@ from chemocert import (
     z_evolution_residual,
     z_values,
 )
+from chemocert import identities
 from chemocert.identities import (
     bump_profile,
     bump_profile_d1,
@@ -253,6 +254,17 @@ class TestBumps:
             late.require_fits(g, 1.0)
 
 
+def assert_same_pass(want, got, weights):
+    for name in ("signal", "log_v"):
+        for a, b in zip(getattr(want, name), getattr(got, name), strict=True):
+            np.testing.assert_array_equal(a, b)
+    for w in weights:
+        for a, b in zip(want.superposition[w], got.superposition[w], strict=True):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(want.z_worst[w], got.z_worst[w])
+    np.testing.assert_array_equal(want.z_instants, got.z_instants)
+
+
 def zero_traj(T=1.0):
     g = Grid(cells=(16, 16), lengths=(1.0, 1.0))
     zero = State(u=g.constant_field(0.0), v=g.constant_field(0.0),
@@ -365,14 +377,37 @@ class TestCertificatesOnOracles:
         weights = [EntropyWeights(1.0, 2.0)]
         want = history_pass(traj, bumps, weights)
         got = history_pass(replace(traj, history=history), bumps, weights)
-        for name in ("signal", "log_v"):
-            for a, b in zip(getattr(want, name), getattr(got, name), strict=True):
-                np.testing.assert_array_equal(a, b)
-        for w in weights:
-            for a, b in zip(want.superposition[w], got.superposition[w], strict=True):
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(want.z_worst[w], got.z_worst[w])
-        np.testing.assert_array_equal(want.z_instants, got.z_instants)
+        assert_same_pass(want, got, weights)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_blocks_of_instants_change_no_bit(self, monkeypatch, block):
+        # the walk stacks the instants of a block; any block size gives the
+        # same sums, also when the visited instants leave the last block short
+        g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
+        traj = simulate(bumpy_state(g), ModelParams(theta=2.0, eps=0.25),
+                        SolverConfig(max_dt=0.01), T=1.0, output_times=[1.0],
+                        keep_history=True)
+        bumps = sample_bumps(g, 1.0, 5, seed=4)
+        weights = [EntropyWeights(1.0, 2.0), EntropyWeights(0.5, 1.5)]
+        batches = {}
+        gradient_values = identities.gradient_values
+
+        def recorded(grid, values):
+            batches.setdefault(identities.WALK_CELLS, []).append(len(values))
+            return gradient_values(grid, values)
+
+        monkeypatch.setattr(identities, "gradient_values", recorded)
+        want = history_pass(traj, bumps, weights)
+        monkeypatch.setattr(identities, "WALK_CELLS", block * g.n_cells)
+        assert_same_pass(want, history_pass(traj, bumps, weights), weights)
+        default, forced = batches.values()
+        # grad w, grad ln(1+v) and one grad z^(1/2) per weight pair, each taken
+        # once per block on all the block's instants
+        calls = 2 + len(weights)
+        visited = sum(default) // calls
+        assert default == [visited] * calls  # one block, short of the default size
+        assert sum(forced) == calls * visited and max(forced) == block
+        assert visited % 3  # so blocks of 3 end in a short one
 
     @pytest.mark.parametrize("case, message", [
         ("empty", "bump family is empty"),

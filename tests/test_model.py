@@ -51,6 +51,21 @@ class TestReactions:
         with pytest.raises(ValueError):
             reaction_v(0.0, -1e-9)
 
+    def test_nonnegativity_check_names_the_field(self):
+        field = np.full((4, 4), 0.5)
+        field[2, 1] = -1e-9
+        with pytest.raises(ValueError, match=r"^v must be nonnegative, got min -1e-09$"):
+            source_w(np.ones((4, 4)), field, 0.25)
+        with pytest.raises(ValueError, match="^u must be nonnegative"):
+            reaction_u(field, np.ones((4, 4)), 2.0)
+
+    def test_nonnegativity_check_accepts_edges(self):
+        # a negative zero is not negative; an empty array and a scalar pass too
+        assert reaction_v(0.5, -0.0) == 0.0
+        assert source_w(np.array([-0.0, 1.0]), np.zeros(2), 0.0).tolist() == [0.0, 1.0]
+        assert reaction_u(np.zeros(0), np.zeros(0), 2.0).shape == (0,)
+        assert source_w(0.5, 0.25, 0.0) == 0.75
+
     @given(u=nonneg, v=nonneg, theta=st.floats(1.01, 4.0))
     @settings(max_examples=100, deadline=None)
     def test_u_dominated_by_logistic_part(self, u, v, theta):
