@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import Field, Grid
 from .identities import EntropyWeights
-from .model import InitialFamily, ModelParams, theta_threshold
+from .model import InitialFamily, ModelParams, w_lp_exponent_cap
 from .solver import SolverConfig
 
 DEFAULT_EPS_LADDER = tuple(2.0 ** -j for j in range(1, 8))
@@ -264,36 +264,37 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _built(key: str, make, *args):
+    """``make(*args)``, with a ``ValueError`` it raises refused as ``key``'s.
+
+    Each object is built one key at a time, so that its own checks name the
+    key whose value they refuse.
+    """
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
+
+
 def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     cells_given = _get_floats(mapping, "grid.cells")
     if not all(x.is_integer() for x in cells_given):
         raise ConfigError("grid.cells", f"cells must be integers, got {cells_given}")
     cells = tuple(int(x) for x in cells_given)
-    lengths = _get_floats(mapping, "grid.lengths", [1.0] * len(cells))
-    if any(n < 1 for n in cells):
-        raise ConfigError("grid.cells", f"cells must be positive, got {cells}")
-    if len(lengths) != len(cells):
-        raise ConfigError("grid.lengths", "needs one entry per axis")
-    try:
-        grid = Grid(cells=cells, lengths=lengths)
-    except ValueError as exc:
-        raise ConfigError("grid.cells", str(exc)) from None
+    unit = (1.0,) * len(cells)
+    _built("grid.cells", Grid, cells, unit)
+    grid = _built("grid.lengths", Grid, cells, _get_floats(mapping, "grid.lengths", unit))
 
     theta = _get_float(mapping, "model.theta")
-    if not theta > 1.0:
-        raise ConfigError("model.theta", f"must exceed 1, got {theta}")
-    eps = _get_float(mapping, "model.eps", 0.0)
-    if not (0.0 <= eps < 1.0):
-        raise ConfigError("model.eps", f"must lie in [0, 1), got {eps}")
-    params = ModelParams(theta=theta, eps=eps)
+    # N of the paper's threshold is the grid's dimension
+    _built("model.theta", w_lp_exponent_cap, theta, grid.dim)
+    params = _built("model.eps", ModelParams, theta,
+                    _get_float(mapping, "model.eps", ModelParams.eps))
 
-    try:
-        solver = SolverConfig(
-            cfl_safety=_get_float(mapping, "solver.cfl_safety", 0.5),
-            max_dt=_get_float(mapping, "solver.max_dt", 0.01),
-        )
-    except ValueError as exc:
-        raise ConfigError("solver", str(exc)) from None
+    cfl_safety = _get_float(mapping, "solver.cfl_safety", SolverConfig.cfl_safety)
+    _built("solver.cfl_safety", SolverConfig, cfl_safety)
+    solver = _built("solver.max_dt", SolverConfig, cfl_safety,
+                    _get_float(mapping, "solver.max_dt", SolverConfig.max_dt))
 
     T = _get_float(mapping, "run.T")
     if T < 0:
@@ -321,11 +322,8 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
             opts.setdefault(f"init.{name}.value", "0")
         initial[name] = InitialSpec(kind=kind, options=opts)
 
-    pairs = _parse_weights(mapping.get("certify.weights", "1:2"))
-    try:
-        weights = tuple(EntropyWeights(p=p, k=k) for p, k in pairs)
-    except ValueError as exc:
-        raise ConfigError("certify.weights", str(exc)) from None
+    weights = tuple(_built("certify.weights", EntropyWeights, p, k)
+                    for p, k in _parse_weights(mapping.get("certify.weights", "1:2")))
 
     tol_c = dict(DEFAULT_TOL_C)
     for key in mapping:
@@ -375,12 +373,6 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     if unknown:
         raise ConfigError(unknown[0], "unknown key")
     cfg.build_initial_family()  # fail fast on bad initial-data fields
-    # N of the paper's threshold is the grid's dimension
-    if cfg.params.theta <= theta_threshold(grid.dim):
-        raise ConfigError(
-            "model.theta",
-            f"signal L^p checks need theta above the threshold "
-            f"{theta_threshold(grid.dim)} for N={grid.dim}")
     return cfg
 
 

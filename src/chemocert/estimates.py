@@ -182,43 +182,57 @@ def _validate_ladder(trajs_by_eps: dict[float, Trajectory]) -> list[float]:
     return eps_ladder
 
 
+def per_unit_horizon(traj: Trajectory, value: float) -> float:
+    """A rung's ladder figure: ``value`` per unit of (1 + T), T the rung's horizon."""
+    return value / (1.0 + traj.final_time)
+
+
+# the accumulators whose figure per unit of (1+T) a dissipation band tracks
+DISSIPATION_BANDS = {"int_grad_log1v_sq": "eps_uniform_grad_log1v",
+                     "int_vgradw_sq": "eps_uniform_vgradw",
+                     "int_grad_w_sq": "eps_uniform_grad_w"}
+
+
 def check_dissipation_bounds(trajs_by_eps: dict[float, Trajectory],
                              ) -> list[EstimateRecord]:
     """eps-uniformity of the gradient dissipation accumulators over (1+T)."""
     eps_ladder = _validate_ladder(trajs_by_eps)
     records = []
-    for key, name in (("int_grad_log1v_sq", "eps_uniform_grad_log1v"),
-                      ("int_vgradw_sq", "eps_uniform_vgradw"),
-                      ("int_grad_w_sq", "eps_uniform_grad_w")):
-        values = [trajs_by_eps[e].accumulators[key] / (1.0 + trajs_by_eps[e].final_time)
+    for key, name in DISSIPATION_BANDS.items():
+        values = [per_unit_horizon(trajs_by_eps[e], trajs_by_eps[e].accumulators[key])
                   for e in eps_ladder]
         records.append(_band_record(name, eps_ladder, values))
     return records
 
 
-def check_w_lp(traj: Trajectory, params: ModelParams, w0_lr: float) -> EstimateRecord:
+def w_lp_figure(traj: Trajectory) -> tuple[float, float]:
+    """p and the sup over snapshots of the signal's L^p norm.
+
+    p is the admissible cap for the trajectory's theta in its grid's
+    dimension; the cap enforces theta above the threshold.
+    """
+    p = w_lp_exponent_cap(traj.params.theta, traj.grid.dim)
+    return p, traj.sup_w_lp(p)
+
+
+def check_w_lp(traj: Trajectory, w0_lr: float) -> EstimateRecord:
     """Sup over snapshots of the signal's L^p norm (single run, informational).
 
-    p is the admissible cap for theta in the grid's dimension; the cap
-    enforces theta above the threshold. The pass/fail content lives in
-    :func:`check_w_lp_family`, because the bound's constant is only known to
-    be eps-independent, not explicit.
+    The pass/fail content lives in :func:`check_w_lp_family`, because the
+    bound's constant is only known to be eps-independent, not explicit.
     """
-    p = w_lp_exponent_cap(params.theta, traj.grid.dim)
-    value = traj.sup_w_lp(p)
+    p, value = w_lp_figure(traj)
     return EstimateRecord(name="w_lp_sup", value=value, bound=None, slack=None,
                           tol=0.0, passed=True,
                           details={"p": p, "w0_lr": w0_lr})
 
 
-def check_w_lp_family(trajs_by_eps: dict[float, Trajectory], params: ModelParams,
-                      w0_lr: float) -> EstimateRecord:
+def check_w_lp_family(trajs_by_eps: dict[float, Trajectory]) -> EstimateRecord:
     """eps-uniform stability of sup_t |w|_{L^p} across the ladder."""
     eps_ladder = _validate_ladder(trajs_by_eps)
-    records = [check_w_lp(trajs_by_eps[e], params, w0_lr) for e in eps_ladder]
-    values = [r.value for r in records]
-    rec = _band_record("eps_uniform_w_lp", eps_ladder, values)
-    rec.details["p"] = records[0].details["p"]
+    figures = [w_lp_figure(trajs_by_eps[e]) for e in eps_ladder]
+    rec = _band_record("eps_uniform_w_lp", eps_ladder, [value for _, value in figures])
+    rec.details["p"] = figures[0][0]
     return rec
 
 
@@ -352,8 +366,7 @@ def check_z_dissipation_bounds(trajs_by_eps: dict[float, Trajectory],
     records = []
     for key, name in (("int_grad_z_half_sq", "eps_uniform_grad_z_half"),
                       ("int_z_grad_w_sq", "eps_uniform_z_gradw")):
-        values = [per_eps[e][key] / (1.0 + trajs_by_eps[e].final_time)
-                  for e in eps_ladder]
+        values = [per_unit_horizon(trajs_by_eps[e], per_eps[e][key]) for e in eps_ladder]
         rec = _band_record(name, eps_ladder, values)
         rec.details["coefficient_floor"] = floor_const
         rec.details["time_quadrature_step"] = max(

@@ -44,7 +44,7 @@ from functools import reduce
 import numpy as np
 
 from .grid import Grid, gradient_values
-from .model import _pow, source_w
+from .model import _check_nonneg, _pow, source_w
 from .solver import Trajectory
 
 # cells the history walk stacks per block of instants: 4 instants at 64^2, one
@@ -82,53 +82,46 @@ class EntropyWeights:
                 f"k > sqrt(p)(p+1)/2 = {thr:.6g}")
 
 
-def _check_domain(s, name="s"):
-    s = np.asarray(s, dtype=float)
-    if s.size and s.min() < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    return s
-
-
 def phi(s, p: float):
     """(s+1)**(-p)."""
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    return (_check_domain(s) + 1.0) ** (-p)
+    return (_check_nonneg("s", s) + 1.0) ** (-p)
 
 
 def phi_d1(s, p: float):
     """-p*(s+1)**(-p-1)."""
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    return -p * (_check_domain(s) + 1.0) ** (-p - 1.0)
+    return -p * (_check_nonneg("s", s) + 1.0) ** (-p - 1.0)
 
 
 def phi_d2(s, p: float):
     """p*(p+1)*(s+1)**(-p-2)."""
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    return p * (p + 1.0) * (_check_domain(s) + 1.0) ** (-p - 2.0)
+    return p * (p + 1.0) * (_check_nonneg("s", s) + 1.0) ** (-p - 2.0)
 
 
 def cap_phi(s, p: float):
     """-2*sqrt((p+1)/p)*(s+1)**(-p/2)."""
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    return -2.0 * math.sqrt((p + 1.0) / p) * (_check_domain(s) + 1.0) ** (-p / 2.0)
+    return -2.0 * math.sqrt((p + 1.0) / p) * (_check_nonneg("s", s) + 1.0) ** (-p / 2.0)
 
 
 def cap_phi_d1(s, p: float):
     """sqrt(p*(p+1))*(s+1)**(-p/2-1), i.e. sqrt(phi'')."""
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    return math.sqrt(p * (p + 1.0)) * (_check_domain(s) + 1.0) ** (-p / 2.0 - 1.0)
+    return math.sqrt(p * (p + 1.0)) * (_check_nonneg("s", s) + 1.0) ** (-p / 2.0 - 1.0)
 
 
 def xi(s, k: float):
     """exp(-k*s)."""
     if not k > 0:
         raise ValueError(f"k must be positive, got {k}")
-    return np.exp(-k * _check_domain(s))
+    return np.exp(-k * _check_nonneg("s", s))
 
 
 def xi_d1(s, k: float):
@@ -141,8 +134,8 @@ def xi_d2(s, k: float):
 
 def z_values(u, w, p: float, k: float) -> np.ndarray:
     """Superposition field z = (u+1)**(-p) * exp(-k*w); range (0, 1]."""
-    u = _check_domain(u, "u")
-    w = _check_domain(w, "w")
+    u = _check_nonneg("u", u)
+    w = _check_nonneg("w", w)
     if not (p > 0 and k > 0):
         raise ValueError(f"p and k must be positive, got p={p}, k={k}")
     return np.exp(-p * np.log1p(u) - k * w)
@@ -161,7 +154,8 @@ def check_weight_identities(p: float, k: float, samples: int = 100,
     assembly magnitude (the sum of absolute term values), which keeps the
     metric meaningful where the assembled terms cancel. Identity 4 is checked
     against the symbolic-oracle value; the unsigned variant is evaluated too
-    and the report records which form matched.
+    and the report records which form matched. The report maps each
+    identity's name to its record, which carries ``passed``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -227,8 +221,6 @@ def check_weight_identities(p: float, k: float, samples: int = 100,
 
     for rec in report.values():
         rec["passed"] = rec["max_rel_error"] < tol
-    report["all_passed"] = all(rec["passed"] for key, rec in report.items()
-                               if isinstance(rec, dict))
     return report
 
 
@@ -258,7 +250,7 @@ def bump_profile_d1(y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceTimeBump:
-    """Separable smooth bump a * prod_a B((x_a-c_a)/rho_a) * B((t-tau)/sigma).
+    """Separable smooth bump prod_a B((x_a-c_a)/rho_a) * B((t-tau)/sigma).
 
     All derivatives are analytic and vanish together with the value on the
     support boundary. The spatial support must sit strictly inside the
@@ -270,7 +262,6 @@ class SpaceTimeBump:
     radius: tuple[float, ...]
     t_center: float
     t_radius: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
@@ -279,8 +270,6 @@ class SpaceTimeBump:
             raise ValueError("center and radius need one entry per axis")
         if any(r <= 0 for r in self.radius) or self.t_radius <= 0:
             raise ValueError("bump radii must be positive")
-        if self.amplitude < 0:
-            raise ValueError("bump amplitude must be nonnegative")
 
     def fits(self, grid: Grid, T: float) -> bool:
         space_ok = all(c - r > 0.0 and c + r < L
@@ -310,13 +299,10 @@ class SpaceTimeBump:
             y = (grid.centers(a) - self.center[a]) / self.radius[a]
             axes_vals.append(bump_profile(y))
             axes_ders.append(bump_profile_d1(y) / self.radius[a])
-
-        def outer(factors):
-            return reduce(np.multiply.outer, [self.amplitude * factors[0], *factors[1:]])
-
-        grads = tuple(outer(axes_vals[:a] + [axes_ders[a]] + axes_vals[a + 1:])
+        grads = tuple(reduce(np.multiply.outer,
+                             axes_vals[:a] + [axes_ders[a]] + axes_vals[a + 1:])
                       for a in range(grid.dim))
-        return outer(axes_vals), grads
+        return reduce(np.multiply.outer, axes_vals), grads
 
 
 def sample_bumps(grid: Grid, T: float, count: int, seed: int) -> list[SpaceTimeBump]:
@@ -542,8 +528,6 @@ def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
     grid = traj.grid
     for bump in bumps:
         bump.require_fits(grid, traj.final_time)
-        if bump.amplitude < 0:
-            raise ValueError("weak form of v needs a nonnegative bump")
     times, history = traj.times, traj.history
     if history is None:
         raise ValueError("trajectory was run without dense field history")

@@ -137,36 +137,37 @@ def theta_threshold(dim_N: int) -> float:
     return (2.0 * dim_N - 2.0) / dim_N
 
 
-def w_data_exponent(theta: float, dim_N: int) -> float:
-    """Integrability exponent required of the initial signal data.
-
-    Equals max(2, N*(2-theta) / (2*(theta-1))); never falls below 2.
-    """
+def _critical_exponent(theta: float, dim_N: int) -> float:
+    """N*(2-theta) / (2*(theta-1)): the signal exponents below are this, floored."""
     if not theta > 1.0:
         raise ValueError(f"theta must exceed 1, got {theta}")
     dim_N = int(dim_N)
     if dim_N < 1:
         raise ValueError(f"dimension must be >= 1, got {dim_N}")
-    return max(2.0, dim_N * (2.0 - theta) / (2.0 * (theta - 1.0)))
+    return dim_N * (2.0 - theta) / (2.0 * (theta - 1.0))
+
+
+def w_data_exponent(theta: float, dim_N: int) -> float:
+    """Integrability exponent required of the initial signal data.
+
+    The critical exponent floored at 2, in every dimension.
+    """
+    return max(2.0, _critical_exponent(theta, dim_N))
 
 
 def w_lp_exponent_cap(theta: float, dim_N: int) -> float:
     """Largest p for which the signal's L^p norm stays bounded uniformly.
 
-    The cap is max(2, N*(2-theta)/(2*(theta-1))) in dimensions 2 and 3 and
-    max(1, ...) for N >= 4, and is only available above ``theta_threshold``.
+    The cap is the critical exponent floored at 2 in dimensions up to 3 and
+    at 1 for N >= 4, and is only available above ``theta_threshold``.
     """
-    if not theta > 1.0:
-        raise ValueError(f"theta must exceed 1, got {theta}")
-    dim_N = int(dim_N)
+    second = _critical_exponent(theta, dim_N)
     thr = theta_threshold(dim_N)
     if not theta > thr:
         raise ValueError(
             f"theta={theta} is not above the threshold {thr} for N={dim_N}; "
             "the uniform signal L^p bound is only available above it")
-    second = dim_N * (2.0 - theta) / (2.0 * (theta - 1.0))
-    floor = 2.0 if dim_N <= 3 else 1.0
-    return max(floor, second)
+    return max(2.0 if dim_N <= 3 else 1.0, second)
 
 
 def u_mass_cap(u0_l1: float, theta: float, omega_measure: float) -> float:

@@ -20,6 +20,7 @@ import scipy
 from . import __version__
 from .config import FLOAT_FORMAT, ConfigError, RunConfig, _fmt
 from .estimates import (
+    DISSIPATION_BANDS,
     EstimateRecord,
     check_dissipation_bounds,
     check_mass_bounds,
@@ -30,8 +31,10 @@ from .estimates import (
     check_w_lp,
     check_w_lp_family,
     check_z_dissipation_bounds,
+    per_unit_horizon,
     probe_uniform_integrability,
     uniform_integrability_threshold,
+    w_lp_figure,
 )
 from .grid import restrict_values
 from .identities import (
@@ -172,7 +175,7 @@ def _single_run_estimates(cfg: RunConfig, traj: Trajectory,
     records += check_reaction_l1(traj, norms["u0_l1"], norms["v0_l1"])
     records.append(check_reaction_plus_unit(traj))
     records.append(check_positivity(traj))
-    records.append(check_w_lp(traj, cfg.params, norms["w0_lr"]))
+    records.append(check_w_lp(traj, norms["w0_lr"]))
     m1 = u_mass_cap(norms["u0_l1"], cfg.params.theta, cfg.grid.measure)
     for j, eta in enumerate(cfg.probe_eta):
         delta = uniform_integrability_threshold(eta, traj.final_time,
@@ -247,7 +250,6 @@ def _l1_gaps(coarse: Trajectory, fine: Trajectory) -> dict[str, float]:
 def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     family = cfg.build_initial_family()
-    norms = family.base_norms(cfg.params.theta)
     _write_manifest(cfg, out)
 
     trajs: dict[float, Trajectory] = {}
@@ -262,16 +264,15 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
             failures.append(f"eps={eps:g}: {exc}")
             print(f"[sweep] eps={eps:g} FAILED: {exc}", file=sys.stderr)
 
-    eps_done = [e for e in cfg.eps_ladder if e in trajs]
-    gap_rows = [_l1_gaps(trajs[e1], trajs[e2]) for e1, e2 in zip(eps_done[:-1], eps_done[1:])]
+    done = list(trajs.values())  # in ladder order
+    gap_rows = [_l1_gaps(a, b) for a, b in zip(done[:-1], done[1:])]
 
     records: list[EstimateRecord] = []
-    if len(eps_done) >= 2 and not failures:
-        sub = {e: trajs[e] for e in eps_done}
-        records += check_dissipation_bounds(sub)
-        records.append(check_w_lp_family(sub, cfg.params, norms["w0_lr"]))
+    if not failures:  # config keeps at least two rungs on the ladder
+        records += check_dissipation_bounds(trajs)
+        records.append(check_w_lp_family(trajs))
         for weights in cfg.weights:
-            recs = check_z_dissipation_bounds(sub, weights)
+            recs = check_z_dissipation_bounds(trajs, weights)
             for r in recs:
                 r.name = f"{r.name}_p{weights.p:g}_k{weights.k:g}"
             records += recs
@@ -279,14 +280,14 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     header = ["eps", "gap_u", "gap_v", "gap_w", "diss_grad_log1v", "diss_vgradw",
               "diss_grad_w", "w_lp_sup"]
     # the last rung has no finer one to take a gap to
-    gaps = (gap_rows + [{name: float("nan") for name in ("u", "v", "w")}])[:len(eps_done)]
-    done = [trajs[e] for e in eps_done]
+    gaps = (gap_rows + [{name: float("nan") for name in ("u", "v", "w")}])[:len(done)]
+    # the figures the bands of estimates.csv read
     table = np.column_stack(
-        [eps_done]
+        [list(trajs)]
         + [[g[name] for g in gaps] for name in ("u", "v", "w")]
-        + [[t.accumulators[key] / (1.0 + t.final_time) for t in done]
-           for key in ("int_grad_log1v_sq", "int_vgradw_sq", "int_grad_w_sq")]
-        + [[t.sup_w_lp(2.0) for t in done]])
+        + [[per_unit_horizon(t, t.accumulators[key]) for t in done]
+           for key in DISSIPATION_BANDS]
+        + [[w_lp_figure(t)[1] for t in done]])
     _write_csv(out / "sweep.csv", header, table)
     if records:
         _write_estimates(records, out)
@@ -330,8 +331,13 @@ def run_certificates(traj: Trajectory, weights_list: tuple[EntropyWeights, ...],
     return records
 
 
+def tolerance_scale(traj: Trajectory) -> float:
+    """h + dt of the tolerance model C*(h+dt): finest spacing plus mean step."""
+    return traj.grid.min_spacing + traj.mean_dt
+
+
 def certificate_tolerances(cfg: RunConfig, traj: Trajectory) -> dict[str, float]:
-    scale = traj.grid.min_spacing + traj.mean_dt
+    scale = tolerance_scale(traj)
     return {kind: cfg.tol_c[kind] * scale for kind in CERTIFICATE_KINDS}
 
 
@@ -381,14 +387,12 @@ def run_verify_identities(samples: int, seed: int,
             k = weight_threshold(p) * factor
             report = check_weight_identities(p, k, samples=samples, seed=seed)
             for name, rec in report.items():
-                if not isinstance(rec, dict):
-                    continue
                 rows.append([p, k, name, rec["max_rel_error"],
                              rec.get("printed_form_error", ""),
                              rec.get("matched_form", ""), int(rec["passed"])])
-                ok &= rec["passed"]
-            print(f"[identities] p={p:g} k={k:.6g}: "
-                  f"{'pass' if report['all_passed'] else 'FAIL'}")
+            passed = all(rec["passed"] for rec in report.values())
+            ok &= passed
+            print(f"[identities] p={p:g} k={k:.6g}: {'pass' if passed else 'FAIL'}")
     if out_dir is not None:
         _write_csv(Path(out_dir) / "identities.csv",
                    ["p", "k", "identity", "max_rel_error", "printed_form_error",
@@ -429,6 +433,7 @@ def refinement_study(cfg: RunConfig) -> dict:
     bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
 
     level_meta: list[dict[str, float]] = []
+    scales: list[float] = []
     residuals: dict[str, list[list[float]]] = {k: [] for k in CERTIFICATE_KINDS}
     sol_diffs: dict[str, list[float]] = {name: [] for name in ("u", "v", "w")}
     coarse = None
@@ -447,6 +452,7 @@ def refinement_study(cfg: RunConfig) -> dict:
                                     if r.name == RECORD_NAMES[kind]])
         level_meta.append({"cells": sub.grid.cells[0], "h": sub.grid.min_spacing,
                            "dt_mean": traj.mean_dt})
+        scales.append(tolerance_scale(traj))
         if coarse is not None:
             for name, gap in _l1_gaps(coarse, traj).items():
                 sol_diffs[name].append(gap)
@@ -461,8 +467,8 @@ def refinement_study(cfg: RunConfig) -> dict:
 
     calibrated_c = {}
     for kind in CERTIFICATE_KINDS:
-        raw = max(float(np.max(resid)) / (meta["h"] + meta["dt_mean"])
-                  for resid, meta in zip(residuals[kind], level_meta))
+        raw = max(float(np.max(resid)) / scale
+                  for resid, scale in zip(residuals[kind], scales))
         calibrated_c[kind] = 2.0 * raw
     return {"level_meta": level_meta, "residuals": residuals,
             "sol_diffs": sol_diffs, "cert_orders": cert_orders,

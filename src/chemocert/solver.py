@@ -199,10 +199,12 @@ def _advect(grid: Grid, s: np.ndarray, face_grads: tuple[np.ndarray, ...],
 def _advance(grid: Grid, u: np.ndarray, v: np.ndarray, w: np.ndarray, face_g: tuple,
              params: ModelParams, cfg: SolverConfig, dt: float, t: float,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, float]]:
-    """One IMEX step on raw arrays; returns new fields plus step integrals.
+    """One IMEX step on raw arrays; returns new fields plus step rates.
 
-    The step integrals also carry ``min_u``, ``min_v`` and ``min_w``, the
-    minima of the new fields.
+    Each rate is keyed by the accumulator or cumulative series it feeds: the
+    space integral whose dt multiple the step adds, or for
+    ``sup_reaction_u_plus`` the step's cellwise maximum. The rates also carry
+    ``min_u``, ``min_v`` and ``min_w``, the minima of the new fields.
     """
     vol = grid.cell_volume
 
@@ -216,16 +218,16 @@ def _advance(grid: Grid, u: np.ndarray, v: np.ndarray, w: np.ndarray, face_g: tu
     fv_plus, fv_minus = sign_split(fv)
 
     stats = {
-        "reaction_u": float(fu.sum()) * vol,
-        "reaction_v": float(fv.sum()) * vol,
-        "abs_reaction_u": float((fu_plus + fu_minus).sum()) * vol,
-        "abs_reaction_v": float((fv_plus + fv_minus).sum()) * vol,
-        "reaction_u_plus": float(fu_plus.sum()) * vol,
-        "reaction_v_plus": float(fv_plus.sum()) * vol,
+        "cum_reaction_u": float(fu.sum()) * vol,
+        "cum_reaction_v": float(fv.sum()) * vol,
+        "int_abs_reaction_u": float((fu_plus + fu_minus).sum()) * vol,
+        "int_abs_reaction_v": float((fv_plus + fv_minus).sum()) * vol,
+        "int_reaction_u_plus": float(fu_plus.sum()) * vol,
+        "int_reaction_v_plus": float(fv_plus.sum()) * vol,
         "sup_reaction_u_plus": float(fu_plus.max()),
-        "source_w": float(dw.sum()) * vol,
-        "u_theta": float(_pow(u1, params.theta).sum()) * vol,
-        "v_sq": float((v1 ** 2).sum()) * vol,
+        "cum_source_w": float(dw.sum()) * vol,
+        "int_u_theta": float(_pow(u1, params.theta).sum()) * vol,
+        "int_v_sq": float((v1 ** 2).sum()) * vol,
     }
 
     u2 = u1 + dt * fu
@@ -331,32 +333,24 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
             raise SimulationAbortError(f"step size collapsed to {dt} at t={t}")
 
         # dissipation integrands at the step start, from the diagnostics' |grad w|^2
-        diss_grad_w = series["int_grad_w_sq_now"][-1]
-        diss_log1v = float(gradient_sq_values(grid, np.log1p(v)).sum()) * grid.cell_volume
-        diss_vgradw = float(((v / (1.0 + v)) ** 2 * grad_w_sq).sum()) * grid.cell_volume
-
+        rates = {
+            "int_grad_w_sq": series["int_grad_w_sq_now"][-1],
+            "int_grad_log1v_sq":
+                float(gradient_sq_values(grid, np.log1p(v)).sum()) * grid.cell_volume,
+            "int_vgradw_sq":
+                float(((v / (1.0 + v)) ** 2 * grad_w_sq).sum()) * grid.cell_volume,
+        }
         u, v, w, stats = _advance(grid, u, v, w, face_g, params, cfg, dt, t)
         del face_g, grad_w_sq  # held across the history copies they cost peak RSS
+        rates.update(stats)
         t = target if hit else t + dt
 
-        accumulators["int_u_theta"] += dt * stats["u_theta"]
-        accumulators["int_v_sq"] += dt * stats["v_sq"]
-        accumulators["int_grad_w_sq"] += dt * diss_grad_w
-        accumulators["int_grad_log1v_sq"] += dt * diss_log1v
-        accumulators["int_vgradw_sq"] += dt * diss_vgradw
-        accumulators["int_abs_reaction_u"] += dt * stats["abs_reaction_u"]
-        accumulators["int_abs_reaction_v"] += dt * stats["abs_reaction_v"]
-        accumulators["int_reaction_u_plus"] += dt * stats["reaction_u_plus"]
-        accumulators["int_reaction_v_plus"] += dt * stats["reaction_v_plus"]
+        for key in ACCUMULATOR_NAMES[:-1]:
+            accumulators[key] += dt * rates[key]
         accumulators["sup_reaction_u_plus"] = max(
-            accumulators["sup_reaction_u_plus"], stats["sup_reaction_u_plus"])
-
-        cumulative["cum_reaction_u"].append(cumulative["cum_reaction_u"][-1]
-                                            + dt * stats["reaction_u"])
-        cumulative["cum_reaction_v"].append(cumulative["cum_reaction_v"][-1]
-                                            + dt * stats["reaction_v"])
-        cumulative["cum_source_w"].append(cumulative["cum_source_w"][-1]
-                                          + dt * stats["source_w"])
+            accumulators["sup_reaction_u_plus"], rates["sup_reaction_u_plus"])
+        for key, values in cumulative.items():
+            values.append(values[-1] + dt * rates[key])
 
         times.append(t)
         dts.append(dt)

@@ -144,6 +144,10 @@ class TestConfigParsing:
         ("certify.seed", "-1"),
         ("probe.seed", "-1"),
         ("sweep.eps_ladder", "0.25"),  # a sweep compares at least two rungs
+        # refused by the objects config builds, one key at a time
+        ("grid.lengths", "-1, 1"),
+        ("solver.cfl_safety", "2"),
+        ("solver.max_dt", "0"),
     ])
     def test_meaningless_value_names_field(self, key, value):
         mapping = parse_config_text(SMALL_CFG)
@@ -367,6 +371,60 @@ class TestSweepCommand:
         out = capsys.readouterr().out.splitlines()
         for name in ("u", "v", "w"):
             assert f"[sweep] {name} gaps: trend unchecked (1 gap; needs >= 2)" in out
+
+    def test_failed_rung_reported_and_skipped(self, tmp_path, capsys, monkeypatch):
+        # the middle rung fails: the sweep says so and exits 1, writes the
+        # finished rungs with the gap between them, and checks no band
+        from chemocert import runner
+        from chemocert.solver import SchemeViolationError
+
+        simulate = runner.simulate
+
+        def failing_middle(init, params, *args):
+            if params.eps == 0.25:
+                raise SchemeViolationError("u reached -1e-09")
+            return simulate(init, params, *args)
+
+        monkeypatch.setattr(runner, "simulate", failing_middle)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 1
+        assert "[sweep] eps=0.25 FAILED: u reached -1e-09" in capsys.readouterr().err
+        assert not (out / "estimates.csv").exists()
+        # the same rows as a ladder of only the two finished rungs
+        monkeypatch.setattr(runner, "simulate", simulate)
+        text = SMALL_CFG.replace("sweep.eps_ladder = 0.5, 0.25, 0.125",
+                                 "sweep.eps_ladder = 0.5, 0.125")
+        both = tmp_path / "both"
+        main(["sweep", "--config", str(write_cfg(tmp_path, text, "both.cfg")),
+              "--out", str(both)])
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 3 and rows[1].startswith("0.5,")
+        assert rows == (both / "sweep.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("cells, lengths, centers, exponent", [
+        ("8, 8", "1.0, 1.0", ("0.35, 0.55", "0.65, 0.4"), 4.0),
+        ("16", "1.0", ("0.35", "0.65"), 2.0),
+    ], ids=["2D", "1D"])
+    def test_w_lp_column_is_the_band_figure(self, tmp_path, cells, lengths, centers,
+                                            exponent):
+        # at theta = 1.2 the band's p is max(2, N(2-theta)/(2(theta-1))) = max(2, 2N)
+        text = REFINE_CFG.replace("model.theta = 2.0", "model.theta = 1.2")
+        for line, value in (("grid.cells = 8, 8", cells),
+                            ("grid.lengths = 1.0, 1.0", lengths),
+                            ("init.u.center = 0.35, 0.55", centers[0]),
+                            ("init.v.center = 0.65, 0.4", centers[1])):
+            text = text.replace(line, f"{line.split(' = ')[0]} = {value}")
+        out = tmp_path / "sweep"
+        main(["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)])
+        with (out / "estimates.csv").open(encoding="utf-8") as fh:
+            band = next(r for r in csv.DictReader(fh) if r["name"] == "eps_uniform_w_lp")
+        details = dict(kv.split("=") for kv in band["details"].split(";"))
+        assert float(details["p"]) == pytest.approx(exponent, rel=1e-12)
+        with (out / "sweep.csv").open(encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["w_lp_sup"] for r in rows] == [
+            details[f"eps_{float(r['eps']):g}"] for r in rows]
+        assert rows[-1]["w_lp_sup"] == band["value"]
 
     def test_bumpy_sweep_writes_estimates(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -227,8 +227,7 @@ class TestEpsUniformity:
         # needs enough rungs for the (1+eps)^-1 source factor to settle into
         # the 5% band: the final ratio is (1+eps_5)/(1+eps_6) ~= 1.03
         trajs = constant_family(LADDER[:5], T=6.0)
-        params = ModelParams(theta=2.0, eps=0.0)
-        rec = check_w_lp_family(trajs, params, w0_lr=0.1)
+        rec = check_w_lp_family(trajs)
         assert rec.passed
         # oracle: w(t) = g + (w0 - g) e^{-t} with g = s/(1+eps*s), s = 1, rises
         # monotonically, so the snapshot sup is the exact value at T
@@ -242,8 +241,8 @@ class TestEpsUniformity:
     def test_w_lp_exponent_follows_grid(self, cells, exponent):
         # N is the grid's dimension: at theta = 1.2 the cap and the data
         # exponent are max(2, N(2-theta)/(2(theta-1))) = max(2, 2N)
-        traj, params, norms = small_run(T=0.05, cells=cells, theta=1.2)
-        p = check_w_lp(traj, params, norms["w0_lr"]).details["p"]
+        traj, _, norms = small_run(T=0.05, cells=cells, theta=1.2)
+        p = check_w_lp(traj, norms["w0_lr"]).details["p"]
         assert p == pytest.approx(exponent, rel=1e-12)
         initial = traj.snapshots[0][1]
         family = InitialFamily(u0=initial.u, v0=initial.v, w0=initial.w)

@@ -115,9 +115,9 @@ class TestStableStepInvariants:
         for values, f in zip(fields, (out.u, out.v, out.w)):
             assert np.array_equal(values, f.values)
         vol = g.cell_volume
-        for before, after, rate in ((state.u, out.u, "reaction_u"),
-                                    (state.v, out.v, "reaction_v"),
-                                    (state.w, out.w, "source_w")):
+        for before, after, rate in ((state.u, out.u, "cum_reaction_u"),
+                                    (state.v, out.v, "cum_reaction_v"),
+                                    (state.w, out.w, "cum_source_w")):
             scale = max(1.0, before.values.sum() * vol, after.values.sum() * vol)
             gap = (after.values.sum() - before.values.sum()) * vol - dt * stats[rate]
             assert abs(gap) <= 1e-12 * scale
@@ -173,11 +173,11 @@ class TestStep:
                                      SolverConfig(), dt, 0.0)
         vol = g.cell_volume
         assert (u1.sum() - u0.sum()) * vol == pytest.approx(
-            dt * stats["reaction_u"], abs=1e-12)
+            dt * stats["cum_reaction_u"], abs=1e-12)
         assert (v1.sum() - v0.sum()) * vol == pytest.approx(
-            dt * stats["reaction_v"], abs=1e-12)
+            dt * stats["cum_reaction_v"], abs=1e-12)
         assert (w1.sum() - w0.sum()) * vol == pytest.approx(
-            dt * stats["source_w"], abs=1e-12)
+            dt * stats["cum_source_w"], abs=1e-12)
 
 
 class TestConstantDataOracle:
