@@ -122,6 +122,11 @@ class Field:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
+    def __reduce__(self):
+        # unpickling rebuilds through __post_init__, so the copy is checked
+        # and read-only like the original
+        return (Field, (self.grid, self.values))
+
     def min(self) -> float:
         return float(self.values.min())
 

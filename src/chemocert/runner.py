@@ -5,11 +5,18 @@ executes its piece of the pipeline, writes deterministic full-precision CSV
 artifacts plus a manifest that reproduces the run, and returns a process exit
 code: 0 when every enabled check passed, 1 when any failed, with individual
 failures never aborting the remaining checks.
+
+``run_sweep`` steps the rungs of its ε ladder one share per CPU: share 0 in
+this process, each other share in a forked worker. Its artifacts and stdout
+are byte for byte the same whatever the CPU count, and its ``[sweep] eps=…``
+lines are printed in ladder order once every rung is done. A span recorder
+installed in this process sees share 0 only.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -247,22 +254,85 @@ def _l1_gaps(coarse: Trajectory, fine: Trajectory) -> dict[str, float]:
     return gaps
 
 
+def _run_share(rungs: list[tuple], conn=None) -> list[tuple[Trajectory | None, str | None]]:
+    """Step one share of the ladder: ``simulate(*args)`` for each rung's args.
+
+    Each rung gives ``(traj, None)``, or ``(None, message)`` when it raised;
+    the results come back in rung order. With ``conn``, they are also sent
+    down it, one message per rung, once every rung of the share is stepped:
+    a send blocks until the reader takes it, which must not stall the rungs
+    still to step.
+    """
+    results = []
+    for args in rungs:
+        try:
+            results.append((simulate(*args), None))
+        except Exception as exc:  # persist partial results, report, keep going
+            results.append((None, str(exc)))
+    if conn is not None:
+        for result in results:
+            conn.send(result)
+    return results
+
+
+def _run_ladder(rungs: list[tuple]) -> list[tuple[Trajectory | None, str | None]]:
+    """Every rung's ``_run_share`` result, in rung order, one share per CPU.
+
+    Rung j goes to share j % n. Share 0 runs in this process, so what runs
+    only here (a patched ``simulate``, a span recorder) still sees it; each
+    other share runs in a forked worker. A worker's results are read only
+    after share 0 is done, one message per rung, so they do not pile up in
+    this process while it steps. A rung its worker never sent fails with the
+    worker's exit status.
+    """
+    import multiprocessing
+
+    n = min(len(rungs), os.cpu_count() or 1)
+    shares = [rungs[i::n] for i in range(n)]
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for share in shares[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_run_share, args=(share, send), daemon=True)
+            proc.start()
+            send.close()  # the worker holds the only write end: its exit is EOF here
+            workers.append((proc, recv))
+        results = [_run_share(shares[0])]
+        for (proc, recv), share in zip(workers, shares[1:]):
+            got = []
+            with recv:
+                try:
+                    while len(got) < len(share):
+                        got.append(recv.recv())
+                except EOFError:  # the worker died before sending them all
+                    pass
+            proc.join()
+            lost = (None, f"worker exited with status {proc.exitcode}")
+            results.append(got + [lost] * (len(share) - len(got)))
+    finally:
+        for proc, _ in workers:
+            proc.terminate()  # no-op once joined
+            proc.join()
+    return [results[j % n][j // n] for j in range(len(rungs))]
+
+
 def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     family = cfg.build_initial_family()
     _write_manifest(cfg, out)
 
+    rungs = [(initial_state(family.regularized(eps)), replace(cfg.params, eps=eps),
+              cfg.solver, cfg.T, cfg.output_times) for eps in cfg.eps_ladder]
     trajs: dict[float, Trajectory] = {}
     failures: list[str] = []
-    for eps in cfg.eps_ladder:
-        params = replace(cfg.params, eps=eps)
-        init = initial_state(family.regularized(eps))
-        try:
-            trajs[eps] = simulate(init, params, cfg.solver, cfg.T, cfg.output_times)
-            print(f"[sweep] eps={eps:g}: {len(trajs[eps].dts)} steps")
-        except Exception as exc:  # persist partial results, report, keep going
-            failures.append(f"eps={eps:g}: {exc}")
-            print(f"[sweep] eps={eps:g} FAILED: {exc}", file=sys.stderr)
+    for eps, (traj, error) in zip(cfg.eps_ladder, _run_ladder(rungs)):
+        if error is None:
+            trajs[eps] = traj
+            print(f"[sweep] eps={eps:g}: {len(traj.dts)} steps")
+        else:
+            failures.append(f"eps={eps:g}: {error}")
+            print(f"[sweep] eps={eps:g} FAILED: {error}", file=sys.stderr)
 
     done = list(trajs.values())  # in ladder order
     gap_rows = [_l1_gaps(a, b) for a, b in zip(done[:-1], done[1:])]

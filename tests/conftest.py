@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -29,6 +31,14 @@ def bumpy_state(grid, w0=0.1, u_mass=0.5, v_mass=0.3):
         v=gaussian_field(grid, cv, 0.18, v_mass),
         w=grid.constant_field(w0),
     )
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process running, as the benchmark does."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"processes left running: {left}"
 
 
 @pytest.fixture

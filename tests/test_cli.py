@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import re
 
 import pytest
@@ -372,12 +373,27 @@ class TestSweepCommand:
         for name in ("u", "v", "w"):
             assert f"[sweep] {name} gaps: trend unchecked (1 gap; needs >= 2)" in out
 
-    def test_failed_rung_reported_and_skipped(self, tmp_path, capsys, monkeypatch):
+    def test_output_independent_of_cpu_count(self, tmp_path, capsys, monkeypatch):
+        # one share per CPU: the three rungs run in one, two or three processes
+        cfg = write_cfg(tmp_path)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            main(["sweep", "--config", str(cfg), "--out", str(out)])
+            runs.append((capsys.readouterr(), (out / "sweep.csv").read_bytes(),
+                         (out / "estimates.csv").read_bytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["main", "worker"])
+    def test_failed_rung_reported_and_skipped(self, tmp_path, capsys, monkeypatch, cpus):
         # the middle rung fails: the sweep says so and exits 1, writes the
-        # finished rungs with the gap between them, and checks no band
+        # finished rungs with the gap between them, and checks no band; with
+        # two shares the middle rung runs in a worker
         from chemocert import runner
         from chemocert.solver import SchemeViolationError
 
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         simulate = runner.simulate
 
         def failing_middle(init, params, *args):
@@ -400,6 +416,26 @@ class TestSweepCommand:
         rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 3 and rows[1].startswith("0.5,")
         assert rows == (both / "sweep.csv").read_text().splitlines()
+
+    def test_dead_worker_fails_its_rung(self, tmp_path, capsys, monkeypatch):
+        # with two shares the middle rung runs in a worker, which dies on it
+        from chemocert import runner
+
+        simulate = runner.simulate
+
+        def dying_middle(init, params, *args):
+            if params.eps == 0.25:
+                os._exit(3)
+            return simulate(init, params, *args)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(runner, "simulate", dying_middle)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 1
+        assert ("[sweep] eps=0.25 FAILED: worker exited with status 3"
+                in capsys.readouterr().err.splitlines())
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0.5", "0.125"]
 
     @pytest.mark.parametrize("cells, lengths, centers, exponent", [
         ("8, 8", "1.0, 1.0", ("0.35, 0.55", "0.65, 0.4"), 4.0),

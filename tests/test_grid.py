@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,16 @@ class TestGridConstruction:
             Field(g, np.zeros(5))
         with pytest.raises(NonFiniteFieldError, match=r"cell \(2,\)"):
             Field(g, np.array([0.0, 1.0, np.nan, 2.0]))
+
+    @pytest.mark.parametrize("cells", [(5,), (3, 4)], ids=["1D", "2D"])
+    def test_field_stays_read_only_across_pickling(self, cells):
+        # sweep rungs come back from worker processes pickled
+        g = Grid(cells=cells, lengths=(1.0,) * len(cells))
+        f = g.field(np.arange(g.n_cells, dtype=float).reshape(g.shape))
+        back = pickle.loads(pickle.dumps(f))
+        assert back.grid == g
+        assert np.array_equal(back.values, f.values)
+        assert not back.values.flags.writeable
 
 
 class TestIntegrate:
