@@ -18,11 +18,14 @@ derivatives, so only the trajectory and the space-time quadrature contribute
 to the tolerance C*(h+dt). Every weak form is linear in the test function,
 so a certificate kind is just its integrand: rows (A, B) per history instant,
 tested as int A*S + B.grad S against the whole bump family. One walk over
-the history (:func:`history_pass`) serves every kind. It visits the instants
-in blocks of ``WALK_CELLS`` cells: per block it takes grad w once, assembles
-the rows of all kinds for every instant of the block at once, and contracts
-each instant's rows with the family in two matrix products. Each certificate
-function then only reduces that result to its records.
+the history serves every kind, in two parts. :class:`InstantProducts` visits
+the instants in blocks of ``WALK_CELLS`` cells: per block it takes grad w
+once, assembles the rows of all kinds for every instant of the block at
+once, and contracts each instant's rows with the family in two matrix
+products. :class:`TimeFold` then folds those products in time order.
+:func:`history_pass` runs both on a stored history; a walk beside the
+stepper runs the same two on the blocks as they are stepped. Each
+certificate function then only reduces the result to its records.
 
 Two assembled coefficients matter enough to spell out:
 
@@ -44,7 +47,7 @@ from functools import reduce
 import numpy as np
 
 from .grid import Grid, gradient_values
-from .model import _check_nonneg, _pow, source_w
+from .model import ModelParams, _check_nonneg, _pow, source_w
 from .solver import Trajectory
 
 # cells the history walk stacks per block of instants: 4 instants at 64^2, one
@@ -510,92 +513,141 @@ class HistoryPass:
     z_instants: np.ndarray
 
 
-def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
-    """Test the integrand of every weak-form kind in one walk over the history.
+def _kind_sizes(weights_list) -> list[int]:
+    """Rows of each weak-form kind, density first: w, ln(1+v), then z per weight pair."""
+    return [3, 2] + [4] * len(weights_list)
 
-    The instants are walked in blocks of ``WALK_CELLS // cells`` (at least
-    one). Per block grad w is taken once, on the stacked fields of all its
-    instants, and every kind gives rows (A, B) for each instant: 3 for w, 2
-    for ln(1+v), 4 per weight pair for z, a density first (B = 0) and right
+
+class InstantProducts:
+    """Every weak-form kind's rows at each instant, tested against one bump family.
+
+    Called on the stacked fields of a block of instants (u, v, w, each of
+    shape ``(instants, *grid.shape)``), it takes grad w once for the whole
+    block, and every kind gives rows (A, B) for each instant: 3 for w, 2 for
+    ln(1+v), 4 per weight pair for z, a density first (B = 0) and right
     sides sharing one flux B. Each row becomes vol * sum(A*S + B.grad S) per
-    bump: per instant, all A against S in one matrix product and each kind's
-    B against grad S once in another, the same products at any block size.
-    The time-weighted sums and the three instants a centred difference of z
-    needs are then folded instant by instant, in time order.
+    bump, an array of shape ``(instants, rows, bumps)``: per instant, all A
+    against S in one matrix product and each kind's B against grad S once in
+    another. The products depend only on the fields and the test family, and
+    every instant's are the same bytes in any block and any process.
     """
-    if not bumps:
-        raise ValueError("bump family is empty")
-    grid = traj.grid
-    for bump in bumps:
-        bump.require_fits(grid, traj.final_time)
-    times, history = traj.times, traj.history
-    if history is None:
-        raise ValueError("trajectory was run without dense field history")
-    if len(history) != len(times):
-        raise ValueError(
-            f"history holds {len(history)} instants for {len(times)} step "
-            "boundaries; its cadence must be one step")
-    if weights_list and len(times) < 3:
-        raise ValueError("history too short for centered time differences")
 
-    test_values, test_grads = _stacked_tests(bumps, grid)
-    psi = np.column_stack([bump.time_profile(times) for bump in bumps])
-    inside = np.zeros(psi.shape, dtype=bool)
-    for b, bump in enumerate(bumps):
-        inside[_history_window(times, *bump.time_window()), b] = True
-    trap, dpsi = _time_weights(times, psi, inside)
-    interior = inside.copy()
-    interior[[0, -1]] = False
-    need = interior.any(axis=1)
-    # up to the last instant a window holds (for z, the one after the last centred
-    # difference) and at least instant 0; instants outside every window weigh zero
-    stop = 1 + inside.any(axis=1).nonzero()[0].max(initial=0)
-    if weights_list:
-        if not interior.any(axis=0).all():
-            raise ValueError("bump time window contains no interior history points")
-        stop = max(stop, 2 + need.nonzero()[0].max())
+    def __init__(self, grid: Grid, params: ModelParams, bumps, weights_list=()):
+        self.grid = grid
+        self.params = params
+        self.weights_list = tuple(weights_list)
+        self.test_values, self.test_grads = _stacked_tests(bumps, grid)
+        sizes = _kind_sizes(weights_list)
+        self._kind = np.repeat(np.arange(len(sizes)), sizes)
+        self._sides = np.flatnonzero(np.diff(self._kind, prepend=-1) == 0)  # after the density
 
-    sizes = [3, 2] + [4] * len(weights_list)  # rows of each kind, density first
-    kind = np.repeat(np.arange(len(sizes)), sizes)
-    sides = np.flatnonzero(np.diff(kind, prepend=-1) == 0)  # rows after the density
-    lhs, rhs = np.zeros((2, len(kind), len(bumps)))
-    worst = np.zeros((len(weights_list), 3, len(bumps)))
-    recent: dict[int, np.ndarray] = {}
-    block = max(1, WALK_CELLS // grid.n_cells)
-    for start in range(0, stop, block):
-        instants = range(start, min(start + block, stop))
-        u, v, w = (np.array([history[i][name] for i in instants]) for name in "uvw")
+    @property
+    def block(self) -> int:
+        """Instants a walk stacks per block: ``WALK_CELLS // cells``, at least one."""
+        return max(1, WALK_CELLS // self.grid.n_cells)
+
+    def __call__(self, u, v, w) -> np.ndarray:
+        grid, kind, sides = self.grid, self._kind, self._sides
         gw = gradient_values(grid, w)
-        net_source = source_w(u, v, traj.params.eps) - w
+        net_source = source_w(u, v, self.params.eps) - w
         kinds = [_signal_rows(u, v, w, gw, net_source), _log_v_rows(grid, u, v, gw)]
-        kinds += [_superposition_rows(grid, u, v, w, gw, weights, traj.params.theta,
-                                      net_source) for weights in weights_list]
+        kinds += [_superposition_rows(grid, u, v, w, gw, weights, self.params.theta,
+                                      net_source) for weights in self.weights_list]
         values = np.stack([a for rows, _ in kinds for a in rows], axis=1)
         fluxes = np.stack([g for _, flux in kinds for g in flux], axis=1)
         # one product per instant, of the same shape at any block size: the BLAS
         # may sum an entry in another order when the product's shape changes.
         # The right sides of a kind share its flux, which is contracted once.
-        c = values.reshape(len(instants), len(kind), -1) @ test_values.T
-        c[:, sides] += (fluxes.reshape(len(instants), len(kinds), -1)
-                        @ test_grads.T)[:, kind[sides]]
+        c = values.reshape(len(u), len(kind), -1) @ self.test_values.T
+        c[:, sides] += (fluxes.reshape(len(u), len(kinds), -1)
+                        @ self.test_grads.T)[:, kind[sides]]
         c *= grid.cell_volume
-        for i, ci in zip(instants, c):
-            lhs -= ci * dpsi[i]
-            rhs += ci * trap[i]
+        return c
+
+
+class TimeFold:
+    """The time quadrature of a walk over the step boundaries ``times``.
+
+    Built from the times and the bump family alone, it folds the products of
+    :class:`InstantProducts`, one per instant in time order, into the
+    time-weighted sums and the three instants a centred difference of z
+    needs. Only the first ``stop`` instants weigh: up to the last instant a
+    window holds (for z, the one after the last centred difference) and at
+    least instant 0.
+    """
+
+    def __init__(self, grid: Grid, times: np.ndarray, bumps, weights_list=()):
+        if not bumps:
+            raise ValueError("bump family is empty")
+        for bump in bumps:
+            bump.require_fits(grid, float(times[-1]))
+        if weights_list and len(times) < 3:
+            raise ValueError("history too short for centered time differences")
+        self.times = times
+        self.weights_list = tuple(weights_list)
+        self.psi = np.column_stack([bump.time_profile(times) for bump in bumps])
+        inside = np.zeros(self.psi.shape, dtype=bool)
+        for b, bump in enumerate(bumps):
+            inside[_history_window(times, *bump.time_window()), b] = True
+        self.trap, self.dpsi = _time_weights(times, self.psi, inside)
+        self.interior = inside.copy()
+        self.interior[[0, -1]] = False
+        self.need = self.interior.any(axis=1)
+        self.stop = 1 + inside.any(axis=1).nonzero()[0].max(initial=0)
+        if weights_list:
+            if not self.interior.any(axis=0).all():
+                raise ValueError("bump time window contains no interior history points")
+            self.stop = max(self.stop, 2 + self.need.nonzero()[0].max())
+
+    def __call__(self, products: np.ndarray) -> HistoryPass:
+        """Fold the products of instants 0 .. ``stop`` - 1 (at least those)."""
+        times, psi, interior, need = self.times, self.psi, self.interior, self.need
+        sizes = _kind_sizes(self.weights_list)
+        n_weights, n_bumps = len(self.weights_list), psi.shape[1]
+        lhs, rhs = np.zeros((2, sum(sizes), n_bumps))
+        worst = np.zeros((n_weights, 3, n_bumps))
+        recent: dict[int, np.ndarray] = {}
+        for i, ci in enumerate(products[:self.stop]):
+            lhs -= ci * self.dpsi[i]
+            rhs += ci * self.trap[i]
             recent = {j: z for j, z in recent.items() if j >= i - 2}
-            recent[i] = ci[sum(sizes[:2]):].reshape(len(weights_list), 4, len(bumps))
+            recent[i] = ci[sum(sizes[:2]):].reshape(n_weights, 4, n_bumps)
             if i >= 2 and need[i - 1]:
                 rate = (recent[i][:, :1] - recent[i - 2][:, :1]) / (times[i] - times[i - 2])
                 mismatch = np.abs(psi[i - 1] * (rate - recent[i - 1][:, 1:]))
                 worst = np.maximum(worst, np.where(interior[i - 1], mismatch, 0.0))
 
-    ends = np.cumsum(sizes)[:-1]
-    signal, log_v, *z_blocks = [(left[0], right[1:]) for left, right
-                                in zip(np.split(lhs, ends), np.split(rhs, ends))]
-    return HistoryPass(signal=signal, log_v=log_v,
-                       superposition=dict(zip(weights_list, z_blocks)),
-                       z_worst=dict(zip(weights_list, worst)),
-                       z_instants=interior.sum(axis=0))
+        ends = np.cumsum(sizes)[:-1]
+        signal, log_v, *z_blocks = [(left[0], right[1:]) for left, right
+                                    in zip(np.split(lhs, ends), np.split(rhs, ends))]
+        return HistoryPass(signal=signal, log_v=log_v,
+                           superposition=dict(zip(self.weights_list, z_blocks)),
+                           z_worst=dict(zip(self.weights_list, worst)),
+                           z_instants=interior.sum(axis=0))
+
+
+def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
+    """Test the integrand of every weak-form kind in one walk over the stored history.
+
+    The instants the fold weighs are walked in blocks of
+    :attr:`InstantProducts.block`, then folded by :class:`TimeFold`. A walk
+    beside the stepper feeds the same two parts the same blocks, so it gives
+    the same bytes.
+    """
+    history = traj.history
+    if history is None:
+        raise ValueError("trajectory was run without dense field history")
+    if len(history) != len(traj.times):
+        raise ValueError(
+            f"history holds {len(history)} instants for {len(traj.times)} step "
+            "boundaries; its cadence must be one step")
+    fold = TimeFold(traj.grid, traj.times, bumps, weights_list)
+    walk = InstantProducts(traj.grid, traj.params, bumps, weights_list)
+    blocks = [walk(*(np.array([history[i][name]
+                               for i in range(start, min(start + walk.block, fold.stop))])
+                     for name in "uvw"))
+              for start in range(0, fold.stop, walk.block)]
+    return fold(np.concatenate(blocks))
 
 
 def certify_weakform_w(tested: HistoryPass, tol: float) -> list[CertificateRecord]:

@@ -11,15 +11,29 @@ this process, each other share in a forked worker. Its artifacts and stdout
 are byte for byte the same whatever the CPU count, and its ``[sweep] eps=…``
 lines are printed in ladder order once every rung is done. A span recorder
 installed in this process sees share 0 only.
+
+``run_certify`` and each level of ``refinement_study`` walk the weak-form
+certificates beside the stepper. A walker forked before the first step
+takes each complete block of instants from a ring in anonymous shared
+memory, given only its slot index down a pipe, and sends back the block's
+products; the last block, full or short, is walked in this process, which
+then folds every instant in time order. With one CPU nothing is forked and
+the same blocks are walked here. The certificates are the same bytes either
+way. A span recorder in this process sees only the last block's walk. The
+dense history is still kept: the benchmark's memory counter reads it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import mmap
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import scipy
@@ -47,6 +61,9 @@ from .grid import restrict_values
 from .identities import (
     CertificateRecord,
     EntropyWeights,
+    HistoryPass,
+    InstantProducts,
+    TimeFold,
     certify_entropy_inequality,
     certify_mass_inequality,
     certify_weakform_v,
@@ -382,11 +399,18 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
 
 def run_certificates(traj: Trajectory, weights_list: tuple[EntropyWeights, ...],
                      bumps, tols: dict[str, float]) -> list[CertificateRecord]:
-    """Mass certificate, then every weak-form kind from one pass over the history.
+    """Mass certificate, then every weak-form kind from one pass over the stored history.
 
     Records come out bump by bump, each bump's kinds in a fixed order.
     """
-    tested = history_pass(traj, bumps, weights_list)
+    return _certificate_records(traj, history_pass(traj, bumps, weights_list),
+                                weights_list, tols)
+
+
+def _certificate_records(traj: Trajectory, tested: HistoryPass,
+                         weights_list: tuple[EntropyWeights, ...],
+                         tols: dict[str, float]) -> list[CertificateRecord]:
+    """The records of :func:`run_certificates`, from a walk already taken."""
     per_kind = [certify_weakform_w(tested, tols["weakform_w"]),
                 certify_weakform_v(tested, tols["weakform_v"])]
     for weights in weights_list:
@@ -399,6 +423,136 @@ def run_certificates(traj: Trajectory, weights_list: tuple[EntropyWeights, ...],
     for bump_records in zip(*per_kind):
         records.extend(bump_records)
     return records
+
+
+# blocks of instants the walk ring holds: how far the forked walker may fall
+# behind the stepper before the stepper waits for it
+WALK_RING_SLOTS = 8
+
+
+def _walk_ring(products: InstantProducts, ring: np.ndarray, conn, stepper_end) -> None:
+    """The forked walker: for each slot index received, that block's products."""
+    stepper_end.close()  # so that the stepper's exit is EOF here
+    while (slot := conn.recv()) is not None:
+        conn.send(products(*ring[slot]))
+
+
+class _Walk:
+    """Step observer that walks the weak-form products beside the stepper.
+
+    Each step boundary's (u, v, w) is copied into the current slot of a ring
+    of blocks of ``products.block`` instants. A block is handed off when the
+    instant after it arrives, so the last block, full or short, stays in this
+    process for :meth:`finish`. With a second CPU one walker, forked before
+    the first step, takes the handed-off slots from a ring in anonymous
+    shared memory: only a slot's index goes down the pipe, and each block's
+    products come back up it. With one CPU nothing is forked and each block
+    is walked here as it is handed off. Either way every instant's products
+    come from the same call on the same block, so they are the same bytes.
+    Use it as a context manager: on the way out a walker still running is
+    terminated and joined.
+    """
+
+    def __init__(self, products: InstantProducts):
+        self.products = products
+        self.proc = None
+        shape = (3, products.block, *products.grid.shape)
+        if (os.cpu_count() or 1) > 1:
+            nbytes = WALK_RING_SLOTS * math.prod(shape) * 8
+            # an anonymous shared mapping, made before the fork: the walker
+            # reads what this process copies in, and no named segment is left
+            self.ring = np.frombuffer(mmap.mmap(-1, nbytes)).reshape(
+                WALK_RING_SLOTS, *shape)
+            self._fork()
+        else:
+            self.ring = np.empty((1, *shape))
+        self.free = deque(range(len(self.ring)))
+        self.sent: deque[int] = deque()  # slots the walker holds, oldest first
+        self.walked: list[np.ndarray] = []  # products of handed-off blocks, in order
+        self.slot = self.free.popleft()
+        self.filled = 0
+
+    def _fork(self) -> None:
+        import multiprocessing
+
+        # fork, not spawn: the ring is inherited, and patched functions with it
+        ctx = multiprocessing.get_context("fork")
+        self.conn, walker_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_walk_ring, daemon=True,
+                                args=(self.products, self.ring, walker_end, self.conn))
+        self.proc.start()
+        walker_end.close()  # the walker holds the only copy: its exit is EOF here
+
+    def __enter__(self) -> _Walk:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.proc is not None:
+            self.proc.terminate()  # no-op once joined
+            self.proc.join()
+            self.conn.close()
+        self.ring = None
+
+    def __call__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        if self.filled == self.products.block:
+            self._hand_off()
+        for dest, values in zip(self.ring[self.slot], (u, v, w)):
+            dest[self.filled] = values
+        self.filled += 1
+
+    def _hand_off(self) -> None:
+        if self.proc is None:
+            self.walked.append(self.products(*self.ring[self.slot]))
+        else:
+            self._send(self.slot)
+            self.sent.append(self.slot)
+            self._collect(wait=not self.free)
+            self.slot = self.free.popleft()
+        self.filled = 0
+
+    def _collect(self, wait: bool) -> None:
+        """Take in what the walker has sent; with ``wait``, at least one block."""
+        while self.sent and (wait or self.conn.poll()):
+            try:
+                self.walked.append(self.conn.recv())
+            except (EOFError, OSError):
+                self._walker_died()
+            self.free.append(self.sent.popleft())
+            wait = False
+
+    def _send(self, message: int | None) -> None:
+        try:
+            self.conn.send(message)
+        except OSError:
+            self._walker_died()
+
+    def _walker_died(self) -> NoReturn:
+        self.proc.join()
+        raise ChildProcessError(
+            f"certificate walker exited with status {self.proc.exitcode}")
+
+    def finish(self) -> np.ndarray:
+        """Every instant's products, in time order; the last block is walked here."""
+        last = self.products(*self.ring[self.slot, :, :self.filled])
+        if self.proc is not None:
+            self._send(None)
+            while self.sent:
+                self._collect(wait=True)
+            self.proc.join()
+        return np.concatenate(self.walked + [last])
+
+
+def _walked_run(cfg: RunConfig, bumps) -> tuple[Trajectory, HistoryPass]:
+    """``simulate`` on cfg's base data, every weak-form kind walked beside the steps.
+
+    The dense history is still kept: the benchmark reads the memory it holds.
+    """
+    family = cfg.build_initial_family()
+    with _Walk(InstantProducts(cfg.grid, cfg.params, bumps, cfg.weights)) as walk:
+        traj = simulate(initial_state(family.base()), cfg.params, cfg.solver, cfg.T,
+                        cfg.output_times, keep_history=True, observer=walk)
+        products = walk.finish()
+    return traj, TimeFold(traj.grid, traj.times, bumps, cfg.weights)(products)
 
 
 def tolerance_scale(traj: Trajectory) -> float:
@@ -426,12 +580,10 @@ def run_certify(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     if cfg.T <= 0:
         raise ConfigError("run.T", "certification needs T > 0")
-    family = cfg.build_initial_family()
-    traj = simulate(initial_state(family.base()), cfg.params, cfg.solver, cfg.T,
-                    cfg.output_times, keep_history=True)
     bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
-    tols = certificate_tolerances(cfg, traj)
-    records = run_certificates(traj, cfg.weights, bumps, tols)
+    traj, tested = _walked_run(cfg, bumps)
+    records = _certificate_records(traj, tested, cfg.weights,
+                                   certificate_tolerances(cfg, traj))
     _write_manifest(cfg, out)
     _write_certificates(records, out)
     ok = True
@@ -509,14 +661,12 @@ def refinement_study(cfg: RunConfig) -> dict:
     coarse = None
     for level in range(cfg.refine_levels):
         sub = _scaled_level(cfg, level)
-        family = sub.build_initial_family()
-        traj = simulate(initial_state(family.base()), sub.params, sub.solver,
-                        sub.T, sub.output_times, keep_history=True)
+        traj, tested = _walked_run(sub, bumps)
         print(f"[refine] level {level}: cells {sub.grid.cells}, "
               f"{len(traj.dts)} steps, mean dt {traj.mean_dt:.3e}")
         # tolerance 1.0: residual magnitudes are what the ladder measures
         loose = {k: 1.0 for k in CERTIFICATE_KINDS}
-        records = run_certificates(traj, cfg.weights, bumps, loose)
+        records = _certificate_records(traj, tested, cfg.weights, loose)
         for kind in CERTIFICATE_KINDS:
             residuals[kind].append([abs(r.residual) for r in records
                                     if r.name == RECORD_NAMES[kind]])

@@ -16,11 +16,13 @@ The trajectory records a full-resolution diagnostic series (per step: masses,
 norms, extrema), running space-time accumulators by the rectangle rule in
 time, snapshots at requested output times (the stepper lands on them
 exactly), and optionally the fields at every step for the certificate
-machinery.
+machinery. An optional observer sees the fields at every step boundary as
+they are stepped.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,12 +276,16 @@ def _state_diagnostics(grid: Grid, u, v, w, grad_w_sq, theta: float,
 
 def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
              output_times: list[float] | np.ndarray = (),
-             keep_history: bool = False) -> Trajectory:
+             keep_history: bool = False,
+             observer: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
+             ) -> Trajectory:
     """Run stable_dt-sized steps up to time T, landing on output times exactly.
 
     ``keep_history=True`` keeps a copy of the fields at every step boundary,
     t_0 .. t_M, for the certificate machinery; otherwise only the snapshots
-    at the output times are stored.
+    at the output times are stored. ``observer``, when given, is called with
+    the fields (u, v, w) at every step boundary, t_0 .. t_M; it must not
+    write to them.
     """
     if not 0.0 <= T < np.inf:
         raise ValueError(f"final time must be finite and >= 0, got {T}")
@@ -310,11 +316,13 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
             series[key].append(val)
         return face_g, grad_w_sq
 
-    def record_history():
-        history.append({"u": u.copy(), "v": v.copy(), "w": w.copy()})
+    def record_fields():
+        if keep_history:
+            history.append({"u": u.copy(), "v": v.copy(), "w": w.copy()})
+        if observer is not None:
+            observer(u, v, w)
 
-    if keep_history:
-        record_history()
+    record_fields()
     face_g, grad_w_sq = record_series({"min_u": float(u.min()), "min_v": float(v.min()),
                                        "min_w": float(w.min())})
 
@@ -354,8 +362,7 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
 
         times.append(t)
         dts.append(dt)
-        if keep_history:
-            record_history()
+        record_fields()
         face_g, grad_w_sq = record_series(stats)
 
         if not np.all(np.isfinite(list(accumulators.values()))):

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -35,10 +36,20 @@ def bumpy_state(grid, w0=0.1, u_mass=0.5, v_mass=0.3):
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail a test that leaves a child process running, as the benchmark does."""
+    """Fail a test that leaves a child process behind, as the benchmark does.
+
+    ``waitpid`` sees every child, also one not started through
+    ``multiprocessing``; it reaps one that has exited but was never joined.
+    """
     yield
     left = multiprocessing.active_children()
     assert not left, f"processes left running: {left}"
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail("a child process is still running" if pid == 0 else
+                f"child {pid} exited with status {status} but was never joined")
 
 
 @pytest.fixture

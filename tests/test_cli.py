@@ -534,6 +534,91 @@ class TestCertifyCommand:
         assert block > 1
         assert 0 < len(calls) <= (2 + weight_pairs) * math.ceil(instants / block)
 
+    @pytest.mark.parametrize("block", [None, 27], ids=["short-last", "full-last"])
+    def test_walker_gives_stored_walk_bytes(self, tmp_path, capsys, monkeypatch, block):
+        # certify walks beside the stepper, in a forked walker when there is a
+        # second CPU, and keeps the last block in this process. At any CPU count
+        # it writes the bytes of the walk over the stored history. SMALL_CFG
+        # steps 81 instants: blocks of 64 leave a short last block, blocks of 27
+        # a full one
+        from chemocert import identities, runner
+        from chemocert.identities import sample_bumps
+
+        if block is not None:
+            monkeypatch.setattr(identities, "WALK_CELLS", block * 16 * 16)
+        trajs = []
+        simulate = runner.simulate
+
+        def kept(*args, **kwargs):
+            trajs.append(simulate(*args, **kwargs))
+            return trajs[-1]
+
+        monkeypatch.setattr(runner, "simulate", kept)
+        cfg = write_cfg(tmp_path)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
+            runs.append((capsys.readouterr(), (out / "certificates.csv").read_bytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        traj = trajs[0]
+        walk_block = identities.WALK_CELLS // traj.grid.n_cells
+        instants = len(traj.times)
+        assert instants > walk_block  # the walker is handed at least one block
+        assert (instants % walk_block == 0) == (block is not None)
+        config = load_config(cfg)
+        bumps = sample_bumps(config.grid, config.T, config.bump_count, config.bump_seed)
+        records = runner.run_certificates(traj, config.weights, bumps,
+                                          runner.certificate_tolerances(config, traj))
+        runner._write_certificates(records, tmp_path / "stored")
+        assert (tmp_path / "stored" / "certificates.csv").read_bytes() == runs[0][1]
+
+    def test_dead_walker_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        # the forked walker dies on the first block it is handed
+        from chemocert import identities
+
+        stepper = os.getpid()
+        products = identities.InstantProducts.__call__
+
+        def dying_in_walker(self, *fields):
+            if os.getpid() != stepper:
+                os._exit(3)
+            return products(self, *fields)
+
+        monkeypatch.setattr(identities.InstantProducts, "__call__", dying_in_walker)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) != 0
+        assert "certificate walker exited with status 3" in capsys.readouterr().err
+        assert not (out / "certificates.csv").exists()
+
+    def test_failed_step_stops_the_walker(self, tmp_path, monkeypatch):
+        # a step raises after the walker has been handed a block: the error
+        # comes out, and the walker is terminated and joined on the way
+        import multiprocessing
+
+        from chemocert import solver
+        from chemocert.solver import SchemeViolationError
+
+        advance = solver._advance
+        steps = []
+
+        def failing_late(*args):
+            steps.append(1)
+            if len(steps) == 70:
+                raise SchemeViolationError("u reached -1e-09")
+            return advance(*args)
+
+        monkeypatch.setattr(solver, "_advance", failing_late)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(SchemeViolationError, match="u reached"):
+            main(["certify", "--config", str(write_cfg(tmp_path)), "--out",
+                  str(tmp_path / "cert")])
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # none left, not even unjoined
+            os.waitpid(-1, os.WNOHANG)
+
     def test_weak_form_records_pinned(self, tmp_path):
         # PINNED_RECORDS come from a bump-by-bump evaluation; the batched
         # contraction sums in another order, so they agree to roundoff
@@ -607,6 +692,18 @@ class TestRefineCommand:
         main(["refine", "--config", str(cfg), "--out", str(keyed), "--levels", "3"])
         assert (flag / "refine.csv").read_bytes() == (keyed / "refine.csv").read_bytes()
         assert "certify.seed = 5" in (flag / "manifest.cfg").read_text().splitlines()
+
+    def test_output_independent_of_cpu_count(self, tmp_path, capsys, monkeypatch):
+        # each level walks its certificates beside its steps: in this process
+        # with one CPU, in a forked walker with two
+        cfg = write_cfg(tmp_path, REFINE_CFG)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            main(["refine", "--config", str(cfg), "--out", str(out), "--levels", "3"])
+            runs.append((capsys.readouterr(), (out / "refine.csv").read_bytes()))
+        assert runs[1] == runs[0]
 
     def test_three_level_study(self, tmp_path):
         cfg = write_cfg(tmp_path, REFINE_CFG)

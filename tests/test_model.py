@@ -155,6 +155,17 @@ class TestExponents:
     def test_w_lp_cap(self, theta, n, expected):
         assert w_lp_exponent_cap(theta, n) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("theta, n, expected", [
+        (1.2, 1, 2.0), (1.2, 2, 4.0), (1.2, 3, 6.0),
+        (1.3, 3, 3.5),
+    ])
+    def test_exponents_exact_on_decimal_theta(self, theta, n, expected):
+        # N(2-theta)/(2(theta-1)) in floating point lands a hair off: above 2N
+        # at theta = 1.2, 3.499999999999999 at theta = 1.3 and N = 3
+        assert w_data_exponent(theta, n) == expected
+        if theta > theta_threshold(n):  # the cap exists only above it
+            assert w_lp_exponent_cap(theta, n) == expected
+
     def test_w_lp_cap_needs_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
             w_lp_exponent_cap(1.3, 3)  # threshold is 4/3
