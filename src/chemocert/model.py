@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -142,17 +141,21 @@ def theta_threshold(dim_N: int) -> float:
 def _critical_exponent(theta: float, dim_N: int) -> float:
     """N*(2-theta) / (2*(theta-1)): the signal exponents below are this, floored.
 
-    Evaluated exactly on theta's shortest decimal and rounded once, so that
-    theta = 1.2 gives 2N and theta = 1.3 at N = 3 gives 3.5, as the theory
-    does, and not a hair off.
+    Evaluated exactly on theta's shortest decimal a / b and rounded once, so
+    that theta = 1.2 gives 2N and theta = 1.3 at N = 3 gives 3.5, as the
+    theory does, and not a hair off.
     """
     if not 1.0 < theta < math.inf:
         raise ValueError(f"theta must be finite and exceed 1, got {theta}")
     dim_N = int(dim_N)
     if dim_N < 1:
         raise ValueError(f"dimension must be >= 1, got {dim_N}")
-    t = Fraction(repr(float(theta)))
-    return float(dim_N * (2 - t) / (2 * (t - 1)))
+    mantissa, _, exponent = repr(float(theta)).partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    shift = int(exponent or 0) - len(decimals)
+    a, b = int(whole + decimals) * 10 ** max(shift, 0), 10 ** max(-shift, 0)
+    # N(2 - a/b) / (2(a/b - 1)); the integer quotient is correctly rounded
+    return dim_N * (2 * b - a) / (2 * (a - b))
 
 
 def w_data_exponent(theta: float, dim_N: int) -> float:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import math
-import mmap
 import os
 import sys
 from collections import deque
@@ -458,12 +457,7 @@ class _Walk:
         self.proc = None
         shape = (3, products.block, *products.grid.shape)
         if (os.cpu_count() or 1) > 1:
-            nbytes = WALK_RING_SLOTS * math.prod(shape) * 8
-            # an anonymous shared mapping, made before the fork: the walker
-            # reads what this process copies in, and no named segment is left
-            self.ring = np.frombuffer(mmap.mmap(-1, nbytes)).reshape(
-                WALK_RING_SLOTS, *shape)
-            self._fork()
+            self.ring = self._fork(shape)
         else:
             self.ring = np.empty((1, *shape))
         self.free = deque(range(len(self.ring)))
@@ -472,16 +466,23 @@ class _Walk:
         self.slot = self.free.popleft()
         self.filled = 0
 
-    def _fork(self) -> None:
+    def _fork(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Fork the walker; the ring of blocks it shares with this process."""
+        import mmap
         import multiprocessing
 
+        # an anonymous shared mapping, made before the fork: the walker reads
+        # what this process copies in, and no named segment is left behind
+        nbytes = WALK_RING_SLOTS * math.prod(shape) * 8
+        ring = np.frombuffer(mmap.mmap(-1, nbytes)).reshape(WALK_RING_SLOTS, *shape)
         # fork, not spawn: the ring is inherited, and patched functions with it
         ctx = multiprocessing.get_context("fork")
         self.conn, walker_end = ctx.Pipe()
         self.proc = ctx.Process(target=_walk_ring, daemon=True,
-                                args=(self.products, self.ring, walker_end, self.conn))
+                                args=(self.products, ring, walker_end, self.conn))
         self.proc.start()
         walker_end.close()  # the walker holds the only copy: its exit is EOF here
+        return ring
 
     def __enter__(self) -> _Walk:
         return self

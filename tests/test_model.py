@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,6 +166,13 @@ class TestExponents:
         assert w_data_exponent(theta, n) == expected
         if theta > theta_threshold(n):  # the cap exists only above it
             assert w_lp_exponent_cap(theta, n) == expected
+
+    @given(theta=st.floats(1.0, 1e6, exclude_min=True), n=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_exponent_is_the_decimal_quotient_rounded_once(self, theta, n):
+        # reference: the quotient in exact rational arithmetic on repr(theta)
+        t = Fraction(repr(theta))
+        assert w_data_exponent(theta, n) == max(2.0, float(n * (2 - t) / (2 * (t - 1))))
 
     def test_w_lp_cap_needs_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
