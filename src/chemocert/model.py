@@ -18,7 +18,6 @@ initial signal data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +144,7 @@ def _critical_exponent(theta: float, dim_N: int) -> float:
     that theta = 1.2 gives 2N and theta = 1.3 at N = 3 gives 3.5, as the
     theory does, and not a hair off.
     """
-    if not 1.0 < theta < math.inf:
+    if not 1.0 < theta < np.inf:
         raise ValueError(f"theta must be finite and exceed 1, got {theta}")
     dim_N = int(dim_N)
     if dim_N < 1:
