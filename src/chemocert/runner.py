@@ -17,10 +17,11 @@ certificates beside the stepper. A walker forked before the first step
 takes each complete block of instants from a ring in anonymous shared
 memory, given only its slot index down a pipe, and sends back the block's
 products; the last block, full or short, is walked in this process, which
-then folds every instant in time order. With one CPU nothing is forked and
-the same blocks are walked here. The certificates are the same bytes either
-way. A span recorder in this process sees only the last block's walk. The
-dense history is still kept: the benchmark's memory counter reads it.
+then folds every instant in time order. With one CPU nothing is forked:
+the stored history is walked after the last step, in the same blocks, so
+the certificates are the same bytes either way. A span recorder in this
+process sees only the last block's walk. The dense history is still kept:
+the benchmark's memory counter reads it.
 """
 
 from __future__ import annotations
@@ -440,58 +441,45 @@ class _Walk:
     """Step observer that walks the weak-form products beside the stepper.
 
     Each step boundary's (u, v, w) is copied into the current slot of a ring
-    of blocks of ``products.block`` instants. A block is handed off when the
-    instant after it arrives, so the last block, full or short, stays in this
-    process for :meth:`finish`. With a second CPU one walker, forked before
-    the first step, takes the handed-off slots from a ring in anonymous
-    shared memory: only a slot's index goes down the pipe, and each block's
-    products come back up it. With one CPU nothing is forked and each block
-    is walked here as it is handed off. Either way every instant's products
-    come from the same call on the same block, so they are the same bytes.
-    Use it as a context manager: on the way out a walker still running is
+    of blocks of ``products.block`` instants, in anonymous shared memory made
+    before one walker is forked. A block is handed off when the instant after
+    it arrives: only its slot index goes down the pipe, and its products come
+    back up it. The last block, full or short, stays in this process for
+    :meth:`finish`. Every instant's products come from the same call on the
+    same block as in :func:`history_pass`, so they are the same bytes. Use it
+    as a context manager: on the way out a walker still running is
     terminated and joined.
     """
 
     def __init__(self, products: InstantProducts):
-        self.products = products
-        self.proc = None
-        shape = (3, products.block, *products.grid.shape)
-        if (os.cpu_count() or 1) > 1:
-            self.ring = self._fork(shape)
-        else:
-            self.ring = np.empty((1, *shape))
-        self.free = deque(range(len(self.ring)))
-        self.sent: deque[int] = deque()  # slots the walker holds, oldest first
-        self.walked: list[np.ndarray] = []  # products of handed-off blocks, in order
-        self.slot = self.free.popleft()
-        self.filled = 0
-
-    def _fork(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Fork the walker; the ring of blocks it shares with this process."""
         import mmap
         import multiprocessing
 
+        self.products = products
+        shape = (WALK_RING_SLOTS, 3, products.block, *products.grid.shape)
         # an anonymous shared mapping, made before the fork: the walker reads
         # what this process copies in, and no named segment is left behind
-        nbytes = WALK_RING_SLOTS * math.prod(shape) * 8
-        ring = np.frombuffer(mmap.mmap(-1, nbytes)).reshape(WALK_RING_SLOTS, *shape)
+        self.ring = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
         # fork, not spawn: the ring is inherited, and patched functions with it
         ctx = multiprocessing.get_context("fork")
         self.conn, walker_end = ctx.Pipe()
         self.proc = ctx.Process(target=_walk_ring, daemon=True,
-                                args=(self.products, ring, walker_end, self.conn))
+                                args=(products, self.ring, walker_end, self.conn))
         self.proc.start()
         walker_end.close()  # the walker holds the only copy: its exit is EOF here
-        return ring
+        self.free = deque(range(1, WALK_RING_SLOTS))
+        self.sent: deque[int] = deque()  # slots the walker holds, oldest first
+        self.walked: list[np.ndarray] = []  # products of handed-off blocks, in order
+        self.slot = 0
+        self.filled = 0
 
     def __enter__(self) -> _Walk:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.proc is not None:
-            self.proc.terminate()  # no-op once joined
-            self.proc.join()
-            self.conn.close()
+        self.proc.terminate()  # no-op once joined
+        self.proc.join()
+        self.conn.close()
         self.ring = None
 
     def __call__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
@@ -502,13 +490,10 @@ class _Walk:
         self.filled += 1
 
     def _hand_off(self) -> None:
-        if self.proc is None:
-            self.walked.append(self.products(*self.ring[self.slot]))
-        else:
-            self._send(self.slot)
-            self.sent.append(self.slot)
-            self._collect(wait=not self.free)
-            self.slot = self.free.popleft()
+        self._send(self.slot)
+        self.sent.append(self.slot)
+        self._collect(wait=not self.free)
+        self.slot = self.free.popleft()
         self.filled = 0
 
     def _collect(self, wait: bool) -> None:
@@ -535,23 +520,26 @@ class _Walk:
     def finish(self) -> np.ndarray:
         """Every instant's products, in time order; the last block is walked here."""
         last = self.products(*self.ring[self.slot, :, :self.filled])
-        if self.proc is not None:
-            self._send(None)
-            while self.sent:
-                self._collect(wait=True)
-            self.proc.join()
+        self._send(None)
+        while self.sent:
+            self._collect(wait=True)
+        self.proc.join()
         return np.concatenate(self.walked + [last])
 
 
 def _walked_run(cfg: RunConfig, bumps) -> tuple[Trajectory, HistoryPass]:
     """``simulate`` on cfg's base data, every weak-form kind walked beside the steps.
 
+    With one CPU the stored history is walked after the last step instead.
     The dense history is still kept: the benchmark reads the memory it holds.
     """
-    family = cfg.build_initial_family()
+    state = initial_state(cfg.build_initial_family().base())
+    run = (state, cfg.params, cfg.solver, cfg.T, cfg.output_times)
+    if (os.cpu_count() or 1) == 1:
+        traj = simulate(*run, keep_history=True)
+        return traj, history_pass(traj, bumps, cfg.weights)
     with _Walk(InstantProducts(cfg.grid, cfg.params, bumps, cfg.weights)) as walk:
-        traj = simulate(initial_state(family.base()), cfg.params, cfg.solver, cfg.T,
-                        cfg.output_times, keep_history=True, observer=walk)
+        traj = simulate(*run, keep_history=True, observer=walk)
         products = walk.finish()
     return traj, TimeFold(traj.grid, traj.times, bumps, cfg.weights)(products)
 
@@ -677,7 +665,10 @@ def refinement_study(cfg: RunConfig) -> dict:
         if coarse is not None:
             for name, gap in _l1_gaps(coarse, traj).items():
                 sol_diffs[name].append(gap)
-        coarse = traj
+        # the gaps read snapshots only; drop this level's history before the
+        # next level forks its walker
+        coarse = replace(traj, history=None)
+        del traj
 
     cert_orders = {}
     for kind in CERTIFICATE_KINDS:

@@ -534,18 +534,32 @@ class TestCertifyCommand:
         assert block > 1
         assert 0 < len(calls) <= (2 + weight_pairs) * math.ceil(instants / block)
 
-    @pytest.mark.parametrize("block", [None, 27], ids=["short-last", "full-last"])
+    @pytest.mark.parametrize("block", [None, 27, 1],
+                             ids=["short-last", "full-last", "one-instant"])
     def test_walker_gives_stored_walk_bytes(self, tmp_path, capsys, monkeypatch, block):
-        # certify walks beside the stepper, in a forked walker when there is a
-        # second CPU, and keeps the last block in this process. At any CPU count
-        # it writes the bytes of the walk over the stored history. SMALL_CFG
-        # steps 81 instants: blocks of 64 leave a short last block, blocks of 27
-        # a full one
+        # certify walks beside the stepper in a forked walker when there is a
+        # second CPU, and keeps the last block in this process; with one CPU
+        # it walks the stored history. At any CPU count it writes the bytes of
+        # the walk over the stored history. SMALL_CFG steps 81 instants: blocks
+        # of 64 leave a short last block, blocks of 27 a full one, and blocks
+        # of one instant go round the ring ten times. The walker is slowed, so
+        # the ring fills and the stepper waits for freed slots
+        import time
+
         from chemocert import identities, runner
         from chemocert.identities import sample_bumps
 
         if block is not None:
             monkeypatch.setattr(identities, "WALK_CELLS", block * 16 * 16)
+        stepper = os.getpid()
+        products = identities.InstantProducts.__call__
+
+        def slow_in_walker(self, *fields):
+            if os.getpid() != stepper:
+                time.sleep(0.002)
+            return products(self, *fields)
+
+        monkeypatch.setattr(identities.InstantProducts, "__call__", slow_in_walker)
         trajs = []
         simulate = runner.simulate
 
@@ -694,8 +708,8 @@ class TestRefineCommand:
         assert "certify.seed = 5" in (flag / "manifest.cfg").read_text().splitlines()
 
     def test_output_independent_of_cpu_count(self, tmp_path, capsys, monkeypatch):
-        # each level walks its certificates beside its steps: in this process
-        # with one CPU, in a forked walker with two
+        # each level walks its certificates in a forked walker beside its
+        # steps with two CPUs, and its stored history after them with one
         cfg = write_cfg(tmp_path, REFINE_CFG)
         runs = []
         for cpus in (1, 2):
