@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, load_config
+from .config import load_config
 from .runner import (
     run_certify,
     run_refine,
@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, seeded="the seed of the evaluation points (default 0)",
                needs_config=False)
     p.add_argument("--samples", type=int, default=100,
-                   help="random evaluation points per identity (default 100)")
+                   help="random evaluation points per identity, at most 100000 "
+                        "(default 100)")
 
     p = sub.add_parser("refine", help="grid/time refinement ladder and calibration")
     add_common(p, seeded="certify.seed, the seed of the bump family")
@@ -86,9 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "refine":
             return run_refine(cfg, args.out)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # a ConfigError is a ValueError, a dead walker's ChildProcessError an OSError
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,11 +17,10 @@ certificates beside the stepper. A walker forked before the first step
 takes each complete block of instants from a ring in anonymous shared
 memory, given only its slot index down a pipe, and sends back the block's
 products; the last block, full or short, is walked in this process, which
-then folds every instant in time order. With one CPU nothing is forked:
-the stored history is walked after the last step, in the same blocks, so
-the certificates are the same bytes either way. A span recorder in this
-process sees only the last block's walk. The dense history is still kept:
-the benchmark's memory counter reads it.
+then folds every instant in time order, so the certificates are the bytes
+of the walk over the stored history. A span recorder in this process sees
+only the last block's walk. The dense history is still kept: the
+benchmark's memory counter reads it.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import csv
 import math
 import os
 import sys
-from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NoReturn
@@ -39,7 +38,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import FLOAT_FORMAT, ConfigError, RunConfig, _fmt
+from .config import FLOAT_FORMAT, MAX_LIST_COUNT, ConfigError, RunConfig, _fmt
 from .estimates import (
     DISSIPATION_BANDS,
     EstimateRecord,
@@ -292,6 +291,59 @@ def _run_share(rungs: list[tuple], conn=None) -> list[tuple[Trajectory | None, s
     return results
 
 
+def _in_child(target, args, conn, parent_end) -> None:
+    parent_end.close()  # the parent holds the only copy: its exit is EOF here
+    target(*args, conn)
+
+
+class _Worker:
+    """A forked daemon child that runs ``target(*args, conn)``.
+
+    ``conn`` is the child's end of a two-way pipe whose other end is kept
+    here, and each side holds the only copy of its end. So the child's exit is
+    EOF here: :meth:`recv`, and :meth:`send` on a broken pipe, then raise
+    ``ChildProcessError("<name> exited with status <code>")``. Use it as a
+    context manager: on the way out the child is terminated (a no-op once it
+    has exited) and joined.
+    """
+
+    def __init__(self, name: str, target, *args):
+        import multiprocessing
+
+        self.name = name
+        # fork, not spawn: the child inherits shared mappings and patched functions
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_in_child, daemon=True,
+                                args=(target, args, child_end, self.conn))
+        self.proc.start()
+        child_end.close()
+
+    def __enter__(self) -> _Worker:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.proc.terminate()
+        self.proc.join()
+        self.conn.close()
+
+    def send(self, message) -> None:
+        try:
+            self.conn.send(message)
+        except OSError:
+            self._died()
+
+    def recv(self):
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            self._died()
+
+    def _died(self) -> NoReturn:
+        self.proc.join()
+        raise ChildProcessError(f"{self.name} exited with status {self.proc.exitcode}")
+
+
 def _run_ladder(rungs: list[tuple]) -> list[tuple[Trajectory | None, str | None]]:
     """Every rung's ``_run_share`` result, in rung order, one share per CPU.
 
@@ -302,35 +354,20 @@ def _run_ladder(rungs: list[tuple]) -> list[tuple[Trajectory | None, str | None]
     this process while it steps. A rung its worker never sent fails with the
     worker's exit status.
     """
-    import multiprocessing
-
     n = min(len(rungs), os.cpu_count() or 1)
     shares = [rungs[i::n] for i in range(n)]
-    ctx = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for share in shares[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_run_share, args=(share, send), daemon=True)
-            proc.start()
-            send.close()  # the worker holds the only write end: its exit is EOF here
-            workers.append((proc, recv))
+    with ExitStack() as workers:
+        forked = [workers.enter_context(_Worker("worker", _run_share, share))
+                  for share in shares[1:]]
         results = [_run_share(shares[0])]
-        for (proc, recv), share in zip(workers, shares[1:]):
+        for worker, share in zip(forked, shares[1:]):
             got = []
-            with recv:
-                try:
-                    while len(got) < len(share):
-                        got.append(recv.recv())
-                except EOFError:  # the worker died before sending them all
-                    pass
-            proc.join()
-            lost = (None, f"worker exited with status {proc.exitcode}")
-            results.append(got + [lost] * (len(share) - len(got)))
-    finally:
-        for proc, _ in workers:
-            proc.terminate()  # no-op once joined
-            proc.join()
+            try:
+                while len(got) < len(share):
+                    got.append(worker.recv())
+            except ChildProcessError as exc:  # the worker died before sending them all
+                got += [(None, str(exc))] * (len(share) - len(got))
+            results.append(got)
     return [results[j % n][j // n] for j in range(len(rungs))]
 
 
@@ -430,9 +467,8 @@ def _certificate_records(traj: Trajectory, tested: HistoryPass,
 WALK_RING_SLOTS = 8
 
 
-def _walk_ring(products: InstantProducts, ring: np.ndarray, conn, stepper_end) -> None:
+def _walk_ring(products: InstantProducts, ring: np.ndarray, conn) -> None:
     """The forked walker: for each slot index received, that block's products."""
-    stepper_end.close()  # so that the stepper's exit is EOF here
     while (slot := conn.recv()) is not None:
         conn.send(products(*ring[slot]))
 
@@ -440,106 +476,67 @@ def _walk_ring(products: InstantProducts, ring: np.ndarray, conn, stepper_end) -
 class _Walk:
     """Step observer that walks the weak-form products beside the stepper.
 
-    Each step boundary's (u, v, w) is copied into the current slot of a ring
-    of blocks of ``products.block`` instants, in anonymous shared memory made
-    before one walker is forked. A block is handed off when the instant after
-    it arrives: only its slot index goes down the pipe, and its products come
-    back up it. The last block, full or short, stays in this process for
-    :meth:`finish`. Every instant's products come from the same call on the
-    same block as in :func:`history_pass`, so they are the same bytes. Use it
-    as a context manager: on the way out a walker still running is
-    terminated and joined.
+    Each step boundary's (u, v, w) is copied into a ring of blocks of
+    ``products.block`` instants, in anonymous shared memory made before one
+    walker is forked; block b fills slot ``b % WALK_RING_SLOTS``. A block is
+    handed off when the instant after it arrives: only its slot index goes
+    down the pipe, and its products come back up it. The last block, full or
+    short, stays in this process for :meth:`finish`. Every instant's products
+    come from the same call on the same block as in :func:`history_pass`, so
+    they are the same bytes. Use it as a context manager: on the way out a
+    walker still running is terminated and joined.
     """
 
     def __init__(self, products: InstantProducts):
         import mmap
-        import multiprocessing
 
         self.products = products
         shape = (WALK_RING_SLOTS, 3, products.block, *products.grid.shape)
         # an anonymous shared mapping, made before the fork: the walker reads
         # what this process copies in, and no named segment is left behind
         self.ring = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
-        # fork, not spawn: the ring is inherited, and patched functions with it
-        ctx = multiprocessing.get_context("fork")
-        self.conn, walker_end = ctx.Pipe()
-        self.proc = ctx.Process(target=_walk_ring, daemon=True,
-                                args=(products, self.ring, walker_end, self.conn))
-        self.proc.start()
-        walker_end.close()  # the walker holds the only copy: its exit is EOF here
-        self.free = deque(range(1, WALK_RING_SLOTS))
-        self.sent: deque[int] = deque()  # slots the walker holds, oldest first
+        self.walker = _Worker("certificate walker", _walk_ring, products, self.ring)
         self.walked: list[np.ndarray] = []  # products of handed-off blocks, in order
-        self.slot = 0
+        self.sent = 0  # blocks handed off
         self.filled = 0
 
     def __enter__(self) -> _Walk:
         return self
 
     def __exit__(self, *exc) -> None:
-        self.proc.terminate()  # no-op once joined
-        self.proc.join()
-        self.conn.close()
+        self.walker.__exit__(*exc)
         self.ring = None
 
     def __call__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
         if self.filled == self.products.block:
-            self._hand_off()
-        for dest, values in zip(self.ring[self.slot], (u, v, w)):
+            self.walker.send(self.sent % WALK_RING_SLOTS)
+            self.sent += 1
+            self.filled = 0
+            # the slot to fill next still holds a block the walker has not sent back
+            if self.sent - len(self.walked) == WALK_RING_SLOTS:
+                self.walked.append(self.walker.recv())
+        for dest, values in zip(self.ring[self.sent % WALK_RING_SLOTS], (u, v, w)):
             dest[self.filled] = values
         self.filled += 1
 
-    def _hand_off(self) -> None:
-        self._send(self.slot)
-        self.sent.append(self.slot)
-        self._collect(wait=not self.free)
-        self.slot = self.free.popleft()
-        self.filled = 0
-
-    def _collect(self, wait: bool) -> None:
-        """Take in what the walker has sent; with ``wait``, at least one block."""
-        while self.sent and (wait or self.conn.poll()):
-            try:
-                self.walked.append(self.conn.recv())
-            except (EOFError, OSError):
-                self._walker_died()
-            self.free.append(self.sent.popleft())
-            wait = False
-
-    def _send(self, message: int | None) -> None:
-        try:
-            self.conn.send(message)
-        except OSError:
-            self._walker_died()
-
-    def _walker_died(self) -> NoReturn:
-        self.proc.join()
-        raise ChildProcessError(
-            f"certificate walker exited with status {self.proc.exitcode}")
-
     def finish(self) -> np.ndarray:
         """Every instant's products, in time order; the last block is walked here."""
-        last = self.products(*self.ring[self.slot, :, :self.filled])
-        self._send(None)
-        while self.sent:
-            self._collect(wait=True)
-        self.proc.join()
+        last = self.products(*self.ring[self.sent % WALK_RING_SLOTS, :, :self.filled])
+        self.walker.send(None)
+        while len(self.walked) < self.sent:
+            self.walked.append(self.walker.recv())
         return np.concatenate(self.walked + [last])
 
 
 def _walked_run(cfg: RunConfig, bumps) -> tuple[Trajectory, HistoryPass]:
     """``simulate`` on cfg's base data, every weak-form kind walked beside the steps.
 
-    With one CPU the stored history is walked after the last step instead.
     The dense history is still kept: the benchmark reads the memory it holds.
     """
     state = initial_state(cfg.build_initial_family().base())
-    run = (state, cfg.params, cfg.solver, cfg.T, cfg.output_times)
-    if (os.cpu_count() or 1) == 1:
-        traj = simulate(*run, keep_history=True)
-        return traj, history_pass(traj, bumps, cfg.weights)
     with _Walk(InstantProducts(cfg.grid, cfg.params, bumps, cfg.weights)) as walk:
-        traj = simulate(*run, keep_history=True, observer=walk)
+        traj = simulate(state, cfg.params, cfg.solver, cfg.T, cfg.output_times,
+                        keep_history=True, observer=walk)
         products = walk.finish()
     return traj, TimeFold(traj.grid, traj.times, bumps, cfg.weights)(products)
 
@@ -589,8 +586,8 @@ def run_certify(cfg: RunConfig, out_dir: str | Path) -> int:
 
 def run_verify_identities(samples: int, seed: int,
                           out_dir: str | Path | None = None) -> int:
-    if samples < 1:
-        raise ConfigError("samples", "must be >= 1")
+    if not 1 <= samples <= MAX_LIST_COUNT:
+        raise ConfigError("samples", f"must lie in [1, {MAX_LIST_COUNT}], got {samples}")
     rows = []
     ok = True
     for p in (0.5, 1.0, 2.0, 4.0):

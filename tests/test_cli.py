@@ -537,9 +537,8 @@ class TestCertifyCommand:
     @pytest.mark.parametrize("block", [None, 27, 1],
                              ids=["short-last", "full-last", "one-instant"])
     def test_walker_gives_stored_walk_bytes(self, tmp_path, capsys, monkeypatch, block):
-        # certify walks beside the stepper in a forked walker when there is a
-        # second CPU, and keeps the last block in this process; with one CPU
-        # it walks the stored history. At any CPU count it writes the bytes of
+        # certify walks beside the stepper in a forked walker and keeps the
+        # last block in this process. At any CPU count it writes the bytes of
         # the walk over the stored history. SMALL_CFG steps 81 instants: blocks
         # of 64 leave a short last block, blocks of 27 a full one, and blocks
         # of one instant go round the ring ten times. The walker is slowed, so
@@ -588,8 +587,10 @@ class TestCertifyCommand:
         runner._write_certificates(records, tmp_path / "stored")
         assert (tmp_path / "stored" / "certificates.csv").read_bytes() == runs[0][1]
 
-    def test_dead_walker_fails_the_run(self, tmp_path, capsys, monkeypatch):
-        # the forked walker dies on the first block it is handed
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_dead_walker_fails_the_run(self, tmp_path, capsys, monkeypatch, cpus):
+        # the forked walker, forked at any CPU count, dies on the first block
+        # it is handed
         from chemocert import identities
 
         stepper = os.getpid()
@@ -601,7 +602,7 @@ class TestCertifyCommand:
             return products(self, *fields)
 
         monkeypatch.setattr(identities.InstantProducts, "__call__", dying_in_walker)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         out = tmp_path / "cert"
         assert main(["certify", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) != 0
         assert "certificate walker exited with status 3" in capsys.readouterr().err
@@ -665,6 +666,13 @@ class TestVerifyIdentitiesCommand:
                      "--samples", "0"]) == 2
         assert "samples" in capsys.readouterr().err
 
+    def test_too_many_samples_rejected(self, tmp_path, capsys):
+        # refused before the identities allocate arrays of `samples` doubles
+        assert main(["verify-identities", "--out", str(tmp_path),
+                     "--samples", "100001"]) == 2
+        assert "samples" in capsys.readouterr().err
+        assert not (tmp_path / "identities.csv").exists()
+
 
 class TestRefineCommand:
     def test_levels_validation(self, tmp_path, capsys):
@@ -709,7 +717,7 @@ class TestRefineCommand:
 
     def test_output_independent_of_cpu_count(self, tmp_path, capsys, monkeypatch):
         # each level walks its certificates in a forked walker beside its
-        # steps with two CPUs, and its stored history after them with one
+        # steps, at any CPU count
         cfg = write_cfg(tmp_path, REFINE_CFG)
         runs = []
         for cpus in (1, 2):

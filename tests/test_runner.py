@@ -1,6 +1,9 @@
-"""CSV output: the one-pass table format against the per-value loop it replaced."""
+"""CSV output against the per-value loop it replaced, and the forked-worker helper."""
 
 import csv
+import multiprocessing
+import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +11,8 @@ import pytest
 
 from chemocert import Grid, ModelParams, SolverConfig, State, simulate
 from chemocert.config import _fmt
-from chemocert.runner import _write_csv, _write_diagnostics, _write_fields
+from chemocert import runner
+from chemocert.runner import _Worker, _write_csv, _write_diagnostics, _write_fields
 
 SPECIAL = (0.0, 5e-324, 1e300, 0.1 + 0.2, 1 / 3)
 
@@ -87,3 +91,32 @@ def test_diagnostics_match_per_value_loop(tmp_path):
     reference_csv(tmp_path / "old.csv", header, rows)
     assert len(rows) > 2
     assert (tmp_path / "diagnostics.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _exit_5(conn):
+    os._exit(5)
+
+
+def test_dead_child_fails_recv_and_send():
+    with _Worker("helper", _exit_5) as child:
+        with pytest.raises(ChildProcessError, match="^helper exited with status 5$"):
+            child.recv()
+        with pytest.raises(ChildProcessError, match="^helper exited with status 5$"):
+            child.send(None)
+
+
+def test_interrupted_sweep_reaps_its_workers(monkeypatch):
+    # _run_share keeps going past an Exception, not past an interrupt; the
+    # workers are still stepping when share 0 is interrupted
+    main = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == main:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(runner, "simulate", interrupted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with pytest.raises(KeyboardInterrupt):
+        runner._run_ladder([(j,) for j in range(3)])
+    assert multiprocessing.active_children() == []
