@@ -11,10 +11,7 @@ makes three identities exact in floating point:
 
 Both 1D and 2D grids are supported; 1D grids exist mainly as fast oracles for
 the time-stepping and certification machinery. The calculus below is written
-over the grid's axes and never branches on their number. The gradient
-functions index those axes from the end, so any leading axes are a batch:
-a stack of fields ``(k, *grid.shape)`` gives each field's result, bit for bit,
-in one call.
+over the grid's axes and never branches on their number.
 """
 
 from __future__ import annotations
@@ -185,10 +182,10 @@ def lp_norm_values(grid: Grid, values: np.ndarray, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _axis_slice(ndim: int, axis: int, sl: slice) -> tuple:
-    """Index ``sl`` along grid axis ``axis`` of ``ndim``, after any batch axes."""
+    """Index ``sl`` along axis ``axis`` of ``ndim``."""
     out = [slice(None)] * ndim
     out[axis] = sl
-    return (Ellipsis, *out)
+    return tuple(out)
 
 
 def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -197,8 +194,7 @@ def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ..
     Along axis ``a`` the returned array has ``cells[a] + 1`` entries in that
     axis: interior faces carry ``(f[i+1] - f[i]) / h`` and the two boundary
     faces are zero (mirrored ghosts, i.e. no flux). A single-cell axis has
-    only boundary faces, hence a zero gradient. ``values`` may carry leading
-    batch axes before the grid's.
+    only boundary faces, hence a zero gradient.
     """
     values = np.asarray(values, dtype=float)
     out = []
@@ -206,7 +202,7 @@ def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ..
         n = grid.cells[a]
         h = grid.spacing[a]
         shape = list(values.shape)
-        shape[a - grid.dim] = n + 1
+        shape[a] = n + 1
         g = np.zeros(shape)
         if n >= 2:
             hi = values[_axis_slice(grid.dim, a, slice(1, None))]

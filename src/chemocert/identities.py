@@ -18,13 +18,12 @@ derivatives, so only the trajectory and the space-time quadrature contribute
 to the tolerance C*(h+dt). Every weak form is linear in the test function,
 so a certificate kind is just its integrand: rows (A, B) per history instant,
 tested as int A*S + B.grad S against the whole bump family. One walk over
-the history serves every kind, in two parts. :class:`InstantProducts` visits
-the instants in blocks of ``WALK_CELLS`` cells: per block it takes grad w
-once, assembles the rows of all kinds for every instant of the block at
-once, and contracts each instant's rows with the family in two matrix
-products. :class:`TimeFold` then folds those products in time order.
+the history serves every kind, in two parts. :class:`InstantProducts` takes
+one instant at a time: it takes grad w once, assembles the rows of all kinds,
+and contracts them with the family in two matrix products.
+:class:`TimeFold` then folds those products in time order.
 :func:`history_pass` runs both on a stored history; a walk beside the
-stepper runs the same two on the blocks as they are stepped. Each
+stepper runs the same two on the instants as they are stepped. Each
 certificate function then only reduces the result to its records.
 
 Two assembled coefficients matter enough to spell out:
@@ -49,10 +48,6 @@ import numpy as np
 from .grid import Grid, gradient_values
 from .model import ModelParams, _check_nonneg, _pow, source_w
 from .solver import Trajectory
-
-# cells the history walk stacks per block of instants: 4 instants at 64^2, one
-# at 128^2 and above, so a block's temporaries stay near those of one instant
-WALK_CELLS = 16384
 
 # ---------------------------------------------------------------------------
 # weight pair
@@ -519,17 +514,15 @@ def _kind_sizes(weights_list) -> list[int]:
 
 
 class InstantProducts:
-    """Every weak-form kind's rows at each instant, tested against one bump family.
+    """Every weak-form kind's rows at one instant, tested against one bump family.
 
-    Called on the stacked fields of a block of instants (u, v, w, each of
-    shape ``(instants, *grid.shape)``), it takes grad w once for the whole
-    block, and every kind gives rows (A, B) for each instant: 3 for w, 2 for
-    ln(1+v), 4 per weight pair for z, a density first (B = 0) and right
-    sides sharing one flux B. Each row becomes vol * sum(A*S + B.grad S) per
-    bump, an array of shape ``(instants, rows, bumps)``: per instant, all A
-    against S in one matrix product and each kind's B against grad S once in
-    another. The products depend only on the fields and the test family, and
-    every instant's are the same bytes in any block and any process.
+    Called on one instant's fields (u, v, w), it takes grad w once, and every
+    kind gives rows (A, B): 3 for w, 2 for ln(1+v), 4 per weight pair for z,
+    a density first (B = 0) and right sides sharing one flux B. Each row
+    becomes vol * sum(A*S + B.grad S) per bump, an array of shape
+    ``(rows, bumps)``: all A against S in one matrix product and each kind's
+    B against grad S once in another. The products depend only on the fields
+    and the test family, so they are the same bytes in any process.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, bumps, weights_list=()):
@@ -541,11 +534,6 @@ class InstantProducts:
         self._kind = np.repeat(np.arange(len(sizes)), sizes)
         self._sides = np.flatnonzero(np.diff(self._kind, prepend=-1) == 0)  # after the density
 
-    @property
-    def block(self) -> int:
-        """Instants a walk stacks per block: ``WALK_CELLS // cells``, at least one."""
-        return max(1, WALK_CELLS // self.grid.n_cells)
-
     def __call__(self, u, v, w) -> np.ndarray:
         grid, kind, sides = self.grid, self._kind, self._sides
         gw = gradient_values(grid, w)
@@ -553,14 +541,11 @@ class InstantProducts:
         kinds = [_signal_rows(u, v, w, gw, net_source), _log_v_rows(grid, u, v, gw)]
         kinds += [_superposition_rows(grid, u, v, w, gw, weights, self.params.theta,
                                       net_source) for weights in self.weights_list]
-        values = np.stack([a for rows, _ in kinds for a in rows], axis=1)
-        fluxes = np.stack([g for _, flux in kinds for g in flux], axis=1)
-        # one product per instant, of the same shape at any block size: the BLAS
-        # may sum an entry in another order when the product's shape changes.
-        # The right sides of a kind share its flux, which is contracted once.
-        c = values.reshape(len(u), len(kind), -1) @ self.test_values.T
-        c[:, sides] += (fluxes.reshape(len(u), len(kinds), -1)
-                        @ self.test_grads.T)[:, kind[sides]]
+        values = np.stack([a for rows, _ in kinds for a in rows])
+        fluxes = np.stack([g for _, flux in kinds for g in flux])
+        # the right sides of a kind share its flux, which is contracted once
+        c = values.reshape(len(kind), -1) @ self.test_values.T
+        c[sides] += (fluxes.reshape(len(kinds), -1) @ self.test_grads.T)[kind[sides]]
         c *= grid.cell_volume
         return c
 
@@ -599,7 +584,7 @@ class TimeFold:
                 raise ValueError("bump time window contains no interior history points")
             self.stop = max(self.stop, 2 + self.need.nonzero()[0].max())
 
-    def __call__(self, products: np.ndarray) -> HistoryPass:
+    def __call__(self, products: list[np.ndarray]) -> HistoryPass:
         """Fold the products of instants 0 .. ``stop`` - 1 (at least those)."""
         times, psi, interior, need = self.times, self.psi, self.interior, self.need
         sizes = _kind_sizes(self.weights_list)
@@ -629,10 +614,9 @@ class TimeFold:
 def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
     """Test the integrand of every weak-form kind in one walk over the stored history.
 
-    The instants the fold weighs are walked in blocks of
-    :attr:`InstantProducts.block`, then folded by :class:`TimeFold`. A walk
-    beside the stepper feeds the same two parts the same blocks, so it gives
-    the same bytes.
+    Each instant the fold weighs is walked by :class:`InstantProducts`, then
+    folded by :class:`TimeFold`. A walk beside the stepper feeds the same two
+    parts the same instants, so it gives the same bytes.
     """
     history = traj.history
     if history is None:
@@ -643,11 +627,7 @@ def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
             "boundaries; its cadence must be one step")
     fold = TimeFold(traj.grid, traj.times, bumps, weights_list)
     walk = InstantProducts(traj.grid, traj.params, bumps, weights_list)
-    blocks = [walk(*(np.array([history[i][name]
-                               for i in range(start, min(start + walk.block, fold.stop))])
-                     for name in "uvw"))
-              for start in range(0, fold.stop, walk.block)]
-    return fold(np.concatenate(blocks))
+    return fold([walk(*(history[i][name] for name in "uvw")) for i in range(fold.stop)])
 
 
 def certify_weakform_w(tested: HistoryPass, tol: float) -> list[CertificateRecord]:
@@ -694,10 +674,10 @@ def z_evolution_residual(tested: HistoryPass, weights: EntropyWeights,
                          tol: float) -> list[CertificateRecord]:
     """Instantaneous evolution identity of z tested against each bump.
 
-    The time derivative of z comes from centered differences of the stored
-    history, which holds every step boundary; all other terms are assembled
-    from the grid calculus at each instant. The reported residual is the
-    worst instantaneous mismatch inside the bump's time window.
+    The time derivative of z comes from centered differences over the step
+    boundaries the walk visits; all other terms are assembled from the grid
+    calculus at each instant. The reported residual is the worst
+    instantaneous mismatch inside the bump's time window.
     """
     records = []
     for b, (gated, printed, _, n) in enumerate(zip(*tested.z_worst[weights].tolist(),

@@ -14,13 +14,13 @@ installed in this process sees share 0 only.
 
 ``run_certify`` and each level of ``refinement_study`` walk the weak-form
 certificates beside the stepper. A walker forked before the first step
-takes each complete block of instants from a ring in anonymous shared
-memory, given only its slot index down a pipe, and sends back the block's
-products; the last block, full or short, is walked in this process, which
-then folds every instant in time order, so the certificates are the bytes
-of the walk over the stored history. A span recorder in this process sees
-only the last block's walk. The dense history is still kept: the
-benchmark's memory counter reads it.
+takes each instant from a ring in anonymous shared memory, given only its
+slot index down a pipe, and sends back the instant's products; the last
+instant is walked in this process, which then folds every instant in time
+order, so the certificates are the bytes of the walk over the stored
+history. A span recorder in this process sees only the last instant's
+walk. The dense history is still kept: the benchmark's memory counter
+reads it.
 """
 
 from __future__ import annotations
@@ -230,6 +230,15 @@ def _require_distinct_snapshot_names(cfg: RunConfig) -> None:
         seen[name] = t
 
 
+def _require_horizon(cfg: RunConfig) -> None:
+    """Refuse T = 0 by name: sweep, certify and refine integrate over time.
+
+    simulate takes it and writes the initial snapshot alone.
+    """
+    if cfg.T <= 0:
+        raise ConfigError("run.T", "must be > 0 to integrate over time")
+
+
 def run_simulate(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     _require_distinct_snapshot_names(cfg)
@@ -373,6 +382,7 @@ def _run_ladder(rungs: list[tuple]) -> list[tuple[Trajectory | None, str | None]
 
 def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
+    _require_horizon(cfg)
     family = cfg.build_initial_family()
     _write_manifest(cfg, out)
 
@@ -462,13 +472,13 @@ def _certificate_records(traj: Trajectory, tested: HistoryPass,
     return records
 
 
-# blocks of instants the walk ring holds: how far the forked walker may fall
-# behind the stepper before the stepper waits for it
+# instants the walk ring holds: how far the forked walker may fall behind the
+# stepper before the stepper waits for it
 WALK_RING_SLOTS = 8
 
 
 def _walk_ring(products: InstantProducts, ring: np.ndarray, conn) -> None:
-    """The forked walker: for each slot index received, that block's products."""
+    """The forked walker: for each slot index received, that instant's products."""
     while (slot := conn.recv()) is not None:
         conn.send(products(*ring[slot]))
 
@@ -476,29 +486,27 @@ def _walk_ring(products: InstantProducts, ring: np.ndarray, conn) -> None:
 class _Walk:
     """Step observer that walks the weak-form products beside the stepper.
 
-    Each step boundary's (u, v, w) is copied into a ring of blocks of
-    ``products.block`` instants, in anonymous shared memory made before one
-    walker is forked; block b fills slot ``b % WALK_RING_SLOTS``. A block is
-    handed off when the instant after it arrives: only its slot index goes
-    down the pipe, and its products come back up it. The last block, full or
-    short, stays in this process for :meth:`finish`. Every instant's products
-    come from the same call on the same block as in :func:`history_pass`, so
-    they are the same bytes. Use it as a context manager: on the way out a
-    walker still running is terminated and joined.
+    Each step boundary's (u, v, w) is copied into a ring of one-instant
+    slots, in anonymous shared memory made before one walker is forked;
+    instant i fills slot ``i % WALK_RING_SLOTS``. An instant is handed off
+    when the next one arrives: only its slot index goes down the pipe, and
+    its products come back up it. The last instant stays in this process for
+    :meth:`finish`. Every instant's products come from the same call as in
+    :func:`history_pass`, so they are the same bytes. Use it as a context
+    manager: on the way out a walker still running is terminated and joined.
     """
 
     def __init__(self, products: InstantProducts):
         import mmap
 
         self.products = products
-        shape = (WALK_RING_SLOTS, 3, products.block, *products.grid.shape)
+        shape = (WALK_RING_SLOTS, 3, *products.grid.shape)
         # an anonymous shared mapping, made before the fork: the walker reads
         # what this process copies in, and no named segment is left behind
         self.ring = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8)).reshape(shape)
         self.walker = _Worker("certificate walker", _walk_ring, products, self.ring)
-        self.walked: list[np.ndarray] = []  # products of handed-off blocks, in order
-        self.sent = 0  # blocks handed off
-        self.filled = 0
+        self.walked: list[np.ndarray] = []  # products of handed-off instants, in order
+        self.arrived = 0  # instants copied into the ring
 
     def __enter__(self) -> _Walk:
         return self
@@ -508,24 +516,22 @@ class _Walk:
         self.ring = None
 
     def __call__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
-        if self.filled == self.products.block:
-            self.walker.send(self.sent % WALK_RING_SLOTS)
-            self.sent += 1
-            self.filled = 0
-            # the slot to fill next still holds a block the walker has not sent back
-            if self.sent - len(self.walked) == WALK_RING_SLOTS:
+        if self.arrived:
+            self.walker.send((self.arrived - 1) % WALK_RING_SLOTS)
+            # the slot to fill next still holds an instant the walker has not sent back
+            if self.arrived - len(self.walked) == WALK_RING_SLOTS:
                 self.walked.append(self.walker.recv())
-        for dest, values in zip(self.ring[self.sent % WALK_RING_SLOTS], (u, v, w)):
-            dest[self.filled] = values
-        self.filled += 1
+        for dest, values in zip(self.ring[self.arrived % WALK_RING_SLOTS], (u, v, w)):
+            dest[...] = values
+        self.arrived += 1
 
-    def finish(self) -> np.ndarray:
-        """Every instant's products, in time order; the last block is walked here."""
-        last = self.products(*self.ring[self.sent % WALK_RING_SLOTS, :, :self.filled])
+    def finish(self) -> list[np.ndarray]:
+        """Every instant's products, in time order; the last instant is walked here."""
+        last = self.products(*self.ring[(self.arrived - 1) % WALK_RING_SLOTS])
         self.walker.send(None)
-        while len(self.walked) < self.sent:
+        while len(self.walked) < self.arrived - 1:
             self.walked.append(self.walker.recv())
-        return np.concatenate(self.walked + [last])
+        return self.walked + [last]
 
 
 def _walked_run(cfg: RunConfig, bumps) -> tuple[Trajectory, HistoryPass]:
@@ -564,8 +570,7 @@ def _write_certificates(records: list[CertificateRecord], out: Path) -> None:
 
 def run_certify(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
-    if cfg.T <= 0:
-        raise ConfigError("run.T", "certification needs T > 0")
+    _require_horizon(cfg)
     bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
     traj, tested = _walked_run(cfg, bumps)
     records = _certificate_records(traj, tested, cfg.weights,
@@ -686,6 +691,7 @@ def refinement_study(cfg: RunConfig) -> dict:
 
 def run_refine(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
+    _require_horizon(cfg)
     study = refinement_study(cfg)
     level_meta = study["level_meta"]
     residuals = study["residuals"]

@@ -77,6 +77,11 @@ REFINE_CFG = SMALL_CFG.replace("grid.cells = 16, 16", "grid.cells = 8, 8").repla
     "solver.max_dt = 0.01", "solver.max_dt = 0.02")
 
 
+# a horizon simulate takes and the time-integrating commands refuse
+ZERO_HORIZON_CFG = SMALL_CFG.replace("run.T = 0.4", "run.T = 0.0").replace(
+    "run.output_times = 0.0:0.4:5", "run.output_times = 0.0")
+
+
 def write_cfg(tmp_path, text=SMALL_CFG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -331,6 +336,13 @@ class TestSweepCommand:
                   str(tmp_path / "s"), "--seed", "5"])
         assert exc.value.code == 2
 
+    def test_zero_horizon_named_before_stepping(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(write_cfg(tmp_path, ZERO_HORIZON_CFG)),
+                     "--out", str(out)]) == 2
+        assert "'run.T'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_data_gaps_exactly_zero(self, tmp_path):
         text = switch_kind(SMALL_CFG, "u", "constant", value="0.0")
         text = switch_kind(text, "v", "constant", value="0.0")
@@ -506,9 +518,10 @@ class TestCertifyCommand:
 
     def test_one_history_walk_for_all_kinds(self, tmp_path, monkeypatch):
         # one walk takes grad w, grad ln(1+v) and one grad z^(1/2) per weight
-        # pair once per block of history instants; a walk per kind, or one
-        # instant at a time, takes more
+        # pair once per walked instant; a walk per kind takes more. The
+        # certify process walks the last instant only
         from chemocert import identities, runner
+        from chemocert.identities import TimeFold, history_pass, sample_bumps
 
         calls = []
         gradient_values = identities.gradient_values
@@ -528,28 +541,27 @@ class TestCertifyCommand:
         monkeypatch.setattr(runner, "simulate", kept)
         cfg = write_cfg(tmp_path)
         assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        weight_pairs = 1  # SMALL_CFG keeps the default certify.weights = 1:2
-        instants = len(trajs[0].times)
-        block = identities.WALK_CELLS // trajs[0].grid.n_cells
-        assert block > 1
-        assert 0 < len(calls) <= (2 + weight_pairs) * math.ceil(instants / block)
+        per_instant = 3  # SMALL_CFG keeps the default certify.weights = 1:2
+        assert len(calls) == per_instant
+        config = load_config(cfg)
+        traj = trajs[0]
+        bumps = sample_bumps(config.grid, config.T, config.bump_count, config.bump_seed)
+        calls.clear()
+        history_pass(traj, bumps, config.weights)
+        walked = TimeFold(traj.grid, traj.times, bumps, config.weights).stop
+        assert 2 < walked and len(calls) == per_instant * walked
 
-    @pytest.mark.parametrize("block", [None, 27, 1],
-                             ids=["short-last", "full-last", "one-instant"])
-    def test_walker_gives_stored_walk_bytes(self, tmp_path, capsys, monkeypatch, block):
+    def test_walker_gives_stored_walk_bytes(self, tmp_path, capsys, monkeypatch):
         # certify walks beside the stepper in a forked walker and keeps the
-        # last block in this process. At any CPU count it writes the bytes of
-        # the walk over the stored history. SMALL_CFG steps 81 instants: blocks
-        # of 64 leave a short last block, blocks of 27 a full one, and blocks
-        # of one instant go round the ring ten times. The walker is slowed, so
-        # the ring fills and the stepper waits for freed slots
+        # last instant in this process. At any CPU count it writes the bytes
+        # of the walk over the stored history. SMALL_CFG steps 81 instants,
+        # which go round the ring of 8 about ten times. The walker is slowed,
+        # so the ring fills and the stepper waits for freed slots
         import time
 
         from chemocert import identities, runner
         from chemocert.identities import sample_bumps
 
-        if block is not None:
-            monkeypatch.setattr(identities, "WALK_CELLS", block * 16 * 16)
         stepper = os.getpid()
         products = identities.InstantProducts.__call__
 
@@ -576,10 +588,7 @@ class TestCertifyCommand:
             runs.append((capsys.readouterr(), (out / "certificates.csv").read_bytes()))
         assert runs[1] == runs[0] and runs[2] == runs[0]
         traj = trajs[0]
-        walk_block = identities.WALK_CELLS // traj.grid.n_cells
-        instants = len(traj.times)
-        assert instants > walk_block  # the walker is handed at least one block
-        assert (instants % walk_block == 0) == (block is not None)
+        assert len(traj.times) > 10 * runner.WALK_RING_SLOTS
         config = load_config(cfg)
         bumps = sample_bumps(config.grid, config.T, config.bump_count, config.bump_seed)
         records = runner.run_certificates(traj, config.weights, bumps,
@@ -589,7 +598,7 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_dead_walker_fails_the_run(self, tmp_path, capsys, monkeypatch, cpus):
-        # the forked walker, forked at any CPU count, dies on the first block
+        # the forked walker, forked at any CPU count, dies on the first instant
         # it is handed
         from chemocert import identities
 
@@ -609,7 +618,7 @@ class TestCertifyCommand:
         assert not (out / "certificates.csv").exists()
 
     def test_failed_step_stops_the_walker(self, tmp_path, monkeypatch):
-        # a step raises after the walker has been handed a block: the error
+        # a step raises after the walker has been handed instants: the error
         # comes out, and the walker is terminated and joined on the way
         import multiprocessing
 
@@ -687,6 +696,13 @@ class TestRefineCommand:
         assert main(["refine", "--config", str(write_cfg(tmp_path, REFINE_CFG)), "--out",
                      str(out), "--levels", "2"]) == 2
         assert "'refine.levels'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_horizon_named_before_stepping(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["refine", "--config", str(write_cfg(tmp_path, ZERO_HORIZON_CFG)),
+                     "--out", str(out)]) == 2
+        assert "'run.T'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_rerun_walks_same_ladder(self, tmp_path):
