@@ -39,10 +39,7 @@ MAX_BUMPS = 256
 # the init.<field>.* options each kind reads, besides ``kind`` itself
 INITIAL_OPTIONS = {
     "constant": ("value",),
-    "gaussian-bump": ("center", "sigma", "mass", "amplitude"),
-    "two-bump": ("center1", "center2", "sigma1", "sigma2", "weight2", "mass",
-                 "amplitude"),
-    "random-seeded": ("amplitude", "seed"),
+    "gaussian-bump": ("center", "sigma", "mass"),
 }
 INITIAL_KINDS = tuple(INITIAL_OPTIONS)
 
@@ -154,35 +151,21 @@ class InitialSpec:
         if self.kind == "constant":
             return grid.constant_field(_get_float(opts, f"{key}.value"))
         if self.kind == "gaussian-bump":
-            center = _get_floats(opts, f"{key}.center")
-            sigma = _get_float(opts, f"{key}.sigma")
-            return _gaussian(grid, key, [(center, sigma, 1.0)], opts)
-        if self.kind == "two-bump":
-            c1 = _get_floats(opts, f"{key}.center1")
-            c2 = _get_floats(opts, f"{key}.center2")
-            s1 = _get_float(opts, f"{key}.sigma1")
-            s2 = _get_float(opts, f"{key}.sigma2")
-            w2 = _get_float(opts, f"{key}.weight2", 1.0)
-            return _gaussian(grid, key, [(c1, s1, 1.0), (c2, s2, w2)], opts)
-        if self.kind == "random-seeded":
-            amp = _get_float(opts, f"{key}.amplitude", 1.0)
-            seed = _get_seed(opts, f"{key}.seed", 0)
-            rng = np.random.default_rng(seed)
-            return grid.field(rng.uniform(0.0, amp, size=grid.shape))
+            return _gaussian(grid, key, opts)
         raise ConfigError(f"{key}.kind",
                           f"unknown kind {self.kind!r}; pick one of {INITIAL_KINDS}")
 
 
-def _gaussian(grid: Grid, key: str, bumps, opts: dict[str, str]) -> Field:
-    meshes = grid.meshes()
-    total = np.zeros(grid.shape)
-    for center, sigma, weight in bumps:
-        if len(center) != grid.dim:
-            raise ConfigError(f"{key}.center", "needs one coordinate per axis")
-        if sigma <= 0:
-            raise ConfigError(f"{key}.sigma", "must be positive")
-        r2 = sum((m - c) ** 2 for m, c in zip(meshes, center))
-        total += weight * np.exp(-r2 / (2.0 * sigma ** 2))
+def _gaussian(grid: Grid, key: str, opts: dict[str, str]) -> Field:
+    """exp(-|x - center|^2 / (2 sigma^2)), scaled to ``mass`` when it is given."""
+    center = _get_floats(opts, f"{key}.center")
+    sigma = _get_float(opts, f"{key}.sigma")
+    if len(center) != grid.dim:
+        raise ConfigError(f"{key}.center", "needs one coordinate per axis")
+    if sigma <= 0:
+        raise ConfigError(f"{key}.sigma", "must be positive")
+    r2 = sum((m - c) ** 2 for m, c in zip(grid.meshes(), center))
+    total = np.exp(-r2 / (2.0 * sigma ** 2))
     if f"{key}.mass" in opts:
         target = _get_float(opts, f"{key}.mass")
         if target < 0:
@@ -191,8 +174,6 @@ def _gaussian(grid: Grid, key: str, bumps, opts: dict[str, str]) -> Field:
         if current <= 0:
             raise ConfigError(f"{key}.mass", "bump has no mass on this grid")
         total *= target / current
-    elif f"{key}.amplitude" in opts:
-        total *= _get_float(opts, f"{key}.amplitude")
     return grid.field(total)
 
 

@@ -525,7 +525,7 @@ class InstantProducts:
     and the test family, so they are the same bytes in any process.
     """
 
-    def __init__(self, grid: Grid, params: ModelParams, bumps, weights_list=()):
+    def __init__(self, grid: Grid, params: ModelParams, bumps, weights_list):
         self.grid = grid
         self.params = params
         self.weights_list = tuple(weights_list)
@@ -553,20 +553,18 @@ class InstantProducts:
 class TimeFold:
     """The time quadrature of a walk over the step boundaries ``times``.
 
-    Built from the times and the bump family alone, it folds the products of
-    :class:`InstantProducts`, one per instant in time order, into the
-    time-weighted sums and the three instants a centred difference of z
-    needs. Only the first ``stop`` instants weigh: up to the last instant a
-    window holds (for z, the one after the last centred difference) and at
-    least instant 0.
+    Built from the times, the bump family and the weight pairs alone, it
+    folds the products of :class:`InstantProducts`, one per step boundary
+    in time order, into the time-weighted sums and, at each interior
+    instant of a window, the centred difference of z.
     """
 
-    def __init__(self, grid: Grid, times: np.ndarray, bumps, weights_list=()):
+    def __init__(self, grid: Grid, times: np.ndarray, bumps, weights_list):
         if not bumps:
             raise ValueError("bump family is empty")
         for bump in bumps:
             bump.require_fits(grid, float(times[-1]))
-        if weights_list and len(times) < 3:
+        if len(times) < 3:
             raise ValueError("history too short for centered time differences")
         self.times = times
         self.weights_list = tuple(weights_list)
@@ -577,30 +575,28 @@ class TimeFold:
         self.trap, self.dpsi = _time_weights(times, self.psi, inside)
         self.interior = inside.copy()
         self.interior[[0, -1]] = False
-        self.need = self.interior.any(axis=1)
-        self.stop = 1 + inside.any(axis=1).nonzero()[0].max(initial=0)
-        if weights_list:
-            if not self.interior.any(axis=0).all():
-                raise ValueError("bump time window contains no interior history points")
-            self.stop = max(self.stop, 2 + self.need.nonzero()[0].max())
+        if not self.interior.any(axis=0).all():
+            raise ValueError("bump time window contains no interior history points")
 
     def __call__(self, products: list[np.ndarray]) -> HistoryPass:
-        """Fold the products of instants 0 .. ``stop`` - 1 (at least those)."""
-        times, psi, interior, need = self.times, self.psi, self.interior, self.need
+        """Fold the products of every step boundary, one each, in time order."""
+        times, psi, interior = self.times, self.psi, self.interior
+        if len(products) != len(times):
+            raise ValueError(
+                f"{len(products)} instants walked for {len(times)} step boundaries; "
+                "the walk's cadence must be one step")
         sizes = _kind_sizes(self.weights_list)
         n_weights, n_bumps = len(self.weights_list), psi.shape[1]
         lhs, rhs = np.zeros((2, sum(sizes), n_bumps))
-        worst = np.zeros((n_weights, 3, n_bumps))
-        recent: dict[int, np.ndarray] = {}
-        for i, ci in enumerate(products[:self.stop]):
+        for i, ci in enumerate(products):
             lhs -= ci * self.dpsi[i]
             rhs += ci * self.trap[i]
-            recent = {j: z for j, z in recent.items() if j >= i - 2}
-            recent[i] = ci[sum(sizes[:2]):].reshape(n_weights, 4, n_bumps)
-            if i >= 2 and need[i - 1]:
-                rate = (recent[i][:, :1] - recent[i - 2][:, :1]) / (times[i] - times[i - 2])
-                mismatch = np.abs(psi[i - 1] * (rate - recent[i - 1][:, 1:]))
-                worst = np.maximum(worst, np.where(interior[i - 1], mismatch, 0.0))
+        z = [ci[sum(sizes[:2]):].reshape(n_weights, 4, n_bumps) for ci in products]
+        worst = np.zeros((n_weights, 3, n_bumps))
+        for i in np.flatnonzero(interior.any(axis=1)):
+            rate = (z[i + 1][:, :1] - z[i - 1][:, :1]) / (times[i + 1] - times[i - 1])
+            mismatch = np.abs(psi[i] * (rate - z[i][:, 1:]))
+            worst = np.maximum(worst, np.where(interior[i], mismatch, 0.0))
 
         ends = np.cumsum(sizes)[:-1]
         signal, log_v, *z_blocks = [(left[0], right[1:]) for left, right
@@ -611,23 +607,19 @@ class TimeFold:
                            z_instants=interior.sum(axis=0))
 
 
-def history_pass(traj: Trajectory, bumps, weights_list=()) -> HistoryPass:
+def history_pass(traj: Trajectory, bumps, weights_list) -> HistoryPass:
     """Test the integrand of every weak-form kind in one walk over the stored history.
 
-    Each instant the fold weighs is walked by :class:`InstantProducts`, then
-    folded by :class:`TimeFold`. A walk beside the stepper feeds the same two
-    parts the same instants, so it gives the same bytes.
+    Every stored instant is walked by :class:`InstantProducts`, then folded
+    by :class:`TimeFold`, which refuses a history of any cadence but one
+    step. A walk beside the stepper feeds the same two parts the same
+    instants, so it gives the same bytes.
     """
-    history = traj.history
-    if history is None:
+    if traj.history is None:
         raise ValueError("trajectory was run without dense field history")
-    if len(history) != len(traj.times):
-        raise ValueError(
-            f"history holds {len(history)} instants for {len(traj.times)} step "
-            "boundaries; its cadence must be one step")
     fold = TimeFold(traj.grid, traj.times, bumps, weights_list)
     walk = InstantProducts(traj.grid, traj.params, bumps, weights_list)
-    return fold([walk(*(history[i][name] for name in "uvw")) for i in range(fold.stop)])
+    return fold([walk(*(fields[name] for name in "uvw")) for fields in traj.history])
 
 
 def certify_weakform_w(tested: HistoryPass, tol: float) -> list[CertificateRecord]:

@@ -162,6 +162,22 @@ def _fields_name(t: float) -> str:
     return f"fields_{t:g}.csv"
 
 
+def _eta_name(eta: float) -> str:
+    """Name of the uniform-integrability record at eta."""
+    return f"uniform_integrability_eta_{eta:g}"
+
+
+def _eps_name(eps: float) -> str:
+    """The rung at eps as a sweep prints it; its bands key it at the same digits."""
+    return f"eps={eps:g}"
+
+
+def _weights_name(weights: EntropyWeights) -> str:
+    """Suffix of a sweep's band names for a weight pair; certify and refine
+    refuse pairs that share it too, so a config means the same pairs to all."""
+    return f"p{weights.p:g}_k{weights.k:g}"
+
+
 def _write_fields(traj: Trajectory, out: Path) -> None:
     grid = traj.grid
     coord_names = ["x", "y"][: grid.dim]
@@ -205,7 +221,7 @@ def _single_run_estimates(cfg: RunConfig, traj: Trajectory,
                                                 cfg.params.theta, m1, norms["u0_l1"])
         rec = probe_uniform_integrability(traj, eta, delta, cfg.probe_trials,
                                           seed=cfg.probe_seed + j)
-        rec.name = f"uniform_integrability_eta_{eta:g}"
+        rec.name = _eta_name(eta)
         records.append(rec)
     return records
 
@@ -214,20 +230,18 @@ def _single_run_estimates(cfg: RunConfig, traj: Trajectory,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _require_distinct_snapshot_names(cfg: RunConfig) -> None:
-    """Refuse output times whose snapshots would share one file name.
+def _require_distinct_names(key: str, entries, name_of) -> None:
+    """Refuse two entries of list ``key`` that ``name_of`` gives one name.
 
-    simulate snapshots t = 0, every output time in (0, T], and T; config
-    keeps the output times inside [0, T].
+    Their outputs would otherwise be merged or written twice under that name.
     """
-    seen: dict[str, float] = {}
-    for t in sorted({0.0, cfg.T, *cfg.output_times}):
-        name = _fields_name(t)
+    seen = {}
+    for entry in entries:
+        name = name_of(entry)
         if name in seen:
-            raise ConfigError("run.output_times",
-                              f"times {seen[name]!r} and {t!r} would both be "
-                              f"written to {name}")
-        seen[name] = t
+            raise ConfigError(key, f"entries {seen[name]!r} and {entry!r} would "
+                                   f"both be written as {name}")
+        seen[name] = entry
 
 
 def _require_horizon(cfg: RunConfig) -> None:
@@ -241,7 +255,11 @@ def _require_horizon(cfg: RunConfig) -> None:
 
 def run_simulate(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
-    _require_distinct_snapshot_names(cfg)
+    # simulate snapshots t = 0, every output time in (0, T], and T; config
+    # keeps the output times inside [0, T]
+    _require_distinct_names("run.output_times", sorted({0.0, cfg.T, *cfg.output_times}),
+                            _fields_name)
+    _require_distinct_names("probe.eta", cfg.probe_eta, _eta_name)
     family = cfg.build_initial_family()
     norms = family.base_norms(cfg.params.theta)
     traj = simulate(initial_state(family.base()), cfg.params, cfg.solver, cfg.T,
@@ -383,6 +401,8 @@ def _run_ladder(rungs: list[tuple]) -> list[tuple[Trajectory | None, str | None]
 def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     _require_horizon(cfg)
+    _require_distinct_names("sweep.eps_ladder", cfg.eps_ladder, _eps_name)
+    _require_distinct_names("certify.weights", cfg.weights, _weights_name)
     family = cfg.build_initial_family()
     _write_manifest(cfg, out)
 
@@ -393,10 +413,10 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     for eps, (traj, error) in zip(cfg.eps_ladder, _run_ladder(rungs)):
         if error is None:
             trajs[eps] = traj
-            print(f"[sweep] eps={eps:g}: {len(traj.dts)} steps")
+            print(f"[sweep] {_eps_name(eps)}: {len(traj.dts)} steps")
         else:
-            failures.append(f"eps={eps:g}: {error}")
-            print(f"[sweep] eps={eps:g} FAILED: {error}", file=sys.stderr)
+            failures.append(f"{_eps_name(eps)}: {error}")
+            print(f"[sweep] {_eps_name(eps)} FAILED: {error}", file=sys.stderr)
 
     done = list(trajs.values())  # in ladder order
     gap_rows = [_l1_gaps(a, b) for a, b in zip(done[:-1], done[1:])]
@@ -408,7 +428,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
         for weights in cfg.weights:
             recs = check_z_dissipation_bounds(trajs, weights)
             for r in recs:
-                r.name = f"{r.name}_p{weights.p:g}_k{weights.k:g}"
+                r.name = f"{r.name}_{_weights_name(weights)}"
             records += recs
 
     header = ["eps", "gap_u", "gap_v", "gap_w", "diss_grad_log1v", "diss_vgradw",
@@ -571,6 +591,7 @@ def _write_certificates(records: list[CertificateRecord], out: Path) -> None:
 def run_certify(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     _require_horizon(cfg)
+    _require_distinct_names("certify.weights", cfg.weights, _weights_name)
     bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
     traj, tested = _walked_run(cfg, bumps)
     records = _certificate_records(traj, tested, cfg.weights,
@@ -692,6 +713,7 @@ def refinement_study(cfg: RunConfig) -> dict:
 def run_refine(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     _require_horizon(cfg)
+    _require_distinct_names("certify.weights", cfg.weights, _weights_name)
     study = refinement_study(cfg)
     level_meta = study["level_meta"]
     residuals = study["residuals"]

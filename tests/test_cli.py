@@ -3,10 +3,12 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from chemocert.cli import main
 from chemocert.config import (
+    INITIAL_OPTIONS,
     ConfigError,
     config_from_mapping,
     load_config,
@@ -182,11 +184,6 @@ class TestConfigParsing:
         cfg = config_from_mapping(mapping)
         assert len(cfg.output_times) == 100_000 and cfg.bump_count == 256
 
-    def test_negative_initial_seed_named(self):
-        text = switch_kind(SMALL_CFG, "w", "random-seeded", amplitude="0.5", seed="-2")
-        with pytest.raises(ConfigError, match=re.escape("'init.w.seed'")):
-            config_from_mapping(parse_config_text(text))
-
     def test_repeated_key_names_both_lines(self):
         text = SMALL_CFG + "model.theta = 3.0\n"
         lines = text.splitlines()
@@ -237,16 +234,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape("'refine.levels'")):
             config_from_mapping(mapping)
 
-    def test_initial_kinds_build(self):
-        text = switch_kind(SMALL_CFG, "u", "two-bump", center1="0.3, 0.3",
-                           center2="0.7, 0.7", sigma1="0.1", sigma2="0.15", mass="0.5")
-        text = switch_kind(text, "v", "random-seeded", amplitude="0.5", seed="3")
+    def test_gaussian_bump_integrates_to_its_mass(self):
+        text = switch_kind(SMALL_CFG, "u", "gaussian-bump", center="0.3, 0.6",
+                           sigma="0.1", mass="0.7")
         cfg = config_from_mapping(parse_config_text(text))
-        fam = cfg.build_initial_family()
-        assert fam.u0.min() >= 0.0
-        total = fam.u0.values.sum() * cfg.grid.cell_volume
-        assert total == pytest.approx(0.5, rel=1e-12)
-        assert fam.v0.max() <= 0.5
+        u0 = cfg.build_initial_family().u0
+        assert u0.min() > 0.0
+        assert u0.values.sum() * cfg.grid.cell_volume == pytest.approx(0.7, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, options, key, message", [
+        ("two-bump", {"center1": "0.3, 0.3", "center2": "0.7, 0.7", "sigma1": "0.1",
+                      "sigma2": "0.15"}, "init.u.kind", "unknown kind 'two-bump'"),
+        ("random-seeded", {"seed": "3"}, "init.u.kind", "unknown kind 'random-seeded'"),
+        ("gaussian-bump", {"center": "0.3, 0.6", "sigma": "0.1", "mass": "0.5",
+                           "amplitude": "3"}, "init.u.amplitude", "unknown key"),
+    ], ids=["two-bump", "random-seeded", "amplitude"])
+    def test_removed_initial_data_named(self, kind, options, key, message):
+        text = switch_kind(SMALL_CFG, "u", kind, **options)
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}': {message}")):
+            config_from_mapping(parse_config_text(text))
+
+    @pytest.mark.parametrize("kind, option", [
+        (kind, option) for kind, options in INITIAL_OPTIONS.items() for option in options])
+    def test_every_initial_option_is_read(self, kind, option):
+        # every option of a kind, each set beside all the others, changes the
+        # field the kind builds
+        base = {"constant": {"value": "0.3"},
+                "gaussian-bump": {"center": "0.4, 0.5", "sigma": "0.2", "mass": "0.5"}}
+        other = {"value": "0.6", "center": "0.6, 0.5", "sigma": "0.1", "mass": "0.7"}
+
+        def built(options):
+            text = switch_kind(SMALL_CFG, "u", kind, **options)
+            return config_from_mapping(parse_config_text(text)).build_initial_family().u0
+
+        assert not np.array_equal(built(base[kind]).values,
+                                  built({**base[kind], option: other[option]}).values)
 
 
 class TestSimulateCommand:
@@ -282,6 +304,26 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "run.output_times" in err and clash in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value, clash", [
+        ("simulate", "probe.eta", "0.25, 0.2500001", "uniform_integrability_eta_0.25"),
+        ("sweep", "sweep.eps_ladder", "0.5, 0.4999999, 0.125", "eps=0.5"),
+        ("certify", "certify.weights", "1:2; 1:2", "p1_k2"),
+        ("sweep", "certify.weights", "1:2; 1:2.0000001", "p1_k2"),
+        ("refine", "certify.weights", "1:2; 1:2", "p1_k2"),
+    ], ids=["probe.eta", "sweep.eps_ladder", "certify.weights", "sweep-weights",
+            "refine-weights"])
+    def test_entries_named_alike_exit_2(self, tmp_path, capsys, command, key, value,
+                                        clash):
+        # two entries whose outputs would share a name are refused by key
+        # before anything is stepped or written
+        lines = [line for line in REFINE_CFG.splitlines() if not line.startswith(key)]
+        cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and clash in err
         assert not out.exists()
 
     def test_invalid_theta_exit_2_names_field(self, tmp_path, capsys):
@@ -521,7 +563,7 @@ class TestCertifyCommand:
         # pair once per walked instant; a walk per kind takes more. The
         # certify process walks the last instant only
         from chemocert import identities, runner
-        from chemocert.identities import TimeFold, history_pass, sample_bumps
+        from chemocert.identities import history_pass, sample_bumps
 
         calls = []
         gradient_values = identities.gradient_values
@@ -548,7 +590,7 @@ class TestCertifyCommand:
         bumps = sample_bumps(config.grid, config.T, config.bump_count, config.bump_seed)
         calls.clear()
         history_pass(traj, bumps, config.weights)
-        walked = TimeFold(traj.grid, traj.times, bumps, config.weights).stop
+        walked = len(traj.times)
         assert 2 < walked and len(calls) == per_instant * walked
 
     def test_walker_gives_stored_walk_bytes(self, tmp_path, capsys, monkeypatch):

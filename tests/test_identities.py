@@ -28,6 +28,8 @@ from chemocert import (
     z_values,
 )
 from chemocert.identities import (
+    InstantProducts,
+    TimeFold,
     bump_profile,
     bump_profile_d1,
     cap_phi,
@@ -347,7 +349,20 @@ class TestCertificatesOnOracles:
                         T=0.5, output_times=[0.5])
         bump = sample_bumps(g, 0.5, 1, seed=1)[0]
         with pytest.raises(ValueError, match="history"):
-            history_pass(traj, [bump])
+            history_pass(traj, [bump], [EntropyWeights(1.0, 2.0)])
+
+    def test_fold_refuses_a_walk_one_instant_short(self):
+        g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
+        params = ModelParams(theta=2.0, eps=0.25)
+        traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.01),
+                        T=0.1, output_times=[0.1], keep_history=True)
+        bumps = sample_bumps(g, 0.1, 2, seed=1)
+        weights = [EntropyWeights(1.0, 2.0)]
+        walk = InstantProducts(g, params, bumps, weights)
+        products = [walk(*(fields[name] for name in "uvw")) for fields in traj.history]
+        fold = TimeFold(g, traj.times, bumps, weights)
+        with pytest.raises(ValueError, match="cadence"):
+            fold(products[:-1])
 
     def test_instants_outside_every_window_weigh_zero(self):
         # the walk may visit instants no bump window holds: overwriting their
