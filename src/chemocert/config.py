@@ -69,10 +69,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def load_config_mapping(path: str | Path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
-
-
 def _get_float(mapping, key, default=None) -> float:
     if key not in mapping:
         if default is None:
@@ -165,15 +161,24 @@ def _gaussian(grid: Grid, key: str, opts: dict[str, str]) -> Field:
     if sigma <= 0:
         raise ConfigError(f"{key}.sigma", "must be positive")
     r2 = sum((m - c) ** 2 for m, c in zip(grid.meshes(), center))
-    total = np.exp(-r2 / (2.0 * sigma ** 2))
+    try:
+        spread = 2.0 * sigma ** 2  # 0 once the square underflows
+    except OverflowError:
+        spread = math.inf  # so wide that the bump is flat
+    with np.errstate(over="ignore"):  # a cell that far out gets exp(-inf) = 0
+        total = np.exp(-r2 / spread) if spread > 0 else np.zeros(grid.shape)
+    current = total.sum() * grid.cell_volume
+    if not current > 0:
+        raise ConfigError(f"{key}.sigma", f"bump has no mass on this grid: sigma {sigma:g} "
+                                          f"is too narrow to reach a cell center")
     if f"{key}.mass" in opts:
         target = _get_float(opts, f"{key}.mass")
         if target < 0:
             raise ConfigError(f"{key}.mass", "must be nonnegative")
-        current = total.sum() * grid.cell_volume
-        if current <= 0:
-            raise ConfigError(f"{key}.mass", "bump has no mass on this grid")
-        total *= target / current
+        scale = target / float(current)  # inf, not a warning, past the largest double
+        if not math.isfinite(scale):
+            raise ConfigError(f"{key}.mass", f"scaling the bump to {target:g} overflows")
+        total *= scale
     return grid.field(total)
 
 
@@ -196,11 +201,6 @@ class RunConfig:
     probe_seed: int
     eps_ladder: tuple[float, ...]
     refine_levels: int
-
-    def __post_init__(self):
-        if self.refine_levels < 3:  # an order is fitted to >= 2 gaps between levels
-            raise ConfigError("refine.levels", f"refinement needs >= 3 levels, "
-                                               f"got {self.refine_levels}")
 
     def build_initial_family(self) -> InitialFamily:
         fields = {name: spec.build(self.grid, name)
@@ -335,6 +335,10 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     probe_trials = _get_int(mapping, "probe.trials", 200)
     if probe_trials < 1:
         raise ConfigError("probe.trials", "must be >= 1")
+    refine_levels = _get_int(mapping, "refine.levels", 3)
+    if refine_levels < 3:  # an order is fitted to >= 2 gaps between levels
+        raise ConfigError("refine.levels", f"refinement needs >= 3 levels, "
+                                           f"got {refine_levels}")
 
     cfg = RunConfig(
         grid=grid, params=params, solver=solver, T=T,
@@ -347,7 +351,7 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         probe_trials=probe_trials,
         probe_seed=_get_seed(mapping, "probe.seed", 7),
         eps_ladder=tuple(eps_ladder),
-        refine_levels=_get_int(mapping, "refine.levels", 3),
+        refine_levels=refine_levels,
     )
     # the manifest echoes every key read
     unknown = sorted(set(mapping) - set(cfg.to_mapping()))
@@ -380,4 +384,4 @@ def _parse_weights(value: str) -> tuple[tuple[float, float], ...]:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    return config_from_mapping(load_config_mapping(path))
+    return config_from_mapping(parse_config_text(Path(path).read_text(encoding="utf-8")))

@@ -60,9 +60,20 @@ def weight_threshold(p: float) -> float:
     return math.sqrt(p) * (p + 1.0) / 2.0
 
 
+def drift_numerator(p: float, k: float, frac):
+    """2k + p(p+1)f with f = u/(u+1): the drift coefficient's numerator."""
+    return 2.0 * k + p * (p + 1.0) * frac
+
+
+def second_order_coefficient(p: float, k: float, frac):
+    """(4k^2 - p(p+1)^2 f^2) / (4(p+1)) with f = u/(u+1)."""
+    return (4.0 * k ** 2 - p * (p + 1.0) ** 2 * frac ** 2) / (4.0 * (p + 1.0))
+
+
 def second_order_floor(p: float, k: float) -> float:
-    """(4k^2 - p(p+1)^2) / (4(p+1)); positive exactly above the threshold."""
-    return (4.0 * k ** 2 - p * (p + 1.0) ** 2) / (4.0 * (p + 1.0))
+    """The coefficient's floor over u >= 0, at f = 1; positive exactly above
+    the threshold."""
+    return second_order_coefficient(p, k, 1.0)
 
 
 @dataclass(frozen=True)
@@ -183,7 +194,7 @@ def check_weight_identities(p: float, k: float, samples: int = 100,
     t1 = phi_d1(s, p) / sqrt_pd2 * xi_d1(st, k) / sqrt_xi
     t2 = -0.5 * cap_phi(s, p) * xi_d1(st, k) / sqrt_xi
     t3 = -0.5 * s * sqrt_pd2 * sqrt_xi
-    rhs2 = -(2.0 * k + p * (p + 1.0) * frac) / (2.0 * math.sqrt(p * (p + 1.0))) * decay
+    rhs2 = -drift_numerator(p, k, frac) / (2.0 * math.sqrt(p * (p + 1.0))) * decay
     report["drift_coefficient"] = {
         "max_rel_error": relerr(t1 + t2 + t3, rhs2, t1, t2, t3), "n": samples}
 
@@ -192,8 +203,7 @@ def check_weight_identities(p: float, k: float, samples: int = 100,
     # halves stay representable where xi'^2 alone would underflow
     q2 = -(phi_d1(s, p) / sqrt_pd2 * xi_d1(st, k) / sqrt_xi) ** 2
     q3 = -0.25 * s ** 2 * phi_d2(s, p) * xi(st, k)
-    rhs3 = ((4.0 * k ** 2 - p * (p + 1.0) ** 2 * frac ** 2) / (4.0 * (p + 1.0))
-            * (s + 1.0) ** (-p) * np.exp(-k * st))
+    rhs3 = second_order_coefficient(p, k, frac) * (s + 1.0) ** (-p) * np.exp(-k * st)
     report["second_order_coefficient"] = {
         "max_rel_error": relerr(q1 + q2 + q3, rhs3, q1, q2, q3), "n": samples}
 
@@ -473,11 +483,11 @@ def _superposition_rows(grid: Grid, u, v, w, gw, weights: EntropyWeights,
         drift_z_half = drift * z_half
         return _sum_sq(gz + drift_z_half * ga for gz, ga in zip(grad_z_half, gw))
 
-    drift_num = 2.0 * k + p * (p + 1.0) * frac
+    drift_num = drift_numerator(p, k, frac)
     coeff_quad = 4.0 * (p + 1.0) / p
     gated = coeff_quad * quad(drift_num / (4.0 * (p + 1.0)))
     printed = coeff_quad * quad(drift_num / (2.0 * math.sqrt(p * (p + 1.0))))
-    c2 = (4.0 * k ** 2 - p * (p + 1.0) ** 2 * frac ** 2) / (4.0 * (p + 1.0))
+    c2 = second_order_coefficient(p, k, frac)
     kinetic = 1.0 - _pow(u, theta - 1.0) - v
     shared = -c2 * z * _sum_sq(gw) - frac_z * kinetic
     source_part = -k * net_source * z

@@ -38,7 +38,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import FLOAT_FORMAT, MAX_LIST_COUNT, ConfigError, RunConfig, _fmt
+from .config import FLOAT_FORMAT, MAX_LIST_COUNT, ConfigError, RunConfig, _built, _fmt
 from .estimates import (
     DISSIPATION_BANDS,
     EstimateRecord,
@@ -251,6 +251,12 @@ def _require_horizon(cfg: RunConfig) -> None:
     """
     if cfg.T <= 0:
         raise ConfigError("run.T", "must be > 0 to integrate over time")
+
+
+def _bump_family(cfg: RunConfig) -> list:
+    """cfg's bump family; a grid too coarse to hold one is refused as grid.cells."""
+    return _built("grid.cells", sample_bumps, cfg.grid, cfg.T, cfg.bump_count,
+                  cfg.bump_seed)
 
 
 def run_simulate(cfg: RunConfig, out_dir: str | Path) -> int:
@@ -511,9 +517,12 @@ class _Walk:
     instant i fills slot ``i % WALK_RING_SLOTS``. An instant is handed off
     when the next one arrives: only its slot index goes down the pipe, and
     its products come back up it. The last instant stays in this process for
-    :meth:`finish`. Every instant's products come from the same call as in
-    :func:`history_pass`, so they are the same bytes. Use it as a context
-    manager: on the way out a walker still running is terminated and joined.
+    :meth:`finish`: ``perfbench/trace_child.py`` records no span of the
+    walker, so that walk is the only ``identities.gradient_values`` call its
+    trace of ``certify`` sees. Every instant's products come from the same
+    call as in :func:`history_pass`, so they are the same bytes. Use it as a
+    context manager: on the way out a walker still running is terminated and
+    joined.
     """
 
     def __init__(self, products: InstantProducts):
@@ -592,7 +601,7 @@ def run_certify(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     _require_horizon(cfg)
     _require_distinct_names("certify.weights", cfg.weights, _weights_name)
-    bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
+    bumps = _bump_family(cfg)
     traj, tested = _walked_run(cfg, bumps)
     records = _certificate_records(traj, tested, cfg.weights,
                                    certificate_tolerances(cfg, traj))
@@ -664,7 +673,7 @@ def refinement_study(cfg: RunConfig) -> dict:
     family-to-family safety margin (the certification family may probe scales
     the calibration family missed).
     """
-    bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
+    bumps = _bump_family(cfg)
 
     level_meta: list[dict[str, float]] = []
     scales: list[float] = []

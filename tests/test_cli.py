@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import os
@@ -6,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from chemocert.cli import main
+from chemocert.cli import build_parser, main
 from chemocert.config import (
     INITIAL_OPTIONS,
     ConfigError,
@@ -156,6 +157,9 @@ class TestConfigParsing:
         ("grid.lengths", "-1, 1"),
         ("solver.cfl_safety", "2"),
         ("solver.max_dt", "0"),
+        # a bump with no mass on the grid, and one whose mass overflows its peak
+        ("init.u.sigma", "1e-200"),
+        ("init.u.mass", "1e308"),
     ])
     def test_meaningless_value_names_field(self, key, value):
         mapping = parse_config_text(SMALL_CFG)
@@ -234,6 +238,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape("'refine.levels'")):
             config_from_mapping(mapping)
 
+    @pytest.mark.parametrize("sigma", ["1e-5", "1e-200"])
+    def test_massless_bump_without_mass_key_names_sigma(self, sigma):
+        # without init.u.mass the bump is not scaled, so no mass check sees it
+        text = switch_kind(SMALL_CFG, "u", "gaussian-bump", center="0.35, 0.55",
+                           sigma=sigma)
+        with pytest.raises(ConfigError, match=re.escape("'init.u.sigma': bump has no")):
+            config_from_mapping(parse_config_text(text))
+
+    def test_very_wide_bump_is_flat(self):
+        # sigma ** 2 overflows a double: the bump is flat, scaled to its mass
+        text = switch_kind(SMALL_CFG, "u", "gaussian-bump", center="0.35, 0.55",
+                           sigma="1e200", mass="0.5")
+        u0 = config_from_mapping(parse_config_text(text)).build_initial_family().u0
+        assert np.all(u0.values == u0.values[0, 0])
+        assert u0.values[0, 0] == pytest.approx(0.5, rel=1e-12)
+
     def test_gaussian_bump_integrates_to_its_mass(self):
         text = switch_kind(SMALL_CFG, "u", "gaussian-bump", center="0.3, 0.6",
                            sigma="0.1", mass="0.7")
@@ -269,6 +289,23 @@ class TestConfigParsing:
 
         assert not np.array_equal(built(base[kind]).values,
                                   built({**base[kind], option: other[option]}).values)
+
+
+class TestCommandLine:
+    def test_each_command_takes_only_its_options(self):
+        # a run is its config file: the commands that read one take no other
+        # option; verify-identities reads none and takes its own seed
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        options = {name: sorted(option for action in parser._actions
+                                for option in action.option_strings
+                                if option not in ("-h", "--help"))
+                   for name, parser in sub.choices.items()}
+        assert options == {"simulate": ["--config", "--out"],
+                           "sweep": ["--config", "--out"],
+                           "certify": ["--config", "--out"],
+                           "refine": ["--config", "--out"],
+                           "verify-identities": ["--out", "--samples", "--seed"]}
 
 
 class TestSimulateCommand:
@@ -332,26 +369,19 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "model.theta" in capsys.readouterr().err
 
-    def test_seed_sets_probe_seed(self, tmp_path):
-        # --seed is the probe's seed, echoed as such in the manifest
-        flag, keyed = tmp_path / "flag", tmp_path / "keyed"
-        assert main(["simulate", "--config", str(write_cfg(tmp_path)), "--out", str(flag),
-                     "--seed", "3"]) == 0
-        cfg = write_cfg(tmp_path, SMALL_CFG + "probe.seed = 3\n", name="keyed.cfg")
-        assert main(["simulate", "--config", str(cfg), "--out", str(keyed)]) == 0
-        assert (flag / "estimates.csv").read_bytes() == (keyed / "estimates.csv").read_bytes()
-        assert "probe.seed = 3" in (flag / "manifest.cfg").read_text().splitlines()
-
     @pytest.mark.parametrize("command", ["simulate", "certify", "refine",
                                          "verify-identities"])
     def test_negative_seed_exit_2_before_running(self, tmp_path, capsys, command):
+        # verify-identities refuses a negative seed; the commands that read a
+        # config take their seeds from it and have no --seed at all
         out = tmp_path / "out"
         config = [] if command == "verify-identities" else ["--config",
                                                             str(write_cfg(tmp_path))]
         with pytest.raises(SystemExit) as exc:
             main([command, *config, "--out", str(out), "--seed", "-1"])
         assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+        assert ("argument --seed: seeds must be >= 0" if command == "verify-identities"
+                else "unrecognized arguments: --seed -1") in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_round_trip_reproduces(self, tmp_path):
@@ -364,20 +394,13 @@ class TestSimulateCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         # every command's manifest, extras included, loads as the same config
         expected = load_config(cfg).to_mapping()
-        for command, extra in (("certify", []), ("sweep", []), ("refine", ["--levels", "3"])):
+        for command in ("certify", "sweep", "refine"):
             out = tmp_path / command
-            main([command, "--config", str(cfg), "--out", str(out), *extra])
+            main([command, "--config", str(cfg), "--out", str(out)])
             assert load_config(out / "manifest.cfg").to_mapping() == expected, command
 
 
 class TestSweepCommand:
-    def test_takes_no_seed(self, tmp_path):
-        # the ladder has no randomness for a seed to override
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--config", str(write_cfg(tmp_path)), "--out",
-                  str(tmp_path / "s"), "--seed", "5"])
-        assert exc.value.code == 2
-
     def test_zero_horizon_named_before_stepping(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(write_cfg(tmp_path, ZERO_HORIZON_CFG)),
@@ -543,12 +566,16 @@ class TestCertifyCommand:
         err = capsys.readouterr().err
         assert "sqrt(p)(p+1)/2" in err
 
-    def test_seed_override_recorded(self, tmp_path):
-        cfg = write_cfg(tmp_path)
-        out = tmp_path / "cert2"
-        assert main(["certify", "--config", str(cfg), "--out", str(out),
-                     "--seed", "99"]) == 0
-        assert "certify.seed = 99" in (out / "manifest.cfg").read_text()
+    @pytest.mark.parametrize("command", ["certify", "refine"])
+    def test_grid_too_coarse_for_bumps_named(self, tmp_path, capsys, command):
+        # simulate and sweep run on a 4x4 grid; a bump support needs 5 cells
+        # per axis, and the commands that draw bumps refuse it before stepping
+        text = SMALL_CFG.replace("grid.cells = 16, 16", "grid.cells = 4, 4")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_cfg(tmp_path, text)), "--out",
+                     str(out)]) == 2
+        assert "'grid.cells'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_certify_is_deterministic(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -727,16 +754,15 @@ class TestVerifyIdentitiesCommand:
 
 class TestRefineCommand:
     def test_levels_validation(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path)
-        assert main(["refine", "--config", str(cfg), "--out",
-                     str(tmp_path / "r"), "--levels", "1"]) == 2
+        cfg = write_cfg(tmp_path, SMALL_CFG + "refine.levels = 1\n")
+        assert main(["refine", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "levels" in capsys.readouterr().err
 
     def test_two_levels_exit_2_before_running(self, tmp_path, capsys):
         # two levels leave one gap per field, too few to fit an order to
         out = tmp_path / "r"
-        assert main(["refine", "--config", str(write_cfg(tmp_path, REFINE_CFG)), "--out",
-                     str(out), "--levels", "2"]) == 2
+        cfg = write_cfg(tmp_path, REFINE_CFG + "refine.levels = 2\n")
+        assert main(["refine", "--config", str(cfg), "--out", str(out)]) == 2
         assert "'refine.levels'" in capsys.readouterr().err
         assert not out.exists()
 
@@ -748,30 +774,14 @@ class TestRefineCommand:
         assert not out.exists()
 
     def test_manifest_rerun_walks_same_ladder(self, tmp_path):
-        # the manifest echoes refine.levels; without --levels the re-run reads it
-        cfg = write_cfg(tmp_path, REFINE_CFG + "refine.levels = 4\n")
+        # the manifest echoes refine.levels, so its re-run walks the same ladder
+        cfg = write_cfg(tmp_path, REFINE_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["refine", "--config", str(cfg), "--out", str(out1), "--levels", "3"])
+        main(["refine", "--config", str(cfg), "--out", str(out1)])
         main(["refine", "--config", str(out1 / "manifest.cfg"), "--out", str(out2)])
         first = (out1 / "refine.csv").read_bytes()
         assert len(first.splitlines()) == 6  # header, three levels, order, C
         assert (out2 / "refine.csv").read_bytes() == first
-
-    def test_explicit_levels_win(self, tmp_path):
-        cfg = write_cfg(tmp_path, REFINE_CFG + "refine.levels = 4\n")
-        out = tmp_path / "r"
-        main(["refine", "--config", str(cfg), "--out", str(out), "--levels", "3"])
-        assert len((out / "refine.csv").read_text().splitlines()) == 6
-
-    def test_seed_sets_bump_seed(self, tmp_path):
-        flag, keyed = tmp_path / "flag", tmp_path / "keyed"
-        main(["refine", "--config", str(write_cfg(tmp_path, REFINE_CFG)), "--out",
-              str(flag), "--levels", "3", "--seed", "5"])
-        cfg = write_cfg(tmp_path, REFINE_CFG.replace("certify.seed = 7", "certify.seed = 5"),
-                        name="keyed.cfg")
-        main(["refine", "--config", str(cfg), "--out", str(keyed), "--levels", "3"])
-        assert (flag / "refine.csv").read_bytes() == (keyed / "refine.csv").read_bytes()
-        assert "certify.seed = 5" in (flag / "manifest.cfg").read_text().splitlines()
 
     def test_output_independent_of_cpu_count(self, tmp_path, capsys, monkeypatch):
         # each level walks its certificates in a forked walker beside its
@@ -781,15 +791,14 @@ class TestRefineCommand:
         for cpus in (1, 2):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             out = tmp_path / f"cpus{cpus}"
-            main(["refine", "--config", str(cfg), "--out", str(out), "--levels", "3"])
+            main(["refine", "--config", str(cfg), "--out", str(out)])
             runs.append((capsys.readouterr(), (out / "refine.csv").read_bytes()))
         assert runs[1] == runs[0]
 
     def test_three_level_study(self, tmp_path):
         cfg = write_cfg(tmp_path, REFINE_CFG)
         out = tmp_path / "refine"
-        code = main(["refine", "--config", str(cfg), "--out", str(out),
-                     "--levels", "3"])
+        code = main(["refine", "--config", str(cfg), "--out", str(out)])
         assert code in (0, 1)
         rows = (out / "refine.csv").read_text().splitlines()
         assert rows[0].startswith("level,cells,h,dt_mean")

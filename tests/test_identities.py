@@ -37,6 +37,7 @@ from chemocert.identities import (
     phi,
     phi_d1,
     phi_d2,
+    second_order_coefficient,
     xi,
     xi_d1,
     xi_d2,
@@ -170,7 +171,7 @@ class TestWeightsAndZ:
         # the u-dependent coefficient never dips below its u -> inf floor
         k = weight_threshold(p) * factor
         frac = u / (u + 1.0)
-        coeff = (4 * k ** 2 - p * (p + 1) ** 2 * frac ** 2) / (4 * (p + 1))
+        coeff = second_order_coefficient(p, k, frac)
         floor = second_order_floor(p, k)
         assert coeff >= floor - 1e-12 * abs(floor)
         assert floor > 0.0
