@@ -3,7 +3,8 @@
 The format is UTF-8 text, one ``dotted.key = value`` per line, ``#`` comments,
 no nesting. Lists are comma separated; time grids may also be written as
 ``start:stop:count`` (an inclusive linspace). The manifest a run echoes back
-is itself a valid config, and re-running it reproduces the run byte for byte.
+is itself a valid config, and re-running it reproduces the run byte for byte
+on the same numpy build and BLAS kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from .solver import SolverConfig
 
 DEFAULT_EPS_LADDER = tuple(2.0 ** -j for j in range(1, 8))
 
-DEFAULT_TOL_C = {
+# the constants C of each certificate kind's tolerance C*(h+dt), calibrated by
+# `chemocert refine` on configs/refine.cfg; a config may restate one as
+# certify.tol_c.<kind>, but not change it
+TOL_C = {
     "mass": 1e-6,
     "weakform_w": 3e-4,
     "weakform_v": 3e-3,
@@ -158,6 +162,9 @@ def _gaussian(grid: Grid, key: str, opts: dict[str, str]) -> Field:
     sigma = _get_float(opts, f"{key}.sigma")
     if len(center) != grid.dim:
         raise ConfigError(f"{key}.center", "needs one coordinate per axis")
+    if not all(0.0 < c < L for c, L in zip(center, grid.lengths)):
+        raise ConfigError(f"{key}.center", f"must lie strictly inside (0, L) on each "
+                                           f"axis, L = {grid.lengths}; got {center}")
     if sigma <= 0:
         raise ConfigError(f"{key}.sigma", "must be positive")
     r2 = sum((m - c) ** 2 for m, c in zip(grid.meshes(), center))
@@ -192,12 +199,10 @@ class RunConfig:
     T: float
     output_times: tuple[float, ...]
     initial: dict[str, InitialSpec]
-    weights: tuple[EntropyWeights, ...]
+    weights: EntropyWeights
     bump_count: int
     bump_seed: int
-    tol_c: dict[str, float]
     probe_eta: tuple[float, ...]
-    probe_trials: int
     probe_seed: int
     eps_ladder: tuple[float, ...]
     refine_levels: int
@@ -222,13 +227,10 @@ class RunConfig:
             m[f"init.{name}.kind"] = spec.kind
             for k, v in sorted(spec.options.items()):
                 m[k] = v
-        m["certify.weights"] = "; ".join(f"{_fmt(w.p)}:{_fmt(w.k)}" for w in self.weights)
+        m["certify.weights"] = f"{_fmt(self.weights.p)}:{_fmt(self.weights.k)}"
         m["certify.bumps"] = str(self.bump_count)
         m["certify.seed"] = str(self.bump_seed)
-        for kind, c in sorted(self.tol_c.items()):
-            m[f"certify.tol_c.{kind}"] = _fmt(c)
         m["probe.eta"] = ", ".join(_fmt(x) for x in self.probe_eta)
-        m["probe.trials"] = str(self.probe_trials)
         m["probe.seed"] = str(self.probe_seed)
         m["sweep.eps_ladder"] = ", ".join(_fmt(x) for x in self.eps_ladder)
         m["refine.levels"] = str(self.refine_levels)
@@ -303,18 +305,17 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
             opts.setdefault(f"init.{name}.value", "0")
         initial[name] = InitialSpec(kind=kind, options=opts)
 
-    weights = tuple(_built("certify.weights", EntropyWeights, p, k)
-                    for p, k in _parse_weights(mapping.get("certify.weights", "1:2")))
+    weights = _built("certify.weights", EntropyWeights,
+                     *_parse_weights(mapping.get("certify.weights", "1:2")))
 
-    tol_c = dict(DEFAULT_TOL_C)
-    for key in mapping:
-        if key.startswith("certify.tol_c."):
-            kind = key.removeprefix("certify.tol_c.")
-            if kind not in tol_c:
-                raise ConfigError(key, f"unknown certificate kind {kind!r}")
-            tol_c[kind] = _get_float(mapping, key)
-            if not tol_c[kind] > 0:
-                raise ConfigError(key, f"must be positive, got {tol_c[kind]}")
+    restated = {key for key in mapping if key.startswith("certify.tol_c.")}
+    for key in sorted(restated):
+        c = TOL_C.get(key.removeprefix("certify.tol_c."))
+        if c is None:
+            raise ConfigError(key, "unknown key")
+        if _get_float(mapping, key) != c:
+            raise ConfigError(key, f"fixed at the calibrated {c:g}; a config may "
+                                   f"restate it but not change it")
 
     eps_ladder = _get_floats(mapping, "sweep.eps_ladder", DEFAULT_EPS_LADDER)
     if any(not (0.0 < e < 1.0) for e in eps_ladder):
@@ -332,9 +333,6 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     bump_count = _get_int(mapping, "certify.bumps", 20)
     if not 1 <= bump_count <= MAX_BUMPS:
         raise ConfigError("certify.bumps", f"must lie in [1, {MAX_BUMPS}], got {bump_count}")
-    probe_trials = _get_int(mapping, "probe.trials", 200)
-    if probe_trials < 1:
-        raise ConfigError("probe.trials", "must be >= 1")
     refine_levels = _get_int(mapping, "refine.levels", 3)
     if refine_levels < 3:  # an order is fitted to >= 2 gaps between levels
         raise ConfigError("refine.levels", f"refinement needs >= 3 levels, "
@@ -346,41 +344,30 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         weights=weights,
         bump_count=bump_count,
         bump_seed=_get_seed(mapping, "certify.seed", 2024),
-        tol_c=tol_c,
         probe_eta=tuple(probe_eta),
-        probe_trials=probe_trials,
         probe_seed=_get_seed(mapping, "probe.seed", 7),
         eps_ladder=tuple(eps_ladder),
         refine_levels=refine_levels,
     )
-    # the manifest echoes every key read
-    unknown = sorted(set(mapping) - set(cfg.to_mapping()))
+    # the manifest echoes every key read but the restated constants
+    unknown = sorted(set(mapping) - set(cfg.to_mapping()) - restated)
     if unknown:
         raise ConfigError(unknown[0], "unknown key")
     cfg.build_initial_family()  # fail fast on bad initial-data fields
     return cfg
 
 
-def _parse_weights(value: str) -> tuple[tuple[float, float], ...]:
-    pairs = []
-    for tok in value.split(";"):
-        tok = tok.strip()
-        if not tok:
-            continue
-        parts = tok.split(":")
-        if len(parts) != 2:
-            raise ConfigError("certify.weights",
-                              f"expected 'p:k' pairs separated by ';', got {tok!r}")
-        try:
-            pair = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ConfigError("certify.weights", f"bad pair {tok!r}") from None
-        if not all(math.isfinite(x) for x in pair):
-            raise ConfigError("certify.weights", f"pair {tok!r} is not finite")
-        pairs.append(pair)
-    if not pairs:
-        raise ConfigError("certify.weights", "at least one p:k pair required")
-    return tuple(pairs)
+def _parse_weights(value: str) -> tuple[float, float]:
+    parts = value.split(":")
+    if len(parts) != 2:
+        raise ConfigError("certify.weights", f"expected one 'p:k' pair, got {value!r}")
+    try:
+        pair = (float(parts[0]), float(parts[1]))
+    except ValueError:
+        raise ConfigError("certify.weights", f"bad pair {value!r}") from None
+    if not all(math.isfinite(x) for x in pair):
+        raise ConfigError("certify.weights", f"pair {value!r} is not finite")
+    return pair
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -258,6 +258,10 @@ def uniform_integrability_threshold(eta: float, T: float, theta: float,
     return float((eta ** theta / denom) ** (1.0 / (theta - 1.0)))
 
 
+# random subsets each probe of a run draws
+PROBE_TRIALS = 200
+
+
 def probe_uniform_integrability(traj: Trajectory, eta: float, delta: float,
                                 trials: int, seed: int = 0,
                                 ) -> EstimateRecord:

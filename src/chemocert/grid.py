@@ -115,14 +115,18 @@ class Field:
         if values.shape != self.grid.shape:
             raise ValueError(
                 f"field shape {values.shape} does not match grid {self.grid.shape}")
-        _require_finite(values)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        self.__setstate__({"grid": self.grid, "values": values})
 
-    def __reduce__(self):
-        # unpickling rebuilds through __post_init__, so the copy is checked
-        # and read-only like the original
-        return (Field, (self.grid, self.values))
+    def __setstate__(self, state):
+        """Take ``state``'s values as they are, checked finite and made read-only.
+
+        Unpickling lands here with the array the unpickler made, so a
+        received field holds its data once, not beside a copy of it.
+        """
+        _require_finite(state["values"])
+        state["values"].setflags(write=False)
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
     def min(self) -> float:
         return float(self.values.min())

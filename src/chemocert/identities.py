@@ -11,11 +11,11 @@ Phi' = sqrt(phi'')), drives the superposition field
 
 whose evolution identity underlies the weak formulation this module
 certifies. Five closed-form identities tie the assembled weight expressions
-to their compact forms; they are checked against a symbolic-differentiation
-oracle at random points. Certificates integrate the weak-form conditions
-against smooth compactly supported space-time bumps with analytic
-derivatives, so only the trajectory and the space-time quadrature contribute
-to the tolerance C*(h+dt). Every weak form is linear in the test function,
+to their compact forms; both sides are written by hand, and they are compared
+at random points. Certificates integrate the weak-form conditions against
+smooth compactly supported space-time bumps with analytic derivatives, so
+only the trajectory and the space-time quadrature contribute to the
+tolerance C*(h+dt). Every weak form is linear in the test function,
 so a certificate kind is just its integrand: rows (A, B) per history instant,
 tested as int A*S + B.grad S against the whole bump family. One walk over
 the history serves every kind, in two parts. :class:`InstantProducts` takes
@@ -162,7 +162,8 @@ def check_weight_identities(p: float, k: float, samples: int = 100,
     the right sides are the closed forms. Errors are measured relative to the
     assembly magnitude (the sum of absolute term values), which keeps the
     metric meaningful where the assembled terms cancel. Identity 4 is checked
-    against the symbolic-oracle value; the unsigned variant is evaluated too
+    against the signed closed form (``oracle`` in the report, though nothing
+    here differentiates symbolically); the unsigned variant is evaluated too
     and the report records which form matched. The report maps each
     identity's name to its record, which carries ``passed``.
     """
@@ -504,30 +505,29 @@ def _superposition_rows(grid: Grid, u, v, w, gw, weights: EntropyWeights,
 class HistoryPass:
     """Every weak-form kind tested against one bump family in one history walk.
 
-    ``signal``, ``log_v`` and ``superposition[weights]`` hold per bump
-    ``(lhs, rhs)``: lhs = -(iint F d_t psi + int F(0) psi(0)) for the kind's
-    density F and rhs[r] = iint G_r psi for each right side G_r (see
-    :func:`_time_weights`). ``z_worst[weights][r]`` is per bump the max over
-    its ``z_instants`` interior instants of |psi (d/dt int z S - int G_r)|.
+    ``signal``, ``log_v`` and ``superposition`` hold per bump ``(lhs, rhs)``:
+    lhs = -(iint F d_t psi + int F(0) psi(0)) for the kind's density F and
+    rhs[r] = iint G_r psi for each right side G_r (see
+    :func:`_time_weights`). ``z_worst[r]`` is per bump the max over its
+    ``z_instants`` interior instants of |psi (d/dt int z S - int G_r)|.
     """
 
     signal: tuple[np.ndarray, np.ndarray]
     log_v: tuple[np.ndarray, np.ndarray]
-    superposition: dict[EntropyWeights, tuple[np.ndarray, np.ndarray]]
-    z_worst: dict[EntropyWeights, np.ndarray]
+    superposition: tuple[np.ndarray, np.ndarray]
+    z_worst: np.ndarray
     z_instants: np.ndarray
 
 
-def _kind_sizes(weights_list) -> list[int]:
-    """Rows of each weak-form kind, density first: w, ln(1+v), then z per weight pair."""
-    return [3, 2] + [4] * len(weights_list)
+# rows of each weak-form kind, density first: w, ln(1+v), z
+_KIND_SIZES = (3, 2, 4)
 
 
 class InstantProducts:
     """Every weak-form kind's rows at one instant, tested against one bump family.
 
     Called on one instant's fields (u, v, w), it takes grad w once, and every
-    kind gives rows (A, B): 3 for w, 2 for ln(1+v), 4 per weight pair for z,
+    kind gives rows (A, B): 3 for w, 2 for ln(1+v), 4 for z of the weight pair,
     a density first (B = 0) and right sides sharing one flux B. Each row
     becomes vol * sum(A*S + B.grad S) per bump, an array of shape
     ``(rows, bumps)``: all A against S in one matrix product and each kind's
@@ -535,22 +535,21 @@ class InstantProducts:
     and the test family, so they are the same bytes in any process.
     """
 
-    def __init__(self, grid: Grid, params: ModelParams, bumps, weights_list):
+    def __init__(self, grid: Grid, params: ModelParams, bumps, weights: EntropyWeights):
         self.grid = grid
         self.params = params
-        self.weights_list = tuple(weights_list)
+        self.weights = weights
         self.test_values, self.test_grads = _stacked_tests(bumps, grid)
-        sizes = _kind_sizes(weights_list)
-        self._kind = np.repeat(np.arange(len(sizes)), sizes)
+        self._kind = np.repeat(np.arange(len(_KIND_SIZES)), _KIND_SIZES)
         self._sides = np.flatnonzero(np.diff(self._kind, prepend=-1) == 0)  # after the density
 
     def __call__(self, u, v, w) -> np.ndarray:
         grid, kind, sides = self.grid, self._kind, self._sides
         gw = gradient_values(grid, w)
         net_source = source_w(u, v, self.params.eps) - w
-        kinds = [_signal_rows(u, v, w, gw, net_source), _log_v_rows(grid, u, v, gw)]
-        kinds += [_superposition_rows(grid, u, v, w, gw, weights, self.params.theta,
-                                      net_source) for weights in self.weights_list]
+        kinds = [_signal_rows(u, v, w, gw, net_source), _log_v_rows(grid, u, v, gw),
+                 _superposition_rows(grid, u, v, w, gw, self.weights, self.params.theta,
+                                     net_source)]
         values = np.stack([a for rows, _ in kinds for a in rows])
         fluxes = np.stack([g for _, flux in kinds for g in flux])
         # the right sides of a kind share its flux, which is contracted once
@@ -563,13 +562,13 @@ class InstantProducts:
 class TimeFold:
     """The time quadrature of a walk over the step boundaries ``times``.
 
-    Built from the times, the bump family and the weight pairs alone, it
-    folds the products of :class:`InstantProducts`, one per step boundary
-    in time order, into the time-weighted sums and, at each interior
-    instant of a window, the centred difference of z.
+    Built from the times and the bump family alone, it folds the products of
+    :class:`InstantProducts`, one per step boundary in time order, into the
+    time-weighted sums and, at each interior instant of a window, the
+    centred difference of z.
     """
 
-    def __init__(self, grid: Grid, times: np.ndarray, bumps, weights_list):
+    def __init__(self, grid: Grid, times: np.ndarray, bumps):
         if not bumps:
             raise ValueError("bump family is empty")
         for bump in bumps:
@@ -577,7 +576,6 @@ class TimeFold:
         if len(times) < 3:
             raise ValueError("history too short for centered time differences")
         self.times = times
-        self.weights_list = tuple(weights_list)
         self.psi = np.column_stack([bump.time_profile(times) for bump in bumps])
         inside = np.zeros(self.psi.shape, dtype=bool)
         for b, bump in enumerate(bumps):
@@ -595,29 +593,25 @@ class TimeFold:
             raise ValueError(
                 f"{len(products)} instants walked for {len(times)} step boundaries; "
                 "the walk's cadence must be one step")
-        sizes = _kind_sizes(self.weights_list)
-        n_weights, n_bumps = len(self.weights_list), psi.shape[1]
-        lhs, rhs = np.zeros((2, sum(sizes), n_bumps))
+        ends = np.cumsum(_KIND_SIZES)[:-1]
+        lhs, rhs = np.zeros((2, sum(_KIND_SIZES), psi.shape[1]))
         for i, ci in enumerate(products):
             lhs -= ci * self.dpsi[i]
             rhs += ci * self.trap[i]
-        z = [ci[sum(sizes[:2]):].reshape(n_weights, 4, n_bumps) for ci in products]
-        worst = np.zeros((n_weights, 3, n_bumps))
+        z = [ci[ends[-1]:] for ci in products]
+        worst = np.zeros((3, psi.shape[1]))
         for i in np.flatnonzero(interior.any(axis=1)):
-            rate = (z[i + 1][:, :1] - z[i - 1][:, :1]) / (times[i + 1] - times[i - 1])
-            mismatch = np.abs(psi[i] * (rate - z[i][:, 1:]))
+            rate = (z[i + 1][:1] - z[i - 1][:1]) / (times[i + 1] - times[i - 1])
+            mismatch = np.abs(psi[i] * (rate - z[i][1:]))
             worst = np.maximum(worst, np.where(interior[i], mismatch, 0.0))
 
-        ends = np.cumsum(sizes)[:-1]
-        signal, log_v, *z_blocks = [(left[0], right[1:]) for left, right
-                                    in zip(np.split(lhs, ends), np.split(rhs, ends))]
-        return HistoryPass(signal=signal, log_v=log_v,
-                           superposition=dict(zip(self.weights_list, z_blocks)),
-                           z_worst=dict(zip(self.weights_list, worst)),
-                           z_instants=interior.sum(axis=0))
+        signal, log_v, superposition = [(left[0], right[1:]) for left, right
+                                        in zip(np.split(lhs, ends), np.split(rhs, ends))]
+        return HistoryPass(signal=signal, log_v=log_v, superposition=superposition,
+                           z_worst=worst, z_instants=interior.sum(axis=0))
 
 
-def history_pass(traj: Trajectory, bumps, weights_list) -> HistoryPass:
+def history_pass(traj: Trajectory, bumps, weights: EntropyWeights) -> HistoryPass:
     """Test the integrand of every weak-form kind in one walk over the stored history.
 
     Every stored instant is walked by :class:`InstantProducts`, then folded
@@ -627,8 +621,8 @@ def history_pass(traj: Trajectory, bumps, weights_list) -> HistoryPass:
     """
     if traj.history is None:
         raise ValueError("trajectory was run without dense field history")
-    fold = TimeFold(traj.grid, traj.times, bumps, weights_list)
-    walk = InstantProducts(traj.grid, traj.params, bumps, weights_list)
+    fold = TimeFold(traj.grid, traj.times, bumps)
+    walk = InstantProducts(traj.grid, traj.params, bumps, weights)
     return fold([walk(*(fields[name] for name in "uvw")) for fields in traj.history])
 
 
@@ -679,16 +673,17 @@ def z_evolution_residual(tested: HistoryPass, weights: EntropyWeights,
     The time derivative of z comes from centered differences over the step
     boundaries the walk visits; all other terms are assembled from the grid
     calculus at each instant. The reported residual is the worst
-    instantaneous mismatch inside the bump's time window.
+    instantaneous mismatch inside the bump's time window. ``tested`` is a
+    walk with ``weights``, whose p and k each record carries.
     """
     records = []
-    for b, (gated, printed, _, n) in enumerate(zip(*tested.z_worst[weights].tolist(),
+    for b, (gated, printed, _, n) in enumerate(zip(*tested.z_worst.tolist(),
                                                    tested.z_instants.tolist())):
         records.append(CertificateRecord(
             name="z_evolution", bump_index=b, lhs=gated, rhs=0.0,
             residual=gated, slack=tol - gated, tol=tol, passed=bool(gated <= tol),
             extras={"printed_drift_coeff_residual": printed,
-                    "n_instants": float(n)}))
+                    "n_instants": float(n), "p": weights.p, "k": weights.k}))
     return records
 
 
@@ -700,9 +695,10 @@ def certify_entropy_inequality(tested: HistoryPass, weights: EntropyWeights,
     discretization when the trajectory's own saturated source is used; the
     certified contract is the inequality direction (slack >= -tol). The
     limit-form slack, with u+v replacing the saturated source, is reported
-    together with the discrepancy it introduces.
+    together with the discrepancy it introduces. ``tested`` is a walk with
+    ``weights``, whose p and k each record carries.
     """
-    lhs, rhs = tested.superposition[weights]
+    lhs, rhs = tested.superposition
     records = []
     for b, (left, right, _, right_limit) in enumerate(zip(lhs.tolist(), *rhs.tolist())):
         records.append(CertificateRecord(
@@ -710,5 +706,6 @@ def certify_entropy_inequality(tested: HistoryPass, weights: EntropyWeights,
             residual=left - right, slack=right - left, tol=tol,
             passed=bool(right - left >= -tol),
             extras={"limit_form_slack": right_limit - left,
-                    "eps_discrepancy": right - right_limit}))
+                    "eps_discrepancy": right - right_limit,
+                    "p": weights.p, "k": weights.k}))
     return records

@@ -38,9 +38,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import FLOAT_FORMAT, MAX_LIST_COUNT, ConfigError, RunConfig, _built, _fmt
+from .config import FLOAT_FORMAT, MAX_LIST_COUNT, TOL_C, ConfigError, RunConfig, _built, _fmt
 from .estimates import (
     DISSIPATION_BANDS,
+    PROBE_TRIALS,
     EstimateRecord,
     check_dissipation_bounds,
     check_mass_bounds,
@@ -173,8 +174,7 @@ def _eps_name(eps: float) -> str:
 
 
 def _weights_name(weights: EntropyWeights) -> str:
-    """Suffix of a sweep's band names for a weight pair; certify and refine
-    refuse pairs that share it too, so a config means the same pairs to all."""
+    """Suffix of a sweep's band names for the weight pair."""
     return f"p{weights.p:g}_k{weights.k:g}"
 
 
@@ -219,7 +219,7 @@ def _single_run_estimates(cfg: RunConfig, traj: Trajectory,
     for j, eta in enumerate(cfg.probe_eta):
         delta = uniform_integrability_threshold(eta, traj.final_time,
                                                 cfg.params.theta, m1, norms["u0_l1"])
-        rec = probe_uniform_integrability(traj, eta, delta, cfg.probe_trials,
+        rec = probe_uniform_integrability(traj, eta, delta, PROBE_TRIALS,
                                           seed=cfg.probe_seed + j)
         rec.name = _eta_name(eta)
         records.append(rec)
@@ -408,7 +408,6 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     _require_horizon(cfg)
     _require_distinct_names("sweep.eps_ladder", cfg.eps_ladder, _eps_name)
-    _require_distinct_names("certify.weights", cfg.weights, _weights_name)
     family = cfg.build_initial_family()
     _write_manifest(cfg, out)
 
@@ -431,11 +430,9 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     if not failures:  # config keeps at least two rungs on the ladder
         records += check_dissipation_bounds(trajs)
         records.append(check_w_lp_family(trajs))
-        for weights in cfg.weights:
-            recs = check_z_dissipation_bounds(trajs, weights)
-            for r in recs:
-                r.name = f"{r.name}_{_weights_name(weights)}"
-            records += recs
+        for r in check_z_dissipation_bounds(trajs, cfg.weights):
+            r.name = f"{r.name}_{_weights_name(cfg.weights)}"
+            records.append(r)
 
     header = ["eps", "gap_u", "gap_v", "gap_w", "diss_grad_log1v", "diss_vgradw",
               "diss_grad_w", "w_lp_sup"]
@@ -470,28 +467,22 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     return 0 if ok else 1
 
 
-def run_certificates(traj: Trajectory, weights_list: tuple[EntropyWeights, ...],
+def run_certificates(traj: Trajectory, weights: EntropyWeights,
                      bumps, tols: dict[str, float]) -> list[CertificateRecord]:
     """Mass certificate, then every weak-form kind from one pass over the stored history.
 
     Records come out bump by bump, each bump's kinds in a fixed order.
     """
-    return _certificate_records(traj, history_pass(traj, bumps, weights_list),
-                                weights_list, tols)
+    return _certificate_records(traj, history_pass(traj, bumps, weights), weights, tols)
 
 
-def _certificate_records(traj: Trajectory, tested: HistoryPass,
-                         weights_list: tuple[EntropyWeights, ...],
+def _certificate_records(traj: Trajectory, tested: HistoryPass, weights: EntropyWeights,
                          tols: dict[str, float]) -> list[CertificateRecord]:
     """The records of :func:`run_certificates`, from a walk already taken."""
     per_kind = [certify_weakform_w(tested, tols["weakform_w"]),
-                certify_weakform_v(tested, tols["weakform_v"])]
-    for weights in weights_list:
-        for recs in (certify_entropy_inequality(tested, weights, tols["entropy"]),
-                     z_evolution_residual(tested, weights, tols["z_evolution"])):
-            for rec in recs:
-                rec.extras["p"], rec.extras["k"] = weights.p, weights.k
-            per_kind.append(recs)
+                certify_weakform_v(tested, tols["weakform_v"]),
+                certify_entropy_inequality(tested, weights, tols["entropy"]),
+                z_evolution_residual(tested, weights, tols["z_evolution"])]
     records = [certify_mass_inequality(traj, tols["mass"])]
     for bump_records in zip(*per_kind):
         records.extend(bump_records)
@@ -573,7 +564,7 @@ def _walked_run(cfg: RunConfig, bumps) -> tuple[Trajectory, HistoryPass]:
         traj = simulate(state, cfg.params, cfg.solver, cfg.T, cfg.output_times,
                         keep_history=True, observer=walk)
         products = walk.finish()
-    return traj, TimeFold(traj.grid, traj.times, bumps, cfg.weights)(products)
+    return traj, TimeFold(traj.grid, traj.times, bumps)(products)
 
 
 def tolerance_scale(traj: Trajectory) -> float:
@@ -581,9 +572,9 @@ def tolerance_scale(traj: Trajectory) -> float:
     return traj.grid.min_spacing + traj.mean_dt
 
 
-def certificate_tolerances(cfg: RunConfig, traj: Trajectory) -> dict[str, float]:
+def certificate_tolerances(traj: Trajectory) -> dict[str, float]:
     scale = tolerance_scale(traj)
-    return {kind: cfg.tol_c[kind] * scale for kind in CERTIFICATE_KINDS}
+    return {kind: TOL_C[kind] * scale for kind in CERTIFICATE_KINDS}
 
 
 def _write_certificates(records: list[CertificateRecord], out: Path) -> None:
@@ -600,11 +591,9 @@ def _write_certificates(records: list[CertificateRecord], out: Path) -> None:
 def run_certify(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     _require_horizon(cfg)
-    _require_distinct_names("certify.weights", cfg.weights, _weights_name)
     bumps = _bump_family(cfg)
     traj, tested = _walked_run(cfg, bumps)
-    records = _certificate_records(traj, tested, cfg.weights,
-                                   certificate_tolerances(cfg, traj))
+    records = _certificate_records(traj, tested, cfg.weights, certificate_tolerances(traj))
     _write_manifest(cfg, out)
     _write_certificates(records, out)
     ok = True
@@ -722,7 +711,6 @@ def refinement_study(cfg: RunConfig) -> dict:
 def run_refine(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     _require_horizon(cfg)
-    _require_distinct_names("certify.weights", cfg.weights, _weights_name)
     study = refinement_study(cfg)
     level_meta = study["level_meta"]
     residuals = study["residuals"]

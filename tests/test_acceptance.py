@@ -37,7 +37,8 @@ from chemocert import (
     z_evolution_residual,
     z_values,
 )
-from chemocert.config import load_config
+from chemocert.config import TOL_C, load_config
+from chemocert.estimates import PROBE_TRIALS
 from chemocert.model import initial_state
 from chemocert.runner import (
     certificate_tolerances,
@@ -218,10 +219,10 @@ def test_criterion_7_weakform_certificates(canonical_cfg, canonical_traj,
                                            refinement):
     cfg, traj = canonical_cfg, canonical_traj
     bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
-    tols = certificate_tolerances(cfg, traj)
+    tols = certificate_tolerances(traj)
     for kind, c in refinement["calibrated_c"].items():
-        # pinned config constants must dominate the fresh calibration
-        assert cfg.tol_c[kind] >= c * 0.99, (kind, c, cfg.tol_c[kind])
+        # the constants fixed in code must dominate the fresh calibration
+        assert TOL_C[kind] >= c * 0.99, (kind, c, TOL_C[kind])
     records = run_certificates(traj, cfg.weights, bumps, tols)
     assert all(r.passed for r in records), \
         [r for r in records if not r.passed]
@@ -247,7 +248,7 @@ def test_criterion_8_z_evolution(refinement):
     dt = traj.mean_dt
     worst = 0.0
     weights = EntropyWeights(1.0, 2.0)
-    tested = history_pass(traj, sample_bumps(grid, 1.0, 5, seed=5), [weights])
+    tested = history_pass(traj, sample_bumps(grid, 1.0, 5, seed=5), weights)
     for rec in z_evolution_residual(tested, weights, 2.0 * dt):
         assert rec.passed, rec
         worst = max(worst, rec.residual)
@@ -293,7 +294,7 @@ def test_criterion_10_uniform_integrability(canonical_cfg, canonical_traj):
     for j, eta in enumerate((0.25, 1.0)):
         delta = uniform_integrability_threshold(eta, cfg.T, cfg.params.theta,
                                                 m1, u0_l1)
-        rec = probe_uniform_integrability(traj, eta, delta, trials=200,
+        rec = probe_uniform_integrability(traj, eta, delta, trials=PROBE_TRIALS,
                                           seed=cfg.probe_seed + j)
         assert rec.passed, rec
         assert rec.details["violations"] == 0.0

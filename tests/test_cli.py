@@ -10,6 +10,7 @@ import pytest
 from chemocert.cli import build_parser, main
 from chemocert.config import (
     INITIAL_OPTIONS,
+    TOL_C,
     ConfigError,
     config_from_mapping,
     load_config,
@@ -36,7 +37,6 @@ init.w.kind = constant
 init.w.value = 0.1
 certify.bumps = 2
 certify.seed = 7
-probe.trials = 20
 sweep.eps_ladder = 0.5, 0.25, 0.125
 """
 
@@ -109,6 +109,14 @@ class TestConfigParsing:
         assert again.output_times == cfg.output_times
         assert again.eps_ladder == cfg.eps_ladder
 
+    def test_restated_tolerance_constants_accepted(self):
+        # a config may restate each calibrated constant; it is fixed in code,
+        # so the run and its manifest are those of the config without it
+        restated = "".join(f"certify.tol_c.{kind} = {c!r}\n" for kind, c in TOL_C.items())
+        cfg = config_from_mapping(parse_config_text(SMALL_CFG + restated))
+        assert cfg.to_mapping() == config_from_mapping(parse_config_text(SMALL_CFG)).to_mapping()
+        assert not any(key.startswith("certify.tol_c.") for key in cfg.to_mapping())
+
     def test_comments_and_blank_lines(self):
         mapping = parse_config_text("# hi\n\na.b = 1 # trailing\n")
         assert mapping == {"a.b": "1"}
@@ -160,6 +168,10 @@ class TestConfigParsing:
         # a bump with no mass on the grid, and one whose mass overflows its peak
         ("init.u.sigma", "1e-200"),
         ("init.u.mass", "1e308"),
+        # a bump centred on or past the wall: half a bump, or none on the grid
+        ("init.u.center", "1.5, 0.5"),
+        ("init.u.center", "50, 50"),
+        ("init.v.center", "0.65, 0"),
     ])
     def test_meaningless_value_names_field(self, key, value):
         mapping = parse_config_text(SMALL_CFG)
@@ -346,11 +358,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("command, key, value, clash", [
         ("simulate", "probe.eta", "0.25, 0.2500001", "uniform_integrability_eta_0.25"),
         ("sweep", "sweep.eps_ladder", "0.5, 0.4999999, 0.125", "eps=0.5"),
-        ("certify", "certify.weights", "1:2; 1:2", "p1_k2"),
-        ("sweep", "certify.weights", "1:2; 1:2.0000001", "p1_k2"),
-        ("refine", "certify.weights", "1:2; 1:2", "p1_k2"),
-    ], ids=["probe.eta", "sweep.eps_ladder", "certify.weights", "sweep-weights",
-            "refine-weights"])
+    ], ids=["probe.eta", "sweep.eps_ladder"])
     def test_entries_named_alike_exit_2(self, tmp_path, capsys, command, key, value,
                                         clash):
         # two entries whose outputs would share a name are refused by key
@@ -361,6 +369,28 @@ class TestSimulateCommand:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"'{key}'" in err and clash in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("certify", "certify.weights", "1:2; 1:3"),
+        ("sweep", "certify.weights", "1:2; 1:3"),
+        ("refine", "certify.weights", "1:2; 1:3"),
+        *[("certify", f"certify.tol_c.{kind}", f"{2 * c:g}") for kind, c in TOL_C.items()],
+        ("refine", "certify.tol_c.mass", "1e-7"),
+        ("certify", "certify.tol_c.gradient", "1"),
+        ("simulate", "probe.trials", "200"),
+    ], ids=["certify.weights", "sweep-weights", "refine-weights",
+            *[f"tol_c.{kind}" for kind in TOL_C], "refine-tol_c.mass", "tol_c.gradient",
+            "probe.trials"])
+    def test_one_pair_and_fixed_constants_exit_2(self, tmp_path, capsys, command, key,
+                                                 value):
+        # a run certifies one weight pair, and the tolerance constants and the
+        # probe's trial count are fixed in code: a config that sets another
+        # is refused by key before anything is stepped or written
+        cfg = write_cfg(tmp_path, REFINE_CFG + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_theta_exit_2_names_field(self, tmp_path, capsys):
@@ -586,9 +616,9 @@ class TestCertifyCommand:
             (second / "certificates.csv").read_bytes()
 
     def test_one_history_walk_for_all_kinds(self, tmp_path, monkeypatch):
-        # one walk takes grad w, grad ln(1+v) and one grad z^(1/2) per weight
-        # pair once per walked instant; a walk per kind takes more. The
-        # certify process walks the last instant only
+        # one walk takes grad w, grad ln(1+v) and grad z^(1/2) once per
+        # walked instant; a walk per kind takes more. The certify process
+        # walks the last instant only
         from chemocert import identities, runner
         from chemocert.identities import history_pass, sample_bumps
 
@@ -610,7 +640,7 @@ class TestCertifyCommand:
         monkeypatch.setattr(runner, "simulate", kept)
         cfg = write_cfg(tmp_path)
         assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        per_instant = 3  # SMALL_CFG keeps the default certify.weights = 1:2
+        per_instant = 3
         assert len(calls) == per_instant
         config = load_config(cfg)
         traj = trajs[0]
@@ -661,7 +691,7 @@ class TestCertifyCommand:
         config = load_config(cfg)
         bumps = sample_bumps(config.grid, config.T, config.bump_count, config.bump_seed)
         records = runner.run_certificates(traj, config.weights, bumps,
-                                          runner.certificate_tolerances(config, traj))
+                                          runner.certificate_tolerances(traj))
         runner._write_certificates(records, tmp_path / "stored")
         assert (tmp_path / "stored" / "certificates.csv").read_bytes() == runs[0][1]
 

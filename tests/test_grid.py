@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,32 @@ class TestGridConstruction:
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
         assert not back.values.flags.writeable
+
+    def test_unpickled_field_holds_its_data_once(self):
+        # a received field keeps the array the unpickler made; a copy of it
+        # would hold a received sweep rung's field data twice
+        g = Grid(cells=(256, 256), lengths=(1.0, 1.0))
+        f = g.field(np.arange(g.n_cells, dtype=float).reshape(g.shape))
+        payload = pickle.dumps(f)
+        tracemalloc.start()
+        try:
+            back = pickle.loads(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.grid == g and np.array_equal(back.values, f.values)
+        assert not back.values.flags.writeable
+        assert peak < 1.5 * f.values.nbytes
+
+    def test_unpickled_non_finite_field_refused(self):
+        g = Grid(cells=(4,), lengths=(1.0,))
+        values = np.array([1.5, 2.5, 3.5, 4.5])
+        payload = pickle.dumps(g.field(values))
+        forged = values.copy()
+        forged[1] = np.inf
+        assert payload.count(values.tobytes()) == 1
+        with pytest.raises(NonFiniteFieldError, match=r"cell \(1,\)"):
+            pickle.loads(payload.replace(values.tobytes(), forged.tobytes()))
 
 
 class TestIntegrate:

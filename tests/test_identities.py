@@ -255,14 +255,11 @@ class TestBumps:
             late.require_fits(g, 1.0)
 
 
-def assert_same_pass(want, got, weights):
-    for name in ("signal", "log_v"):
+def assert_same_pass(want, got):
+    for name in ("signal", "log_v", "superposition"):
         for a, b in zip(getattr(want, name), getattr(got, name), strict=True):
             np.testing.assert_array_equal(a, b)
-    for w in weights:
-        for a, b in zip(want.superposition[w], got.superposition[w], strict=True):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(want.z_worst[w], got.z_worst[w])
+    np.testing.assert_array_equal(want.z_worst, got.z_worst)
     np.testing.assert_array_equal(want.z_instants, got.z_instants)
 
 
@@ -279,7 +276,7 @@ class TestCertificatesOnOracles:
     def test_zero_trajectory_residuals_vanish(self):
         traj = zero_traj()
         weights = EntropyWeights(1.0, 2.0)
-        tested = history_pass(traj, sample_bumps(traj.grid, 1.0, 4, seed=3), [weights])
+        tested = history_pass(traj, sample_bumps(traj.grid, 1.0, 4, seed=3), weights)
         for rec_w, rec_v, rec_e, rec_z in zip(
                 certify_weakform_w(tested, 1e-12),
                 certify_weakform_v(tested, 1e-12),
@@ -300,7 +297,7 @@ class TestCertificatesOnOracles:
                         output_times=np.linspace(0.1, 1.0, 10), keep_history=True)
         weights = EntropyWeights(1.0, 2.0)
         dt = traj.mean_dt
-        tested = history_pass(traj, sample_bumps(g, 1.0, 4, seed=5), [weights])
+        tested = history_pass(traj, sample_bumps(g, 1.0, 4, seed=5), weights)
         for rz, re_, rv in zip(z_evolution_residual(tested, weights, 2 * dt),
                                certify_entropy_inequality(tested, weights, 1e-4),
                                certify_weakform_v(tested, 1e-6), strict=True):
@@ -324,7 +321,7 @@ class TestCertificatesOnOracles:
                         T=0.6, output_times=[0.6], keep_history=True)
         weights = EntropyWeights(1.0, 2.0)
         bump = sample_bumps(g, 0.6, 1, seed=8)[0]
-        rec, = certify_entropy_inequality(history_pass(traj, [bump], [weights]),
+        rec, = certify_entropy_inequality(history_pass(traj, [bump], weights),
                                           weights, 1e-3)
         # saturated source beats the limit form: positive discrepancy, and the
         # limit-form slack is lower by exactly that amount
@@ -341,7 +338,7 @@ class TestCertificatesOnOracles:
         traj = replace(traj, history=traj.history[::5])
         bump = sample_bumps(g, 0.5, 1, seed=1)[0]
         with pytest.raises(ValueError, match="cadence"):
-            history_pass(traj, [bump], [EntropyWeights(1.0, 2.0)])
+            history_pass(traj, [bump], EntropyWeights(1.0, 2.0))
 
     def test_certificates_need_history(self):
         g = Grid(cells=(16, 16), lengths=(1.0, 1.0))
@@ -350,7 +347,7 @@ class TestCertificatesOnOracles:
                         T=0.5, output_times=[0.5])
         bump = sample_bumps(g, 0.5, 1, seed=1)[0]
         with pytest.raises(ValueError, match="history"):
-            history_pass(traj, [bump], [EntropyWeights(1.0, 2.0)])
+            history_pass(traj, [bump], EntropyWeights(1.0, 2.0))
 
     def test_fold_refuses_a_walk_one_instant_short(self):
         g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
@@ -358,10 +355,9 @@ class TestCertificatesOnOracles:
         traj = simulate(bumpy_state(g), params, SolverConfig(max_dt=0.01),
                         T=0.1, output_times=[0.1], keep_history=True)
         bumps = sample_bumps(g, 0.1, 2, seed=1)
-        weights = [EntropyWeights(1.0, 2.0)]
-        walk = InstantProducts(g, params, bumps, weights)
+        walk = InstantProducts(g, params, bumps, EntropyWeights(1.0, 2.0))
         products = [walk(*(fields[name] for name in "uvw")) for fields in traj.history]
-        fold = TimeFold(g, traj.times, bumps, weights)
+        fold = TimeFold(g, traj.times, bumps)
         with pytest.raises(ValueError, match="cadence"):
             fold(products[:-1])
 
@@ -388,10 +384,10 @@ class TestCertificatesOnOracles:
         history = list(traj.history)
         for i in far:
             history[i] = {name: rng.uniform(0.0, 3.0, g.shape) for name in "uvw"}
-        weights = [EntropyWeights(1.0, 2.0)]
+        weights = EntropyWeights(1.0, 2.0)
         want = history_pass(traj, bumps, weights)
         got = history_pass(replace(traj, history=history), bumps, weights)
-        assert_same_pass(want, got, weights)
+        assert_same_pass(want, got)
 
     @pytest.mark.parametrize("case, message", [
         ("empty", "bump family is empty"),
@@ -416,4 +412,4 @@ class TestCertificatesOnOracles:
                                            t_radius=1e-5)],
                  }.get(case, [bump])
         with pytest.raises(ValueError, match=message):
-            history_pass(traj, bumps, [EntropyWeights(1.0, 2.0)])
+            history_pass(traj, bumps, EntropyWeights(1.0, 2.0))
