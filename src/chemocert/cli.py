@@ -13,16 +13,7 @@ from .runner import (
     run_sweep,
     run_verify_identities,
 )
-
-
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {seed}")
-    return seed
+from .solver import SchemeViolationError, SimulationAbortError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,13 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default="out", help=out_help)
 
+    # its evaluation points are fixed in code: 100 per identity, seed 0
     p = sub.add_parser("verify-identities", help="entropy-weight identity suite")
     p.add_argument("--out", default="out", help=out_help)
-    p.add_argument("--seed", type=_seed, default=0,
-                   help="seed of the evaluation points (default 0)")
-    p.add_argument("--samples", type=int, default=100,
-                   help="random evaluation points per identity, at most 100000 "
-                        "(default 100)")
     return parser
 
 
@@ -58,11 +45,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify-identities":
-            return run_verify_identities(samples=args.samples, seed=args.seed,
-                                         out_dir=args.out)
+            return run_verify_identities(out_dir=args.out)
         return args.run(load_config(args.config), args.out)
-    # a ConfigError is a ValueError, a dead walker's ChildProcessError an OSError
-    except (OSError, ValueError) as exc:
+    # a ConfigError is a ValueError, a dead walker's ChildProcessError an OSError,
+    # and a stepper that gives up raises one of the other two
+    except (OSError, ValueError, SimulationAbortError, SchemeViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,10 +34,12 @@ TOL_C = {
 }
 
 # upper bounds on counts whose arrays grow with them, checked before any is
-# allocated: a start:stop:count list holds count doubles, and the stacked bump
-# family holds bumps * (1 + dim) * cells doubles: at 256 bumps 25 MB on 64^2,
-# 0.4 GB on 256^2
+# allocated: a start:stop:count list holds count doubles, every grid a run
+# builds (each refine level's too) holds at most MAX_CELLS cells, the 256^2 of
+# the largest shipped run, and the stacked bump family holds
+# bumps * (1 + dim) * cells doubles: at 256 bumps 25 MB on 64^2, 0.4 GB on 256^2
 MAX_LIST_COUNT = 100_000
+MAX_CELLS = 65_536
 MAX_BUMPS = 256
 
 # the init.<field>.* options each kind reads, besides ``kind`` itself
@@ -96,6 +98,13 @@ def _get_int(mapping, key, default=None) -> int:
         return int(mapping[key])
     except ValueError:
         raise ConfigError(key, f"not an integer: {mapping[key]!r}") from None
+
+
+def require_cells_fit(key: str, cells) -> None:
+    """Refuse, as ``key``, a grid of more than ``MAX_CELLS`` cells."""
+    if math.prod(cells) > MAX_CELLS:
+        raise ConfigError(key, f"a grid of {' x '.join(str(n) for n in cells)} cells "
+                               f"exceeds the {MAX_CELLS} cells a grid may hold")
 
 
 def _get_seed(mapping, key, default: int) -> int:
@@ -202,7 +211,6 @@ class RunConfig:
     weights: EntropyWeights
     bump_count: int
     bump_seed: int
-    probe_eta: tuple[float, ...]
     probe_seed: int
     eps_ladder: tuple[float, ...]
     refine_levels: int
@@ -219,7 +227,6 @@ class RunConfig:
         m["grid.lengths"] = ", ".join(_fmt(x) for x in self.grid.lengths)
         m["model.theta"] = _fmt(self.params.theta)
         m["model.eps"] = _fmt(self.params.eps)
-        m["solver.cfl_safety"] = _fmt(self.solver.cfl_safety)
         m["solver.max_dt"] = _fmt(self.solver.max_dt)
         m["run.T"] = _fmt(self.T)
         m["run.output_times"] = ", ".join(_fmt(t) for t in self.output_times)
@@ -230,7 +237,6 @@ class RunConfig:
         m["certify.weights"] = f"{_fmt(self.weights.p)}:{_fmt(self.weights.k)}"
         m["certify.bumps"] = str(self.bump_count)
         m["certify.seed"] = str(self.bump_seed)
-        m["probe.eta"] = ", ".join(_fmt(x) for x in self.probe_eta)
         m["probe.seed"] = str(self.probe_seed)
         m["sweep.eps_ladder"] = ", ".join(_fmt(x) for x in self.eps_ladder)
         m["refine.levels"] = str(self.refine_levels)
@@ -266,6 +272,7 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     cells = tuple(int(x) for x in cells_given)
     unit = (1.0,) * len(cells)
     _built("grid.cells", Grid, cells, unit)
+    require_cells_fit("grid.cells", cells)
     grid = _built("grid.lengths", Grid, cells, _get_floats(mapping, "grid.lengths", unit))
 
     theta = _get_float(mapping, "model.theta")
@@ -274,9 +281,7 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     params = _built("model.eps", ModelParams, theta,
                     _get_float(mapping, "model.eps", ModelParams.eps))
 
-    cfl_safety = _get_float(mapping, "solver.cfl_safety", SolverConfig.cfl_safety)
-    _built("solver.cfl_safety", SolverConfig, cfl_safety)
-    solver = _built("solver.max_dt", SolverConfig, cfl_safety,
+    solver = _built("solver.max_dt", SolverConfig, SolverConfig.cfl_safety,
                     _get_float(mapping, "solver.max_dt", SolverConfig.max_dt))
 
     T = _get_float(mapping, "run.T")
@@ -326,10 +331,6 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         raise ConfigError("sweep.eps_ladder",
                           f"a sweep compares rungs and needs >= 2, got {len(eps_ladder)}")
 
-    probe_eta = _get_floats(mapping, "probe.eta", (0.25, 1.0))
-    if any(e <= 0 for e in probe_eta):
-        raise ConfigError("probe.eta", "entries must be positive")
-
     bump_count = _get_int(mapping, "certify.bumps", 20)
     if not 1 <= bump_count <= MAX_BUMPS:
         raise ConfigError("certify.bumps", f"must lie in [1, {MAX_BUMPS}], got {bump_count}")
@@ -344,7 +345,6 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         weights=weights,
         bump_count=bump_count,
         bump_seed=_get_seed(mapping, "certify.seed", 2024),
-        probe_eta=tuple(probe_eta),
         probe_seed=_get_seed(mapping, "probe.seed", 7),
         eps_ladder=tuple(eps_ladder),
         refine_levels=refine_levels,

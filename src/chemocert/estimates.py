@@ -258,7 +258,9 @@ def uniform_integrability_threshold(eta: float, T: float, theta: float,
     return float((eta ** theta / denom) ** (1.0 / (theta - 1.0)))
 
 
-# random subsets each probe of a run draws
+# the levels eta a run probes, and the random subsets each probe draws; the
+# Holder threshold holds for every eta > 0, so these are fixed samples of it
+PROBE_ETAS = (0.25, 1.0)
 PROBE_TRIALS = 200
 
 

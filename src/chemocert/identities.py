@@ -154,16 +154,20 @@ def z_values(u, w, p: float, k: float) -> np.ndarray:
 # the five weight identities
 # ---------------------------------------------------------------------------
 
+# the relative error below which an assembly matches its closed form
+IDENTITY_TOL = 1e-10
+
+
 def check_weight_identities(p: float, k: float, samples: int = 100,
-                            seed: int = 0, tol: float = 1e-10) -> dict:
+                            seed: int = 0) -> dict:
     """Evaluate both sides of the five weight identities at random points.
 
     The left sides are assembled purely from the primitive evaluators above;
     the right sides are the closed forms. Errors are measured relative to the
     assembly magnitude (the sum of absolute term values), which keeps the
     metric meaningful where the assembled terms cancel. Identity 4 is checked
-    against the signed closed form (``oracle`` in the report, though nothing
-    here differentiates symbolically); the unsigned variant is evaluated too
+    against the signed closed form (``oracle`` in the report: the one the
+    test suite derives with sympy); the unsigned variant is evaluated too
     and the report records which form matched. The report maps each
     identity's name to its record, which carries ``passed``.
     """
@@ -216,8 +220,8 @@ def check_weight_identities(p: float, k: float, samples: int = 100,
     report["gradient_pairing_coefficient"] = {
         "max_rel_error": err_oracle,
         "printed_form_error": err_printed,
-        "matched_form": "oracle" if err_oracle <= tol else (
-            "printed" if err_printed <= tol else "neither"),
+        "matched_form": "oracle" if err_oracle <= IDENTITY_TOL else (
+            "printed" if err_printed <= IDENTITY_TOL else "neither"),
         "n": samples,
     }
 
@@ -229,7 +233,7 @@ def check_weight_identities(p: float, k: float, samples: int = 100,
         "max_rel_error": relerr(c1 + c2 + c3, rhs5, c1, c2, c3), "n": samples}
 
     for rec in report.values():
-        rec["passed"] = rec["max_rel_error"] < tol
+        rec["passed"] = rec["max_rel_error"] < IDENTITY_TOL
     return report
 
 

@@ -38,9 +38,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import FLOAT_FORMAT, MAX_LIST_COUNT, TOL_C, ConfigError, RunConfig, _built, _fmt
+from .config import FLOAT_FORMAT, TOL_C, ConfigError, RunConfig, _built, _fmt, require_cells_fit
 from .estimates import (
     DISSIPATION_BANDS,
+    PROBE_ETAS,
     PROBE_TRIALS,
     EstimateRecord,
     check_dissipation_bounds,
@@ -75,13 +76,9 @@ from .identities import (
     z_evolution_residual,
 )
 from .model import initial_state, u_mass_cap
-from .solver import Trajectory, simulate
+from .solver import SERIES_NAMES, Trajectory, simulate
 
-# each certificate kind and the name its records carry
-RECORD_NAMES = {"mass": "mass_inequality", "weakform_w": "weakform_w",
-                "weakform_v": "weakform_v", "entropy": "entropy_inequality",
-                "z_evolution": "z_evolution"}
-CERTIFICATE_KINDS = tuple(RECORD_NAMES)
+CERTIFICATE_KINDS = tuple(TOL_C)
 
 
 # the line end of csv.writer's default dialect, which the header row uses
@@ -148,13 +145,9 @@ def _write_manifest(cfg: RunConfig, out: Path) -> None:
 
 
 def _write_diagnostics(traj: Trajectory, out: Path) -> None:
-    header = ["t", "dt", "mass_u", "mass_v", "mass_w", "int_u_theta", "int_v_sq",
-              "int_grad_w_sq", "min_u", "max_u", "min_v", "max_v", "min_w", "max_w"]
+    header = ["t", "dt"] + [name.removesuffix("_now") for name in SERIES_NAMES]
     dts = np.concatenate([[0.0], traj.dts])
-    columns = [traj.times, dts] + [traj.series[k] for k in
-                                   ("mass_u", "mass_v", "mass_w", "int_u_theta_now",
-                                    "int_v_sq_now", "int_grad_w_sq_now", "min_u", "max_u",
-                                    "min_v", "max_v", "min_w", "max_w")]
+    columns = [traj.times, dts] + [traj.series[name] for name in SERIES_NAMES]
     _write_csv(out / "diagnostics.csv", header, np.column_stack(columns))
 
 
@@ -216,7 +209,7 @@ def _single_run_estimates(cfg: RunConfig, traj: Trajectory,
     records.append(check_positivity(traj))
     records.append(check_w_lp(traj, norms["w0_lr"]))
     m1 = u_mass_cap(norms["u0_l1"], cfg.params.theta, cfg.grid.measure)
-    for j, eta in enumerate(cfg.probe_eta):
+    for j, eta in enumerate(PROBE_ETAS):
         delta = uniform_integrability_threshold(eta, traj.final_time,
                                                 cfg.params.theta, m1, norms["u0_l1"])
         rec = probe_uniform_integrability(traj, eta, delta, PROBE_TRIALS,
@@ -265,7 +258,6 @@ def run_simulate(cfg: RunConfig, out_dir: str | Path) -> int:
     # keeps the output times inside [0, T]
     _require_distinct_names("run.output_times", sorted({0.0, cfg.T, *cfg.output_times}),
                             _fields_name)
-    _require_distinct_names("probe.eta", cfg.probe_eta, _eta_name)
     family = cfg.build_initial_family()
     norms = family.base_norms(cfg.params.theta)
     traj = simulate(initial_state(family.base()), cfg.params, cfg.solver, cfg.T,
@@ -471,22 +463,26 @@ def run_certificates(traj: Trajectory, weights: EntropyWeights,
                      bumps, tols: dict[str, float]) -> list[CertificateRecord]:
     """Mass certificate, then every weak-form kind from one pass over the stored history.
 
-    Records come out bump by bump, each bump's kinds in a fixed order.
+    Records come out as ``certificates.csv`` lists them.
     """
-    return _certificate_records(traj, history_pass(traj, bumps, weights), weights, tols)
+    return _by_bump(_certificate_records(traj, history_pass(traj, bumps, weights),
+                                         weights, tols))
 
 
 def _certificate_records(traj: Trajectory, tested: HistoryPass, weights: EntropyWeights,
-                         tols: dict[str, float]) -> list[CertificateRecord]:
-    """The records of :func:`run_certificates`, from a walk already taken."""
-    per_kind = [certify_weakform_w(tested, tols["weakform_w"]),
-                certify_weakform_v(tested, tols["weakform_v"]),
-                certify_entropy_inequality(tested, weights, tols["entropy"]),
-                z_evolution_residual(tested, weights, tols["z_evolution"])]
-    records = [certify_mass_inequality(traj, tols["mass"])]
-    for bump_records in zip(*per_kind):
-        records.extend(bump_records)
-    return records
+                         tols: dict[str, float]) -> dict[str, list[CertificateRecord]]:
+    """Each certificate kind's records, from a walk already taken."""
+    return {"mass": [certify_mass_inequality(traj, tols["mass"])],
+            "weakform_w": certify_weakform_w(tested, tols["weakform_w"]),
+            "weakform_v": certify_weakform_v(tested, tols["weakform_v"]),
+            "entropy": certify_entropy_inequality(tested, weights, tols["entropy"]),
+            "z_evolution": z_evolution_residual(tested, weights, tols["z_evolution"])}
+
+
+def _by_bump(per_kind: dict[str, list[CertificateRecord]]) -> list[CertificateRecord]:
+    """The mass record, then bump by bump each weak-form kind's, in kind order."""
+    mass, *weak_forms = per_kind.values()
+    return mass + [r for bump_records in zip(*weak_forms) for r in bump_records]
 
 
 # instants the walk ring holds: how far the forked walker may fall behind the
@@ -593,31 +589,26 @@ def run_certify(cfg: RunConfig, out_dir: str | Path) -> int:
     _require_horizon(cfg)
     bumps = _bump_family(cfg)
     traj, tested = _walked_run(cfg, bumps)
-    records = _certificate_records(traj, tested, cfg.weights, certificate_tolerances(traj))
+    per_kind = _certificate_records(traj, tested, cfg.weights, certificate_tolerances(traj))
     _write_manifest(cfg, out)
-    _write_certificates(records, out)
+    _write_certificates(_by_bump(per_kind), out)
     ok = True
-    by_kind: dict[str, list[CertificateRecord]] = {}
-    for r in records:
-        by_kind.setdefault(r.name, []).append(r)
-        ok &= r.passed
-    for kind, recs in by_kind.items():
+    for recs in per_kind.values():
         worst = max(abs(r.residual) for r in recs)
-        print(f"[certify] {kind}: {sum(r.passed for r in recs)}/{len(recs)} pass, "
+        passed = sum(r.passed for r in recs)
+        print(f"[certify] {recs[0].name}: {passed}/{len(recs)} pass, "
               f"worst residual {worst:.3e}, tol {recs[0].tol:.3e}")
+        ok &= passed == len(recs)
     return 0 if ok else 1
 
 
-def run_verify_identities(samples: int, seed: int,
-                          out_dir: str | Path | None = None) -> int:
-    if not 1 <= samples <= MAX_LIST_COUNT:
-        raise ConfigError("samples", f"must lie in [1, {MAX_LIST_COUNT}], got {samples}")
+def run_verify_identities(out_dir: str | Path | None = None) -> int:
     rows = []
     ok = True
     for p in (0.5, 1.0, 2.0, 4.0):
         for factor in (1.1, 2.0, 10.0):
             k = weight_threshold(p) * factor
-            report = check_weight_identities(p, k, samples=samples, seed=seed)
+            report = check_weight_identities(p, k)
             for name, rec in report.items():
                 rows.append([p, k, name, rec["max_rel_error"],
                              rec.get("printed_form_error", ""),
@@ -662,6 +653,8 @@ def refinement_study(cfg: RunConfig) -> dict:
     family-to-family safety margin (the certification family may probe scales
     the calibration family missed).
     """
+    finest = _scaled_level(cfg, cfg.refine_levels - 1).grid
+    require_cells_fit("refine.levels", finest.cells)
     bumps = _bump_family(cfg)
 
     level_meta: list[dict[str, float]] = []
@@ -676,10 +669,9 @@ def refinement_study(cfg: RunConfig) -> dict:
               f"{len(traj.dts)} steps, mean dt {traj.mean_dt:.3e}")
         # tolerance 1.0: residual magnitudes are what the ladder measures
         loose = {k: 1.0 for k in CERTIFICATE_KINDS}
-        records = _certificate_records(traj, tested, cfg.weights, loose)
-        for kind in CERTIFICATE_KINDS:
-            residuals[kind].append([abs(r.residual) for r in records
-                                    if r.name == RECORD_NAMES[kind]])
+        per_kind = _certificate_records(traj, tested, cfg.weights, loose)
+        for kind, records in per_kind.items():
+            residuals[kind].append([abs(r.residual) for r in records])
         level_meta.append({"cells": sub.grid.cells[0], "h": sub.grid.min_spacing,
                            "dt_mean": traj.mean_dt})
         scales.append(tolerance_scale(traj))

@@ -52,6 +52,7 @@ class SimulationAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    # a config sets only max_dt: every run steps at cfl_safety = 0.5
     cfl_safety: float = 0.5
     max_dt: float = 0.01
 

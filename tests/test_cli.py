@@ -3,6 +3,9 @@ import csv
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from chemocert.cli import build_parser, main
 from chemocert.config import (
     INITIAL_OPTIONS,
+    MAX_CELLS,
     TOL_C,
     ConfigError,
     config_from_mapping,
@@ -153,7 +157,6 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, value", [
         ("run.T", "inf"),
         ("grid.cells", "64.7, 64"),
-        ("probe.eta", "nan"),
         ("run.output_times", "0, nan"),
         ("solver.max_dt", "inf"),
         ("model.theta", "inf"),
@@ -163,7 +166,6 @@ class TestConfigParsing:
         ("sweep.eps_ladder", "0.25"),  # a sweep compares at least two rungs
         # refused by the objects config builds, one key at a time
         ("grid.lengths", "-1, 1"),
-        ("solver.cfl_safety", "2"),
         ("solver.max_dt", "0"),
         # a bump with no mass on the grid, and one whose mass overflows its peak
         ("init.u.sigma", "1e-200"),
@@ -183,7 +185,7 @@ class TestConfigParsing:
         # one past the bound, so that a lost bound costs 0.8 MB here and not
         # the 8 GB that 0:0.4:1000000000 would ask of linspace
         ("run.output_times", "0:0.4:100001", "count must be <= 100000"),
-        ("probe.eta", "0.25:1:100001", "count must be <= 100000"),
+        ("grid.cells", "257, 256", "a grid of 257 x 256 cells exceeds"),
         ("certify.bumps", "257", "must lie in [1, 256]"),
         ("certify.bumps", "0", "must lie in [1, 256]"),
     ])
@@ -197,8 +199,10 @@ class TestConfigParsing:
         mapping = parse_config_text(SMALL_CFG)
         mapping["run.output_times"] = "0:0.4:100000"
         mapping["certify.bumps"] = "256"
+        mapping["grid.cells"] = "256, 256"
         cfg = config_from_mapping(mapping)
         assert len(cfg.output_times) == 100_000 and cfg.bump_count == 256
+        assert cfg.grid.n_cells == MAX_CELLS
 
     def test_repeated_key_names_both_lines(self):
         text = SMALL_CFG + "model.theta = 3.0\n"
@@ -306,7 +310,7 @@ class TestConfigParsing:
 class TestCommandLine:
     def test_each_command_takes_only_its_options(self):
         # a run is its config file: the commands that read one take no other
-        # option; verify-identities reads none and takes its own seed
+        # option; verify-identities reads none, and its sampling is fixed
         sub = next(action for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
         options = {name: sorted(option for action in parser._actions
@@ -317,7 +321,7 @@ class TestCommandLine:
                            "sweep": ["--config", "--out"],
                            "certify": ["--config", "--out"],
                            "refine": ["--config", "--out"],
-                           "verify-identities": ["--out", "--samples", "--seed"]}
+                           "verify-identities": ["--out"]}
 
 
 class TestSimulateCommand:
@@ -356,9 +360,8 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key, value, clash", [
-        ("simulate", "probe.eta", "0.25, 0.2500001", "uniform_integrability_eta_0.25"),
         ("sweep", "sweep.eps_ladder", "0.5, 0.4999999, 0.125", "eps=0.5"),
-    ], ids=["probe.eta", "sweep.eps_ladder"])
+    ], ids=["sweep.eps_ladder"])
     def test_entries_named_alike_exit_2(self, tmp_path, capsys, command, key, value,
                                         clash):
         # two entries whose outputs would share a name are refused by key
@@ -379,14 +382,18 @@ class TestSimulateCommand:
         ("refine", "certify.tol_c.mass", "1e-7"),
         ("certify", "certify.tol_c.gradient", "1"),
         ("simulate", "probe.trials", "200"),
+        # fixed in code even at the value they had as keys
+        ("simulate", "probe.eta", "0.25, 1"),
+        ("simulate", "solver.cfl_safety", "0.5"),
     ], ids=["certify.weights", "sweep-weights", "refine-weights",
             *[f"tol_c.{kind}" for kind in TOL_C], "refine-tol_c.mass", "tol_c.gradient",
-            "probe.trials"])
+            "probe.trials", "probe.eta", "solver.cfl_safety"])
     def test_one_pair_and_fixed_constants_exit_2(self, tmp_path, capsys, command, key,
                                                  value):
-        # a run certifies one weight pair, and the tolerance constants and the
-        # probe's trial count are fixed in code: a config that sets another
-        # is refused by key before anything is stepped or written
+        # a run certifies one weight pair, and the tolerance constants, the
+        # probe's levels and trial count and the CFL factor are fixed in code:
+        # a config that sets another is refused by key before anything is
+        # stepped or written
         cfg = write_cfg(tmp_path, REFINE_CFG + f"{key} = {value}\n")
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
@@ -399,19 +406,48 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "model.theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "certify"])
+    def test_stepper_abort_exit_2(self, tmp_path, command):
+        # u = 1e200 overflows the first step, and the stepper gives up; run as
+        # the command line runs, with numpy's warnings printed, not raised
+        text = switch_kind(REFINE_CFG, "u", "constant", value="1e200")
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "chemocert", command, "--config",
+             str(write_cfg(tmp_path, text)), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 2
+        assert "error: non-finite accumulator" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "grid.cells", "257, 256"),
+        # 8 x 8 doubled six times is 512 x 512; five times is the bound's 256 x 256
+        ("refine", "refine.levels", "7"),
+    ], ids=["grid.cells", "refine.levels"])
+    def test_grid_over_the_cell_bound_exit_2(self, tmp_path, capsys, command, key, value):
+        lines = [line for line in REFINE_CFG.splitlines() if not line.startswith(key)]
+        cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"'{key}': a grid of " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "certify", "refine",
                                          "verify-identities"])
     def test_negative_seed_exit_2_before_running(self, tmp_path, capsys, command):
-        # verify-identities refuses a negative seed; the commands that read a
-        # config take their seeds from it and have no --seed at all
+        # the commands that read a config take their seeds from it, and
+        # verify-identities has a fixed one: none has a --seed at all
         out = tmp_path / "out"
         config = [] if command == "verify-identities" else ["--config",
                                                             str(write_cfg(tmp_path))]
         with pytest.raises(SystemExit) as exc:
             main([command, *config, "--out", str(out), "--seed", "-1"])
         assert exc.value.code == 2
-        assert ("argument --seed: seeds must be >= 0" if command == "verify-identities"
-                else "unrecognized arguments: --seed -1") in capsys.readouterr().err
+        assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_round_trip_reproduces(self, tmp_path):
@@ -716,9 +752,9 @@ class TestCertifyCommand:
         assert "certificate walker exited with status 3" in capsys.readouterr().err
         assert not (out / "certificates.csv").exists()
 
-    def test_failed_step_stops_the_walker(self, tmp_path, monkeypatch):
-        # a step raises after the walker has been handed instants: the error
-        # comes out, and the walker is terminated and joined on the way
+    def test_failed_step_stops_the_walker(self, tmp_path, capsys, monkeypatch):
+        # a step raises after the walker has been handed instants: the run
+        # stops with the error, and the walker is terminated and joined
         import multiprocessing
 
         from chemocert import solver
@@ -735,9 +771,10 @@ class TestCertifyCommand:
 
         monkeypatch.setattr(solver, "_advance", failing_late)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with pytest.raises(SchemeViolationError, match="u reached"):
-            main(["certify", "--config", str(write_cfg(tmp_path)), "--out",
-                  str(tmp_path / "cert")])
+        out = tmp_path / "cert"
+        assert main(["certify", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 2
+        assert "error: u reached -1e-09" in capsys.readouterr().err
+        assert not out.exists()
         assert multiprocessing.active_children() == []
         with pytest.raises(ChildProcessError):  # none left, not even unjoined
             os.waitpid(-1, os.WNOHANG)
@@ -769,16 +806,14 @@ class TestVerifyIdentitiesCommand:
         assert (tmp_path / "identities.csv").exists()
         assert "pass" in capsys.readouterr().out
 
-    def test_zero_samples_rejected(self, tmp_path, capsys):
-        assert main(["verify-identities", "--out", str(tmp_path),
-                     "--samples", "0"]) == 2
-        assert "samples" in capsys.readouterr().err
-
-    def test_too_many_samples_rejected(self, tmp_path, capsys):
-        # refused before the identities allocate arrays of `samples` doubles
-        assert main(["verify-identities", "--out", str(tmp_path),
-                     "--samples", "100001"]) == 2
-        assert "samples" in capsys.readouterr().err
+    @pytest.mark.parametrize("option, value", [("--seed", "1"), ("--samples", "5")],
+                             ids=["seed", "samples"])
+    def test_removed_options_unrecognized(self, tmp_path, capsys, option, value):
+        # the evaluation points are fixed in code: 100 per identity, seed 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-identities", "--out", str(tmp_path), option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
         assert not (tmp_path / "identities.csv").exists()
 
 
