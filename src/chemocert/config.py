@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, NonFiniteFieldError
 from .identities import EntropyWeights
-from .model import InitialFamily, ModelParams, w_lp_exponent_cap
+from .model import (InitialFamily, ModelParams, reaction_u, reaction_v, source_w,
+                    w_lp_exponent_cap)
 from .solver import SolverConfig
 
 DEFAULT_EPS_LADDER = tuple(2.0 ** -j for j in range(1, 8))
@@ -48,6 +49,8 @@ INITIAL_OPTIONS = {
     "gaussian-bump": ("center", "sigma", "mass"),
 }
 INITIAL_KINDS = tuple(INITIAL_OPTIONS)
+# the option that sets how large each kind's field is
+SIZE_OPTIONS = {"constant": "value", "gaussian-bump": "mass"}
 
 
 class ConfigError(ValueError):
@@ -353,8 +356,28 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     unknown = sorted(set(mapping) - set(cfg.to_mapping()) - restated)
     if unknown:
         raise ConfigError(unknown[0], "unknown key")
-    cfg.build_initial_family()  # fail fast on bad initial-data fields
+    _require_finite_terms(cfg)
     return cfg
+
+
+def _require_finite_terms(cfg: RunConfig) -> None:
+    """Refuse the first of u, v, w that, joining zero data in that order, makes a
+    reaction, the signal source or a norm non-finite, by the option setting its size."""
+    fields = dict.fromkeys(("u0", "v0", "w0"), cfg.grid.constant_field(0.0))
+    theta, eps = cfg.params.theta, cfg.params.eps
+    for name, field in zip("uvw", cfg.build_initial_family().base()):
+        fields[f"{name}0"] = field
+        u, v = fields["u0"].values, fields["v0"].values
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                terms = [reaction_u(u, v, theta), reaction_v(u, v), source_w(u, v, eps),
+                         *InitialFamily(**fields).base_norms(theta).values()]
+            except NonFiniteFieldError:  # a power inside a norm overflowed
+                terms = [math.inf]
+        if not all(np.isfinite(term).all() for term in terms):
+            raise ConfigError(f"init.{name}.{SIZE_OPTIONS[cfg.initial[name].kind]}",
+                              f"the initial {name} overflows a double in a reaction, "
+                              "the signal source or a norm of the initial data")
 
 
 def _parse_weights(value: str) -> tuple[float, float]:

@@ -19,6 +19,7 @@ initial signal data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -149,12 +150,9 @@ def _critical_exponent(theta: float, dim_N: int) -> float:
     dim_N = int(dim_N)
     if dim_N < 1:
         raise ValueError(f"dimension must be >= 1, got {dim_N}")
-    mantissa, _, exponent = repr(float(theta)).partition("e")
-    whole, _, decimals = mantissa.partition(".")
-    shift = int(exponent or 0) - len(decimals)
-    a, b = int(whole + decimals) * 10 ** max(shift, 0), 10 ** max(-shift, 0)
-    # N(2 - a/b) / (2(a/b - 1)); the integer quotient is correctly rounded
-    return dim_N * (2 * b - a) / (2 * (a - b))
+    exact = Fraction(repr(float(theta)))
+    # N(2 - theta) / (2(theta - 1)) in rationals; float() rounds it correctly
+    return float(dim_N * (2 - exact) / (2 * (exact - 1)))
 
 
 def w_data_exponent(theta: float, dim_N: int) -> float:

@@ -58,7 +58,7 @@ from .estimates import (
     uniform_integrability_threshold,
     w_lp_figure,
 )
-from .grid import restrict_values
+from .grid import Grid, restrict_values
 from .identities import (
     CertificateRecord,
     EntropyWeights,
@@ -134,6 +134,11 @@ def _write_csv(path: Path, header: list[str],
             writer.writerow([_fmt(x) for x in row])
 
 
+def _pairs(values: dict[str, float]) -> str:
+    """The ``k=v;...`` column of a record's named figures, each as ``_fmt`` writes it."""
+    return ";".join(f"{k}={_fmt(v)}" for k, v in values.items())
+
+
 def _write_manifest(cfg: RunConfig, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -183,14 +188,10 @@ def _write_fields(traj: Trajectory, out: Path) -> None:
 
 
 def _estimate_rows(records: list[EstimateRecord]) -> list[list]:
-    rows = []
-    for r in records:
-        details = ";".join(f"{k}={_fmt(v)}" for k, v in r.details.items())
-        rows.append([r.name, r.value,
-                     "" if r.bound is None else r.bound,
-                     "" if r.slack is None else r.slack,
-                     r.tol, int(r.passed), details])
-    return rows
+    return [[r.name, r.value,
+             "" if r.bound is None else r.bound,
+             "" if r.slack is None else r.slack,
+             r.tol, int(r.passed), _pairs(r.details)] for r in records]
 
 
 def _write_estimates(records: list[EstimateRecord], out: Path) -> None:
@@ -563,22 +564,15 @@ def _walked_run(cfg: RunConfig, bumps) -> tuple[Trajectory, HistoryPass]:
     return traj, TimeFold(traj.grid, traj.times, bumps)(products)
 
 
-def tolerance_scale(traj: Trajectory) -> float:
-    """h + dt of the tolerance model C*(h+dt): finest spacing plus mean step."""
-    return traj.grid.min_spacing + traj.mean_dt
-
-
 def certificate_tolerances(traj: Trajectory) -> dict[str, float]:
-    scale = tolerance_scale(traj)
+    """Each kind's C*(h+dt): h the finest spacing, dt the mean step."""
+    scale = traj.grid.min_spacing + traj.mean_dt
     return {kind: TOL_C[kind] * scale for kind in CERTIFICATE_KINDS}
 
 
 def _write_certificates(records: list[CertificateRecord], out: Path) -> None:
-    rows = []
-    for r in records:
-        extras = ";".join(f"{k}={_fmt(v)}" for k, v in r.extras.items())
-        rows.append([r.name, r.bump_index, r.lhs, r.rhs, r.residual, r.slack,
-                     r.tol, int(r.passed), extras])
+    rows = [[r.name, r.bump_index, r.lhs, r.rhs, r.residual, r.slack,
+             r.tol, int(r.passed), _pairs(r.extras)] for r in records]
     _write_csv(out / "certificates.csv",
                ["certificate", "bump", "lhs", "rhs", "residual", "slack",
                 "tolerance", "passed", "extras"], rows)
@@ -624,8 +618,6 @@ def run_verify_identities(out_dir: str | Path | None = None) -> int:
 
 
 def _scaled_level(cfg: RunConfig, level: int) -> RunConfig:
-    from .grid import Grid
-
     grid = Grid(cells=tuple(n * 2 ** level for n in cfg.grid.cells),
                 lengths=cfg.grid.lengths)
     solver = replace(cfg.solver, max_dt=cfg.solver.max_dt / 4.0 ** level)
@@ -644,102 +636,88 @@ def fit_order(values: list[float]) -> float:
     return float(-slope)
 
 
-def refinement_study(cfg: RunConfig) -> dict:
-    """(h, dt) -> (h/2, dt/4) ladder of cfg.refine_levels: residuals, L^1 gaps, orders, C.
+REFINE_COLUMNS = (["level", "cells", "h", "dt_mean"]
+                  + [f"mean_resid_{k}" for k in CERTIFICATE_KINDS]
+                  + [f"max_resid_{k}" for k in CERTIFICATE_KINDS]
+                  + ["sol_diff_u", "sol_diff_v", "sol_diff_w"])
 
-    Bumps are drawn once on the coarsest grid and reused across levels so the
-    residual decay measures discretization alone. The calibration constant per
-    certificate kind is max over levels of max-residual/(h+dt), doubled as a
-    family-to-family safety margin (the certification family may probe scales
-    the calibration family missed).
+# no order for the mass certificate: it is solver-exact, at the noise floor
+ORDER_KINDS = tuple(k for k in CERTIFICATE_KINDS if k != "mass")
+
+
+def refinement_study(cfg: RunConfig) -> list[dict]:
+    """``refine.csv``'s rows for the (h, dt) -> (h/2, dt/4) ladder of cfg.refine_levels.
+
+    Each row maps ``REFINE_COLUMNS`` to values: one row per level, then the
+    ``order_fit`` row and the ``calibrated_C`` row, whose C sit in the
+    ``mean_resid_`` columns. Bumps are drawn once on the coarsest grid and
+    reused across levels so the residual decay measures discretization
+    alone. The calibration constant per certificate kind is max over levels
+    of max-residual/(h+dt), doubled as a family-to-family safety margin (the
+    certification family may probe scales the calibration family missed).
     """
     finest = _scaled_level(cfg, cfg.refine_levels - 1).grid
     require_cells_fit("refine.levels", finest.cells)
     bumps = _bump_family(cfg)
+    blank = dict.fromkeys(REFINE_COLUMNS, "")
 
-    level_meta: list[dict[str, float]] = []
-    scales: list[float] = []
-    residuals: dict[str, list[list[float]]] = {k: [] for k in CERTIFICATE_KINDS}
-    sol_diffs: dict[str, list[float]] = {name: [] for name in ("u", "v", "w")}
+    rows = []
     coarse = None
     for level in range(cfg.refine_levels):
         sub = _scaled_level(cfg, level)
         traj, tested = _walked_run(sub, bumps)
         print(f"[refine] level {level}: cells {sub.grid.cells}, "
               f"{len(traj.dts)} steps, mean dt {traj.mean_dt:.3e}")
+        row = {**blank, "level": level, "cells": sub.grid.cells[0],
+               "h": sub.grid.min_spacing, "dt_mean": traj.mean_dt}
         # tolerance 1.0: residual magnitudes are what the ladder measures
         loose = {k: 1.0 for k in CERTIFICATE_KINDS}
         per_kind = _certificate_records(traj, tested, cfg.weights, loose)
         for kind, records in per_kind.items():
-            residuals[kind].append([abs(r.residual) for r in records])
-        level_meta.append({"cells": sub.grid.cells[0], "h": sub.grid.min_spacing,
-                           "dt_mean": traj.mean_dt})
-        scales.append(tolerance_scale(traj))
+            residuals = [abs(r.residual) for r in records]
+            row[f"mean_resid_{kind}"] = float(np.mean(residuals))
+            row[f"max_resid_{kind}"] = float(np.max(residuals))
+        # a level's gaps are to the next level, which the last one lacks
+        row.update((f"sol_diff_{name}", float("nan")) for name in "uvw")
         if coarse is not None:
-            for name, gap in _l1_gaps(coarse, traj).items():
-                sol_diffs[name].append(gap)
+            rows[-1].update((f"sol_diff_{name}", gap)
+                            for name, gap in _l1_gaps(coarse, traj).items())
+        rows.append(row)
         # the gaps read snapshots only; drop this level's history before the
         # next level forks its walker
         coarse = replace(traj, history=None)
         del traj
 
-    cert_orders = {}
+    order = {**blank, "level": "order_fit"}
+    calibrated = {**blank, "level": "calibrated_C"}
     for kind in CERTIFICATE_KINDS:
-        if kind == "mass":
-            continue  # solver-exact; its residual sits at the noise floor
-        cert_orders[kind] = fit_order([float(np.mean(r)) for r in residuals[kind]])
-    sol_orders = {name: fit_order(diffs) for name, diffs in sol_diffs.items()}
-
-    calibrated_c = {}
-    for kind in CERTIFICATE_KINDS:
-        raw = max(float(np.max(resid)) / scale
-                  for resid, scale in zip(residuals[kind], scales))
-        calibrated_c[kind] = 2.0 * raw
-    return {"level_meta": level_meta, "residuals": residuals,
-            "sol_diffs": sol_diffs, "cert_orders": cert_orders,
-            "sol_orders": sol_orders, "calibrated_c": calibrated_c}
+        column = f"mean_resid_{kind}"
+        order[column] = (fit_order([row[column] for row in rows])
+                         if kind in ORDER_KINDS else float("nan"))
+        # a level's h + dt_mean is the h + dt of certificate_tolerances
+        calibrated[column] = 2.0 * max(row[f"max_resid_{kind}"] / (row["h"] + row["dt_mean"])
+                                       for row in rows)
+    for name in "uvw":
+        order[f"sol_diff_{name}"] = fit_order([row[f"sol_diff_{name}"] for row in rows[:-1]])
+    return rows + [order, calibrated]
 
 
 def run_refine(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     _require_horizon(cfg)
-    study = refinement_study(cfg)
-    level_meta = study["level_meta"]
-    residuals = study["residuals"]
-    sol_diffs = study["sol_diffs"]
-    cert_orders = study["cert_orders"]
-    sol_orders = study["sol_orders"]
-    calibrated_c = study["calibrated_c"]
-
-    header = (["level", "cells", "h", "dt_mean"]
-              + [f"mean_resid_{k}" for k in CERTIFICATE_KINDS]
-              + [f"max_resid_{k}" for k in CERTIFICATE_KINDS]
-              + ["sol_diff_u", "sol_diff_v", "sol_diff_w"])
-    rows = []
-    for level, meta in enumerate(level_meta):
-        row = [level, int(meta["cells"]), meta["h"], meta["dt_mean"]]
-        row += [float(np.mean(residuals[k][level])) for k in CERTIFICATE_KINDS]
-        row += [float(np.max(residuals[k][level])) for k in CERTIFICATE_KINDS]
-        for name in ("u", "v", "w"):
-            row.append(sol_diffs[name][level] if level < len(sol_diffs[name])
-                       else float("nan"))
-        rows.append(row)
-    rows.append(["order_fit", "", "", ""]
-                + [cert_orders.get(k, float("nan")) for k in CERTIFICATE_KINDS]
-                + [""] * len(CERTIFICATE_KINDS)
-                + [sol_orders["u"], sol_orders["v"], sol_orders["w"]])
-    rows.append(["calibrated_C", "", "", ""]
-                + [calibrated_c[k] for k in CERTIFICATE_KINDS]
-                + [""] * len(CERTIFICATE_KINDS) + ["", "", ""])
+    rows = refinement_study(cfg)
     _write_manifest(cfg, out)
-    _write_csv(out / "refine.csv", header, rows)
+    _write_csv(out / "refine.csv", REFINE_COLUMNS,
+               [[row[column] for column in REFINE_COLUMNS] for row in rows])
 
+    order, calibrated = rows[-2:]
     ok = True
-    for kind, order in cert_orders.items():
-        print(f"[refine] {kind}: order {order:.2f}, "
-              f"calibrated C {calibrated_c[kind]:.3e}")
-        ok &= order >= 0.9
-    for name, order in sol_orders.items():
-        print(f"[refine] solution {name}: order {order:.2f}")
-        ok &= order >= 0.9
+    for kind in ORDER_KINDS:
+        column = f"mean_resid_{kind}"
+        print(f"[refine] {kind}: order {order[column]:.2f}, "
+              f"calibrated C {calibrated[column]:.3e}")
+        ok &= order[column] >= 0.9
+    for name in "uvw":
+        print(f"[refine] solution {name}: order {order[f'sol_diff_{name}']:.2f}")
+        ok &= order[f"sol_diff_{name}"] >= 0.9
     return 0 if ok else 1

@@ -220,13 +220,17 @@ def test_criterion_7_weakform_certificates(canonical_cfg, canonical_traj,
     cfg, traj = canonical_cfg, canonical_traj
     bumps = sample_bumps(cfg.grid, cfg.T, cfg.bump_count, cfg.bump_seed)
     tols = certificate_tolerances(traj)
-    for kind, c in refinement["calibrated_c"].items():
+    order_fit, calibrated = refinement[-2:]
+    assert calibrated["level"] == "calibrated_C"
+    for kind in TOL_C:
         # the constants fixed in code must dominate the fresh calibration
+        c = calibrated[f"mean_resid_{kind}"]
         assert TOL_C[kind] >= c * 0.99, (kind, c, TOL_C[kind])
     records = run_certificates(traj, cfg.weights, bumps, tols)
     assert all(r.passed for r in records), \
         [r for r in records if not r.passed]
-    orders = {k: refinement["cert_orders"][k]
+    assert order_fit["level"] == "order_fit"
+    orders = {k: order_fit[f"mean_resid_{k}"]
               for k in ("weakform_w", "weakform_v", "entropy")}
     assert all(o >= 0.9 for o in orders.values()), orders
     worst = max(abs(r.residual) / r.tol for r in records)
@@ -236,7 +240,9 @@ def test_criterion_7_weakform_certificates(canonical_cfg, canonical_traj,
 
 
 def test_criterion_8_z_evolution(refinement):
-    order = refinement["cert_orders"]["z_evolution"]
+    order_fit = refinement[-2]
+    assert order_fit["level"] == "order_fit"
+    order = order_fit["mean_resid_z_evolution"]
     assert order >= 0.9
     # constant-config instantaneous residual stays below 2*dt
     grid = Grid(cells=(16, 16), lengths=(1.0, 1.0))

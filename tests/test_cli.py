@@ -406,11 +406,28 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert "model.theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        *[(switch_kind(REFINE_CFG, name, "constant", value="1e200"), f"init.{name}.value")
+          for name in "uvw"],
+        (REFINE_CFG.replace("init.u.mass = 0.5", "init.u.mass = 1e200"), "init.u.mass"),
+    ], ids=["u.value", "v.value", "w.value", "u.mass"])
+    def test_overflowing_initial_data_exit_2_before_running(self, tmp_path, capsys,
+                                                            text, key):
+        # u^theta, v^2 or w^2 of such data overflows a double: refused at load,
+        # with no numpy warning, which the suite would raise
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(out)]) == 2
+        assert f"'{key}': the initial {key[5]} overflows a double" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "certify"])
     def test_stepper_abort_exit_2(self, tmp_path, command):
-        # u = 1e200 overflows the first step, and the stepper gives up; run as
-        # the command line runs, with numpy's warnings printed, not raised
-        text = switch_kind(REFINE_CFG, "u", "constant", value="1e200")
+        # u = 1e154 loads, as its reactions and norms are finite in each cell,
+        # but their sums over the cells overflow in the first step, and the
+        # stepper gives up; run as the command line runs, with numpy's
+        # warnings printed, not raised
+        text = switch_kind(REFINE_CFG, "u", "constant", value="1e154")
         out = tmp_path / "out"
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
@@ -805,6 +822,19 @@ class TestVerifyIdentitiesCommand:
         assert main(["verify-identities", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "identities.csv").exists()
         assert "pass" in capsys.readouterr().out
+
+    def test_runs_without_sympy(self, tmp_path):
+        # sympy is a test dependency only: with its import made to fail, the
+        # command line still checks the identities from its numeric closed forms
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = ("import sys; sys.modules['sympy'] = None\n"
+                  "from chemocert.cli import main\n"
+                  f"raise SystemExit(main(['verify-identities', '--out', {str(tmp_path)!r}]))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "identities.csv").exists()
 
     @pytest.mark.parametrize("option, value", [("--seed", "1"), ("--samples", "5")],
                              ids=["seed", "samples"])
