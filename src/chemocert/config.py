@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,15 @@ class RunConfig:
                   for name, spec in self.initial.items()}
         return InitialFamily(u0=fields["u"], v0=fields["v"], w0=fields["w"])
 
+    @cached_property
+    def initial_family(self) -> InitialFamily:
+        """The family :meth:`build_initial_family` builds, once per config.
+
+        The load's check and every run read this one build; a config made
+        with ``dataclasses.replace`` builds its own.
+        """
+        return self.build_initial_family()
+
     def to_mapping(self) -> dict[str, str]:
         """Normalized key=value echo sufficient to reproduce the run."""
         m: dict[str, str] = {}
@@ -362,22 +372,26 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
 
 def _require_finite_terms(cfg: RunConfig) -> None:
     """Refuse the first of u, v, w that, joining zero data in that order, makes a
-    reaction, the signal source or a norm non-finite, by the option setting its size."""
+    reaction, the signal source, one of their integrals over the cells or a norm
+    non-finite, by the option setting its size."""
     fields = dict.fromkeys(("u0", "v0", "w0"), cfg.grid.constant_field(0.0))
     theta, eps = cfg.params.theta, cfg.params.eps
-    for name, field in zip("uvw", cfg.build_initial_family().base()):
+    for name, field in zip("uvw", cfg.initial_family.base()):
         fields[f"{name}0"] = field
         u, v = fields["u0"].values, fields["v0"].values
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                terms = [reaction_u(u, v, theta), reaction_v(u, v), source_w(u, v, eps),
-                         *InitialFamily(**fields).base_norms(theta).values()]
+                terms = [reaction_u(u, v, theta), reaction_v(u, v), source_w(u, v, eps)]
+                # the stepper integrates each term as its sum times the cell volume
+                terms += [float(term.sum()) * cfg.grid.cell_volume for term in terms]
+                terms += InitialFamily(**fields).base_norms(theta).values()
             except NonFiniteFieldError:  # a power inside a norm overflowed
                 terms = [math.inf]
         if not all(np.isfinite(term).all() for term in terms):
             raise ConfigError(f"init.{name}.{SIZE_OPTIONS[cfg.initial[name].kind]}",
                               f"the initial {name} overflows a double in a reaction, "
-                              "the signal source or a norm of the initial data")
+                              "the signal source, an integral of either or a norm "
+                              "of the initial data")
 
 
 def _parse_weights(value: str) -> tuple[float, float]:

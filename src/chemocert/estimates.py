@@ -350,6 +350,7 @@ def z_dissipation_integrals(traj: Trajectory,
         z_half = z_values(s.u.values, s.w.values, weights.p / 2.0, weights.k / 2.0)
         vals_grad_z.append(float(gradient_sq_values(grid, z_half).sum()) * grid.cell_volume)
         z_full = z_half ** 2
+        del z_half
         gw = gradient_sq_values(grid, s.w.values)
         vals_z_gradw.append(float((z_full * gw).sum()) * grid.cell_volume)
     return {

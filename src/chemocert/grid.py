@@ -201,29 +201,40 @@ def face_gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ..
     only boundary faces, hence a zero gradient.
     """
     values = np.asarray(values, dtype=float)
-    out = []
-    for a in range(grid.dim):
-        n = grid.cells[a]
-        h = grid.spacing[a]
-        shape = list(values.shape)
-        shape[a] = n + 1
-        g = np.zeros(shape)
-        if n >= 2:
-            hi = values[_axis_slice(grid.dim, a, slice(1, None))]
-            lo = values[_axis_slice(grid.dim, a, slice(None, -1))]
-            g[_axis_slice(grid.dim, a, slice(1, n))] = (hi - lo) / h
-        out.append(g)
-    return tuple(out)
+    return tuple(_face_gradient(grid, values, a) for a in range(grid.dim))
 
 
-def _faces_to_cells(grid: Grid, face_g: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Per axis, the mean of each cell's two face values."""
-    comps = []
-    for a, g in enumerate(face_g):
-        lo = g[_axis_slice(grid.dim, a, slice(None, -1))]
-        hi = g[_axis_slice(grid.dim, a, slice(1, None))]
-        comps.append(0.5 * (lo + hi))
-    return tuple(comps)
+def _face_gradient(grid: Grid, values: np.ndarray, a: int) -> np.ndarray:
+    """The faces across axis ``a`` of :func:`face_gradient_values`."""
+    n = grid.cells[a]
+    shape = list(values.shape)
+    shape[a] = n + 1
+    g = np.zeros(shape)
+    if n >= 2:
+        hi = values[_axis_slice(grid.dim, a, slice(1, None))]
+        lo = values[_axis_slice(grid.dim, a, slice(None, -1))]
+        # (hi - lo) / h, formed in the interior faces themselves
+        interior = g[_axis_slice(grid.dim, a, slice(1, n))]
+        np.subtract(hi, lo, out=interior)
+        interior /= grid.spacing[a]
+    return g
+
+
+def _face_mean(grid: Grid, g: np.ndarray, a: int) -> np.ndarray:
+    """The mean of each cell's two faces across axis ``a``."""
+    mean = np.add(g[_axis_slice(grid.dim, a, slice(None, -1))],
+                  g[_axis_slice(grid.dim, a, slice(1, None))])
+    mean *= 0.5
+    return mean
+
+
+def _sum_of_squares(comps) -> np.ndarray:
+    """The sum of the squares of ``comps``, each squared in place, into the first."""
+    out = None
+    for c in comps:
+        np.square(c, out=c)
+        out = c if out is None else np.add(out, c, out=out)
+    return out
 
 
 def gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -232,7 +243,8 @@ def gradient_values(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
     Interior cells see the usual central difference; boundary cells see the
     one-sided half difference implied by the mirrored ghost.
     """
-    return _faces_to_cells(grid, face_gradient_values(grid, values))
+    return tuple(_face_mean(grid, g, a)
+                 for a, g in enumerate(face_gradient_values(grid, values)))
 
 
 def gradient_sq_from_faces(grid: Grid, face_g: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -241,16 +253,17 @@ def gradient_sq_from_faces(grid: Grid, face_g: tuple[np.ndarray, ...]) -> np.nda
     ``face_g`` is what :func:`face_gradient_values` returns; a caller that
     already holds it skips the differencing.
     """
-    comps = _faces_to_cells(grid, face_g)
-    out = comps[0] ** 2
-    for c in comps[1:]:
-        out = out + c ** 2
-    return out
+    return _sum_of_squares(_face_mean(grid, g, a) for a, g in enumerate(face_g))
 
 
 def gradient_sq_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Pointwise squared magnitude of the cell-centered gradient."""
-    return gradient_sq_from_faces(grid, face_gradient_values(grid, values))
+    """Pointwise squared magnitude of the cell-centered gradient.
+
+    One axis's faces are held at a time, each only until its cell means exist.
+    """
+    values = np.asarray(values, dtype=float)
+    return _sum_of_squares(_face_mean(grid, _face_gradient(grid, values, a), a)
+                           for a in range(grid.dim))
 
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -302,7 +315,7 @@ def solve_diffusion(grid: Grid, rhs: np.ndarray, tau: float) -> np.ndarray:
 
     A cosine transform diagonalizes the stencil, so the solve is exact to
     roundoff; the zero mode is untouched, so mass is conserved up to FFT
-    rounding.
+    rounding. ``rhs`` is only read, so it may be a read-only ``Field.values``.
     """
     rhs = np.asarray(rhs, dtype=float)
     if tau < 0:
@@ -310,8 +323,12 @@ def solve_diffusion(grid: Grid, rhs: np.ndarray, tau: float) -> np.ndarray:
     if tau == 0.0:
         return rhs.copy()
     hat = scipy.fft.dctn(rhs, type=2, norm="ortho")
-    hat /= 1.0 + tau * _neumann_eigenvalues(grid)
-    return scipy.fft.idctn(hat, type=2, norm="ortho")
+    denominator = tau * _neumann_eigenvalues(grid)
+    denominator += 1.0
+    hat /= denominator
+    del denominator
+    # the inverse transform overwrites hat, which no one else holds
+    return scipy.fft.idctn(hat, type=2, norm="ortho", overwrite_x=True)
 
 
 def restrict_values(fine: Grid, coarse: Grid, values: np.ndarray) -> np.ndarray:

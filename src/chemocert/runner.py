@@ -7,10 +7,12 @@ code: 0 when every enabled check passed, 1 when any failed, with individual
 failures never aborting the remaining checks.
 
 ``run_sweep`` steps the rungs of its ε ladder one share per CPU: share 0 in
-this process, each other share in a forked worker. Its artifacts and stdout
-are byte for byte the same whatever the CPU count, and its ``[sweep] eps=…``
-lines are printed in ladder order once every rung is done. A span recorder
-installed in this process sees share 0 only.
+this process, each other share in a forked worker, and each rung's initial
+state is built in the process that steps it. A worker's results arrive with
+their arrays read into their own memory, not beside a copy of the message.
+Its artifacts and stdout are byte for byte the same whatever the CPU count,
+and its ``[sweep] eps=…`` lines are printed in ladder order once every rung
+is done. A span recorder installed in this process sees share 0 only.
 
 ``run_certify`` and each level of ``refinement_study`` walk the weak-form
 certificates beside the stepper. A walker forked before the first step
@@ -28,9 +30,12 @@ from __future__ import annotations
 import csv
 import math
 import os
+import pickle
+import struct
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
@@ -259,7 +264,7 @@ def run_simulate(cfg: RunConfig, out_dir: str | Path) -> int:
     # keeps the output times inside [0, T]
     _require_distinct_names("run.output_times", sorted({0.0, cfg.T, *cfg.output_times}),
                             _fields_name)
-    family = cfg.build_initial_family()
+    family = cfg.initial_family
     norms = family.base_norms(cfg.params.theta)
     traj = simulate(initial_state(family.base()), cfg.params, cfg.solver, cfg.T,
                     cfg.output_times)
@@ -296,8 +301,8 @@ def _l1_gaps(coarse: Trajectory, fine: Trajectory) -> dict[str, float]:
     return gaps
 
 
-def _run_share(rungs: list[tuple], conn=None) -> list[tuple[Trajectory | None, str | None]]:
-    """Step one share of the ladder: ``simulate(*args)`` for each rung's args.
+def _run_share(step, rungs, conn=None) -> list[tuple[Trajectory | None, str | None]]:
+    """Step one share of the ladder: ``step(rung)`` for each of its rungs.
 
     Each rung gives ``(traj, None)``, or ``(None, message)`` when it raised;
     the results come back in rung order. With ``conn``, they are also sent
@@ -306,15 +311,61 @@ def _run_share(rungs: list[tuple], conn=None) -> list[tuple[Trajectory | None, s
     still to step.
     """
     results = []
-    for args in rungs:
+    for rung in rungs:
         try:
-            results.append((simulate(*args), None))
+            results.append((step(rung), None))
         except Exception as exc:  # persist partial results, report, keep going
             results.append((None, str(exc)))
     if conn is not None:
         for result in results:
-            conn.send(result)
+            _send(conn, result)
     return results
+
+
+# a buffer of at least this many bytes (a numpy array's data) leaves the
+# pickle and follows it in chunks of at most _CHUNK_BYTES, each received in
+# place; smaller ones, such as a walked instant's products, stay inside it
+_OUT_OF_BAND_BYTES = 1 << 12
+_CHUNK_BYTES = 1 << 18
+
+
+def _send(conn, message) -> None:
+    """Send ``message`` as one pickle, then each large buffer it holds in chunks.
+
+    The pickle is prefixed by the count and byte sizes of those buffers, so a
+    message without any is a single send, as ``conn.send`` makes.
+    """
+    buffers = []
+
+    def in_band(buffer: pickle.PickleBuffer) -> bool:
+        view = buffer.raw()
+        if view.nbytes < _OUT_OF_BAND_BYTES:
+            return True
+        buffers.append(view)
+        return False
+
+    head = pickle.dumps(message, protocol=5, buffer_callback=in_band)
+    sizes = [view.nbytes for view in buffers]
+    conn.send_bytes(struct.pack(f"!I{len(sizes)}Q", len(sizes), *sizes) + head)
+    for view in buffers:
+        for offset in range(0, view.nbytes, _CHUNK_BYTES):
+            conn.send_bytes(view, offset, min(_CHUNK_BYTES, view.nbytes - offset))
+
+
+def _recv(conn):
+    """A message :func:`_send` sent: its buffers are read into the arrays' own memory.
+
+    So an array received is held once, not beside the bytes it came in.
+    """
+    data = conn.recv_bytes()
+    count, = struct.unpack_from("!I", data)
+    buffers = []
+    for size in struct.unpack_from(f"!{count}Q", data, 4):
+        buffer = bytearray(size)
+        for offset in range(0, size, _CHUNK_BYTES):
+            conn.recv_bytes_into(buffer, offset)
+        buffers.append(buffer)
+    return pickle.loads(memoryview(data)[4 + 8 * count:], buffers=buffers)
 
 
 def _in_child(target, args, conn, parent_end) -> None:
@@ -326,8 +377,9 @@ class _Worker:
     """A forked daemon child that runs ``target(*args, conn)``.
 
     ``conn`` is the child's end of a two-way pipe whose other end is kept
-    here, and each side holds the only copy of its end. So the child's exit is
-    EOF here: :meth:`recv`, and :meth:`send` on a broken pipe, then raise
+    here, and each side holds the only copy of its end. Messages go both ways
+    through :func:`_send` and :func:`_recv`. The child's exit is EOF here:
+    :meth:`recv`, and :meth:`send` on a broken pipe, then raise
     ``ChildProcessError("<name> exited with status <code>")``. Use it as a
     context manager: on the way out the child is terminated (a no-op once it
     has exited) and joined.
@@ -355,13 +407,13 @@ class _Worker:
 
     def send(self, message) -> None:
         try:
-            self.conn.send(message)
+            _send(self.conn, message)
         except OSError:
             self._died()
 
     def recv(self):
         try:
-            return self.conn.recv()
+            return _recv(self.conn)
         except (EOFError, OSError):
             self._died()
 
@@ -370,22 +422,23 @@ class _Worker:
         raise ChildProcessError(f"{self.name} exited with status {self.proc.exitcode}")
 
 
-def _run_ladder(rungs: list[tuple]) -> list[tuple[Trajectory | None, str | None]]:
+def _run_ladder(step, rungs) -> list[tuple[Trajectory | None, str | None]]:
     """Every rung's ``_run_share`` result, in rung order, one share per CPU.
 
-    Rung j goes to share j % n. Share 0 runs in this process, so what runs
-    only here (a patched ``simulate``, a span recorder) still sees it; each
-    other share runs in a forked worker. A worker's results are read only
-    after share 0 is done, one message per rung, so they do not pile up in
-    this process while it steps. A rung its worker never sent fails with the
-    worker's exit status.
+    Rung j goes to share j % n, and ``step(rung)`` runs in the process of its
+    share, so what a rung builds is built where it is stepped. Share 0 runs
+    in this process, so what runs only here (a patched ``simulate``, a span
+    recorder) still sees it; each other share runs in a forked worker. A
+    worker's results are read only after share 0 is done, one message per
+    rung, so they do not pile up in this process while it steps. A rung its
+    worker never sent fails with the worker's exit status.
     """
     n = min(len(rungs), os.cpu_count() or 1)
     shares = [rungs[i::n] for i in range(n)]
     with ExitStack() as workers:
-        forked = [workers.enter_context(_Worker("worker", _run_share, share))
+        forked = [workers.enter_context(_Worker("worker", _run_share, step, share))
                   for share in shares[1:]]
-        results = [_run_share(shares[0])]
+        results = [_run_share(step, shares[0])]
         for worker, share in zip(forked, shares[1:]):
             got = []
             try:
@@ -397,18 +450,22 @@ def _run_ladder(rungs: list[tuple]) -> list[tuple[Trajectory | None, str | None]
     return [results[j % n][j // n] for j in range(len(rungs))]
 
 
+def _sweep_rung(cfg: RunConfig, eps: float) -> Trajectory:
+    """The sweep's rung at eps: cfg's initial data regularized at eps, stepped to T."""
+    return simulate(initial_state(cfg.initial_family.regularized(eps)),
+                    replace(cfg.params, eps=eps), cfg.solver, cfg.T, cfg.output_times)
+
+
 def run_sweep(cfg: RunConfig, out_dir: str | Path) -> int:
     out = Path(out_dir)
     _require_horizon(cfg)
     _require_distinct_names("sweep.eps_ladder", cfg.eps_ladder, _eps_name)
-    family = cfg.build_initial_family()
     _write_manifest(cfg, out)
 
-    rungs = [(initial_state(family.regularized(eps)), replace(cfg.params, eps=eps),
-              cfg.solver, cfg.T, cfg.output_times) for eps in cfg.eps_ladder]
     trajs: dict[float, Trajectory] = {}
     failures: list[str] = []
-    for eps, (traj, error) in zip(cfg.eps_ladder, _run_ladder(rungs)):
+    for eps, (traj, error) in zip(cfg.eps_ladder,
+                                  _run_ladder(partial(_sweep_rung, cfg), cfg.eps_ladder)):
         if error is None:
             trajs[eps] = traj
             print(f"[sweep] {_eps_name(eps)}: {len(traj.dts)} steps")
@@ -493,8 +550,8 @@ WALK_RING_SLOTS = 8
 
 def _walk_ring(products: InstantProducts, ring: np.ndarray, conn) -> None:
     """The forked walker: for each slot index received, that instant's products."""
-    while (slot := conn.recv()) is not None:
-        conn.send(products(*ring[slot]))
+    while (slot := _recv(conn)) is not None:
+        _send(conn, products(*ring[slot]))
 
 
 class _Walk:
@@ -556,7 +613,7 @@ def _walked_run(cfg: RunConfig, bumps) -> tuple[Trajectory, HistoryPass]:
 
     The dense history is still kept: the benchmark reads the memory it holds.
     """
-    state = initial_state(cfg.build_initial_family().base())
+    state = initial_state(cfg.initial_family.base())
     with _Walk(InstantProducts(cfg.grid, cfg.params, bumps, cfg.weights)) as walk:
         traj = simulate(state, cfg.params, cfg.solver, cfg.T, cfg.output_times,
                         keep_history=True, observer=walk)

@@ -190,12 +190,15 @@ def _advect(grid: Grid, s: np.ndarray, face_grads: tuple[np.ndarray, ...],
         g = face_grads[a]
         sl = lambda lo, hi: _axis_slice(grid.dim, a, slice(lo, hi))
         g_int = g[sl(1, n)]
-        left = s[sl(None, -1)]
-        right = s[sl(1, None)]
-        flux = np.where(g_int > 0.0, left, right) * g_int
+        # the upwind value times the gradient, formed in the interior faces
         full = np.zeros_like(g)
-        full[sl(1, n)] = flux
-        out -= (dt / h) * (full[sl(1, None)] - full[sl(None, -1)])
+        flux = full[sl(1, n)]
+        np.copyto(flux, s[sl(1, None)])
+        np.copyto(flux, s[sl(None, -1)], where=g_int > 0.0)
+        flux *= g_int
+        change = full[sl(1, None)] - full[sl(None, -1)]
+        change *= dt / h
+        out -= change
     return out
 
 
@@ -214,31 +217,44 @@ def _advance(grid: Grid, u: np.ndarray, v: np.ndarray, w: np.ndarray, face_g: tu
     u1, _ = _clamp_nonneg("u", _advect(grid, u, face_g, dt), t)
     v1, _ = _clamp_nonneg("v", _advect(grid, v, face_g, dt), t)
 
+    # each reaction's sign split is dropped once its statistics are taken
     fu = reaction_u(u1, v1, params.theta)
-    fv = reaction_v(u1, v1)
-    dw = source_w(u1, v1, params.eps) - w
     fu_plus, fu_minus = sign_split(fu)
-    fv_plus, fv_minus = sign_split(fv)
-
     stats = {
         "cum_reaction_u": float(fu.sum()) * vol,
-        "cum_reaction_v": float(fv.sum()) * vol,
         "int_abs_reaction_u": float((fu_plus + fu_minus).sum()) * vol,
-        "int_abs_reaction_v": float((fv_plus + fv_minus).sum()) * vol,
         "int_reaction_u_plus": float(fu_plus.sum()) * vol,
-        "int_reaction_v_plus": float(fv_plus.sum()) * vol,
         "sup_reaction_u_plus": float(fu_plus.max()),
+    }
+    del fu_plus, fu_minus
+    fv = reaction_v(u1, v1)
+    fv_plus, fv_minus = sign_split(fv)
+    stats.update({
+        "cum_reaction_v": float(fv.sum()) * vol,
+        "int_abs_reaction_v": float((fv_plus + fv_minus).sum()) * vol,
+        "int_reaction_v_plus": float(fv_plus.sum()) * vol,
+    })
+    del fv_plus, fv_minus
+    dw = source_w(u1, v1, params.eps) - w
+    stats.update({
         "cum_source_w": float(dw.sum()) * vol,
         "int_u_theta": float(_pow(u1, params.theta).sum()) * vol,
         "int_v_sq": float((v1 ** 2).sum()) * vol,
-    }
+    })
 
+    # the reaction stage goes once the three right sides exist, and each right
+    # side once it is solved. Dropping u1 and fu before v2 exists would hold
+    # fewer arrays still, but then the heap's top would shrink and regrow
+    # several times a step, each time faulting its pages in afresh
     u2 = u1 + dt * fu
     v2 = v1 + dt * fv
     w2 = w + dt * dw
+    del u1, v1, fu, fv, dw
 
     u3, stats["min_u"] = _clamp_nonneg("u", solve_diffusion(grid, u2, dt), t + dt)
+    del u2
     v3, stats["min_v"] = _clamp_nonneg("v", solve_diffusion(grid, v2, dt), t + dt)
+    del v2
     w3, stats["min_w"] = _clamp_nonneg("w", solve_diffusion(grid, w2, dt), t + dt)
     return u3, v3, w3, stats
 
@@ -319,7 +335,9 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
 
     def record_fields():
         if keep_history:
-            history.append({"u": u.copy(), "v": v.copy(), "w": w.copy()})
+            # one block per instant: three copies made apart would fill the
+            # holes the step's intermediates leave, and the heap grows around them
+            history.append(dict(zip("uvw", np.array((u, v, w)))))
         if observer is not None:
             observer(u, v, w)
 
@@ -349,8 +367,9 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
             "int_vgradw_sq":
                 float(((v / (1.0 + v)) ** 2 * grad_w_sq).sum()) * grid.cell_volume,
         }
+        del grad_w_sq  # read by the rates alone: the step need not hold it
         u, v, w, stats = _advance(grid, u, v, w, face_g, params, cfg, dt, t)
-        del face_g, grad_w_sq  # held across the history copies they cost peak RSS
+        del face_g  # held across the history copies it costs peak RSS
         rates.update(stats)
         t = target if hit else t + dt
 

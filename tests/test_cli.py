@@ -16,6 +16,7 @@ from chemocert.config import (
     MAX_CELLS,
     TOL_C,
     ConfigError,
+    RunConfig,
     config_from_mapping,
     load_config,
     parse_config_text,
@@ -323,6 +324,28 @@ class TestCommandLine:
                            "refine": ["--config", "--out"],
                            "verify-identities": ["--out"]}
 
+    @pytest.mark.parametrize("command, text, builds", [
+        ("simulate", SMALL_CFG, 1), ("sweep", SMALL_CFG, 1), ("certify", SMALL_CFG, 1),
+        # each refine level is a config of its own, on its own grid
+        ("refine", REFINE_CFG, 4),
+    ], ids=["simulate", "sweep", "certify", "refine"])
+    def test_initial_family_built_once_per_config(self, tmp_path, monkeypatch, command,
+                                                  text, builds):
+        # the load's check and the run read one build; every process that
+        # builds one, a forked worker too, appends a line
+        log = tmp_path / "builds.log"
+        build = RunConfig.build_initial_family
+
+        def counted(cfg):
+            with log.open("a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(cfg)
+
+        monkeypatch.setattr(RunConfig, "build_initial_family", counted)
+        main([command, "--config", str(write_cfg(tmp_path, text)),
+              "--out", str(tmp_path / "out")])
+        assert len(log.read_text(encoding="utf-8").splitlines()) == builds
+
 
 class TestSimulateCommand:
     def test_artifacts_and_exit(self, tmp_path):
@@ -410,11 +433,14 @@ class TestSimulateCommand:
         *[(switch_kind(REFINE_CFG, name, "constant", value="1e200"), f"init.{name}.value")
           for name in "uvw"],
         (REFINE_CFG.replace("init.u.mass = 0.5", "init.u.mass = 1e200"), "init.u.mass"),
-    ], ids=["u.value", "v.value", "w.value", "u.mass"])
+        # finite in each cell, but the reactions' sums over the 64 cells overflow
+        (switch_kind(REFINE_CFG, "u", "constant", value="1e154"), "init.u.value"),
+    ], ids=["u.value", "v.value", "w.value", "u.mass", "u.value-cell-sum"])
     def test_overflowing_initial_data_exit_2_before_running(self, tmp_path, capsys,
                                                             text, key):
-        # u^theta, v^2 or w^2 of such data overflows a double: refused at load,
-        # with no numpy warning, which the suite would raise
+        # u^theta, v^2 or w^2 of such data, or a reaction's sum over the
+        # cells, overflows a double: refused at load, with no numpy warning,
+        # which the suite would raise
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(write_cfg(tmp_path, text)),
                      "--out", str(out)]) == 2
@@ -423,11 +449,12 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("command", ["simulate", "certify"])
     def test_stepper_abort_exit_2(self, tmp_path, command):
-        # u = 1e154 loads, as its reactions and norms are finite in each cell,
-        # but their sums over the cells overflow in the first step, and the
-        # stepper gives up; run as the command line runs, with numpy's
-        # warnings printed, not raised
-        text = switch_kind(REFINE_CFG, "u", "constant", value="1e154")
+        # this w bump loads, as its norm and its |grad w|^2 in each cell are
+        # finite, but the sum of |grad w|^2 over the cells, which the load
+        # does not take, overflows, and the stepper gives up after one step;
+        # run as the command line runs, with numpy's warnings printed, not raised
+        text = switch_kind(REFINE_CFG, "w", "gaussian-bump", center="0.5, 0.5",
+                           sigma="0.1", mass="1e152")
         out = tmp_path / "out"
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,8 @@ from chemocert import (
     restrict_values,
     solve_diffusion,
 )
-from chemocert.grid import _neumann_eigenvalues, _pow
+from chemocert.grid import (_axis_slice, _neumann_eigenvalues, _pow, gradient_sq_from_faces,
+                            gradient_sq_values)
 
 
 class TestGridConstruction:
@@ -258,6 +260,52 @@ class TestDiffusionSolve:
     def test_tau_zero_identity(self, grid_1d):
         b = np.arange(64, dtype=float)
         assert np.array_equal(solve_diffusion(grid_1d, b, 0.0), b)
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("cells, lengths", [((64,), (1.0,)), ((12, 7), (1.0, 0.6)),
+                                            ((9, 1), (1.0, 0.3))],
+                         ids=["1d", "2d-nonsquare", "single-cell-axis"])
+def test_calculus_reads_its_inputs_only(cells, lengths):
+    # the calculus forms its results in the arrays it returns: it takes
+    # read-only inputs, as a Field's values are, leaves them as they were,
+    # and gives the bits of the expressions it once evaluated into temporaries
+    grid = Grid(cells=cells, lengths=lengths)
+    values = np.random.default_rng(2).random(grid.shape)
+    values.setflags(write=False)
+    kept = values.copy()
+
+    faces = face_gradient_values(grid, values)
+    for a, g in enumerate(faces):
+        expected = np.zeros_like(g)
+        if grid.cells[a] >= 2:
+            hi = values[_axis_slice(grid.dim, a, slice(1, None))]
+            lo = values[_axis_slice(grid.dim, a, slice(None, -1))]
+            expected[_axis_slice(grid.dim, a, slice(1, grid.cells[a]))] = (
+                (hi - lo) / grid.spacing[a])
+        assert g.tobytes() == expected.tobytes()
+        g.setflags(write=False)
+    means = [0.5 * (g[_axis_slice(grid.dim, a, slice(None, -1))]
+                    + g[_axis_slice(grid.dim, a, slice(1, None))])
+             for a, g in enumerate(faces)]
+    assert _bits(gradient_values(grid, values)) == _bits(means)
+    squares = means[0] ** 2
+    for c in means[1:]:
+        squares = squares + c ** 2
+    assert gradient_sq_values(grid, values).tobytes() == squares.tobytes()
+    face_bits = _bits(faces)
+    assert gradient_sq_from_faces(grid, faces).tobytes() == squares.tobytes()
+    solved = solve_diffusion(grid, values, 0.02)
+    expected = scipy.fft.idctn(scipy.fft.dctn(values, type=2, norm="ortho")
+                               / (1.0 + 0.02 * _neumann_eigenvalues(grid)),
+                               type=2, norm="ortho")
+    assert solved.tobytes() == expected.tobytes()
+    assert solved.flags.writeable
+    assert values.tobytes() == kept.tobytes()
+    assert _bits(faces) == face_bits
 
 
 

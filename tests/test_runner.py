@@ -4,15 +4,18 @@ import csv
 import multiprocessing
 import os
 import time
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from chemocert import Grid, ModelParams, SolverConfig, State, simulate
-from chemocert.config import _fmt
+from chemocert.config import _fmt, config_from_mapping, parse_config_text
 from chemocert import runner
 from chemocert.runner import _Worker, _write_csv, _write_diagnostics, _write_fields
+
+from test_cli import SMALL_CFG
 
 SPECIAL = (0.0, 5e-324, 1e300, 0.1 + 0.2, 1 / 3)
 
@@ -110,13 +113,103 @@ def test_interrupted_sweep_reaps_its_workers(monkeypatch):
     # workers are still stepping when share 0 is interrupted
     main = os.getpid()
 
-    def interrupted(*args):
+    def interrupted(rung):
         if os.getpid() == main:
             raise KeyboardInterrupt
         time.sleep(60)
 
-    monkeypatch.setattr(runner, "simulate", interrupted)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     with pytest.raises(KeyboardInterrupt):
-        runner._run_ladder([(j,) for j in range(3)])
+        runner._run_ladder(interrupted, range(3))
     assert multiprocessing.active_children() == []
+
+
+def _echo(conn):
+    while (message := runner._recv(conn)) is not None:
+        runner._send(conn, message)
+
+
+def test_message_round_trips_bit_for_bit():
+    # arrays large enough to travel beside the pickle, small ones inside it,
+    # and arrays no buffer can hold as they are (strided, of objects)
+    rng = np.random.default_rng(4)
+    grid = Grid(cells=(256, 256), lengths=(1.0, 1.0))
+    big = rng.normal(size=(512, 640))
+    big.ravel()[:5] = (np.nan, np.inf, -np.inf, -0.0, 5e-324)
+    message = {
+        "big": big,
+        "field": grid.field(rng.random(grid.shape)),
+        "fortran": np.asfortranarray(rng.random((300, 200))),
+        "strided": big[::3, ::2],
+        "ints": rng.integers(-2 ** 62, 2 ** 62, size=70_000),
+        "small": np.arange(7.0),
+        "empty": np.zeros((0, 3)),
+        "objects": np.array([None, "x", 1.5], dtype=object),
+        "text": "rung", "none": None,
+    }
+    assert sum(a.nbytes for a in message.values() if isinstance(a, np.ndarray)) > 4e6
+    with _Worker("echo", _echo) as child:
+        for _ in range(2):
+            child.send(message)
+            got = child.recv()
+            assert got.keys() == message.keys()
+            for key, sent in message.items():
+                back = got[key]
+                if key == "objects":
+                    assert back.tolist() == sent.tolist()
+                elif isinstance(sent, np.ndarray):
+                    assert (back.dtype, back.shape) == (sent.dtype, sent.shape), key
+                    assert back.tobytes(order="A") == sent.tobytes(order="A"), key
+                    assert back.flags.f_contiguous == sent.flags.f_contiguous, key
+                elif key == "field":
+                    assert back.grid == sent.grid
+                    assert back.values.tobytes() == sent.values.tobytes()
+                    assert not back.values.flags.writeable
+                else:
+                    assert back == sent, key
+        child.send(None)
+
+
+def test_sweep_rungs_built_where_stepped(tmp_path, monkeypatch):
+    # with two CPUs the second rung is stepped in a forked worker: its
+    # initial state is built there too, and its trajectory comes back with
+    # the bits of the same rung stepped in this process
+    cfg = config_from_mapping(parse_config_text(
+        SMALL_CFG.replace("sweep.eps_ladder = 0.5, 0.25, 0.125",
+                          "sweep.eps_ladder = 0.5, 0.25")))
+    log = tmp_path / "rungs.log"
+    built = {}
+    real_initial_state, real_simulate = runner.initial_state, runner.simulate
+
+    def initial_state(fields):
+        state = real_initial_state(fields)
+        built[id(state)] = os.getpid()
+        return state
+
+    def recorded(initial, params, *args):
+        with log.open("a", encoding="utf-8") as fh:
+            fh.write(f"{params.eps} {built[id(initial)]} {os.getpid()}\n")
+        return real_simulate(initial, params, *args)
+
+    monkeypatch.setattr(runner, "initial_state", initial_state)
+    monkeypatch.setattr(runner, "simulate", recorded)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    results = runner._run_ladder(partial(runner._sweep_rung, cfg), cfg.eps_ladder)
+    rows = sorted(line.split() for line in log.read_text(encoding="utf-8").splitlines())
+    assert [float(eps) for eps, _, _ in rows] == [0.25, 0.5]
+    assert all(built_in == stepped_in for _, built_in, stepped_in in rows)
+    assert {stepper for _, _, stepper in rows} == {str(os.getpid()), rows[0][2]}
+    assert rows[0][2] != str(os.getpid())
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    here = runner._run_ladder(partial(runner._sweep_rung, cfg), cfg.eps_ladder)
+    for (traj, error), (local, _) in zip(results, here):
+        assert error is None
+        assert traj.times.tobytes() == local.times.tobytes()
+        for name, values in local.series.items():
+            assert traj.series[name].tobytes() == values.tobytes()
+        for (t, state), (t_local, state_local) in zip(traj.snapshots, local.snapshots):
+            assert t == t_local
+            for name in "uvw":
+                assert (getattr(state, name).values.tobytes()
+                        == getattr(state_local, name).values.tobytes())

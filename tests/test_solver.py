@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,7 @@ from chemocert import (
     stable_dt,
     step,
 )
+from chemocert.config import load_config
 from chemocert.grid import face_gradient_values, gradient_sq_values
 from chemocert import solver
 from chemocert.solver import SchemeViolationError, _advance, _clamp_nonneg
@@ -416,3 +420,26 @@ class TestSimulate:
             diffs.append(float(np.trapezoid(gap, ts)))
         assert diffs[1] < diffs[0]
         assert np.log2(diffs[0] / diffs[1]) >= 0.9
+
+
+def test_step_working_set(tmp_path):
+    # a step holds each field-sized array only while it is read: over a few
+    # steps at 128^2 of the canonical physics, the most numpy holds at once
+    # is within 16 field sizes, the fields and the face gradient of w among
+    # them; tracemalloc counts numpy's own allocations, not the allocator's
+    text = (Path(__file__).resolve().parents[1] / "configs" / "canonical.cfg").read_text(
+        encoding="utf-8").replace("grid.cells = 64, 64", "grid.cells = 128, 128")
+    (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+    cfg = load_config(tmp_path / "run.cfg")
+    state = State(*cfg.initial_family.base())
+    T = 4 * cfg.solver.max_dt
+    simulate(state, cfg.params, cfg.solver, T, [T])  # the solve's eigenvalues are cached
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        traj = simulate(state, cfg.params, cfg.solver, T, [T])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.dts) >= 3
+    assert (peak - start) / (cfg.grid.n_cells * 8) <= 16
