@@ -272,6 +272,8 @@ def probe_uniform_integrability(traj: Trajectory, eta: float, delta: float,
     Also asserts the analytic implication: with A = iint u^theta and theta
     from the trajectory, A^(1/theta) * delta^((theta-1)/theta) < eta whenever
     the space-time bound held, so the probe cannot fail by bad luck alone.
+    The details' ``delta_atoms`` is delta over the smallest positive atom
+    measure (0 if none is positive): below 1, every probed set is empty.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -284,19 +286,29 @@ def probe_uniform_integrability(traj: Trajectory, eta: float, delta: float,
     weights[0] = 0.5 * (times[1] - times[0])
     weights[-1] = 0.5 * (times[-1] - times[-2])
 
+    # an atom is one cell at one snapshot: atom i lies at snapshot i // n_cells,
+    # so its measure and integral are formed only for the atoms a trial draws
     vol = traj.grid.cell_volume
-    u_flat = np.stack([s.u.values.ravel() for _, s in traj.snapshots])
-    n_time, n_cells = u_flat.shape
-    atom_measure = np.repeat(weights, n_cells) * vol
-    atom_integral = (u_flat * weights[:, None]).ravel() * vol
-    n_atoms = n_time * n_cells
-    min_measure = float(atom_measure.min())
+    u_flat = np.stack([s.u.values.ravel() for _, s in traj.snapshots]).ravel()
+    n_atoms = u_flat.size
+    n_cells = traj.grid.n_cells
+    measures = weights * vol
+    min_measure = float(measures.min())
+    positive = measures[measures > 0.0]
+    delta_atoms = delta / float(positive.min()) if positive.size else 0.0
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    violations = 0
-    for _ in range(trials):
-        target = rng.uniform(0.2, 0.999) * delta
+
+    def running_measure(order: np.ndarray) -> np.ndarray:
+        meas = weights[order // n_cells]
+        meas *= vol
+        return np.cumsum(meas, out=meas)
+
+    def sampled_integral(target: float) -> float:
+        """iint u over the atoms a random order takes before its measure reaches target.
+
+        A function, so that its draw is freed before the next trial draws.
+        """
         # every atom weighs at least min_measure, so the running measure
         # passes target within this many atoms unless roundoff says
         # otherwise; an ordered sample without replacement of that many is
@@ -304,13 +316,17 @@ def probe_uniform_integrability(traj: Trajectory, eta: float, delta: float,
         bound = target / min_measure if min_measure > 0 else np.inf
         n_prefix = int(min(n_atoms, bound + 2))
         order = rng.choice(n_atoms, n_prefix, replace=False)
-        meas = np.cumsum(atom_measure[order])
+        meas = running_measure(order)
         if n_prefix < n_atoms and meas[-1] < target:
             order = rng.permutation(n_atoms)
-            meas = np.cumsum(atom_measure[order])
-        n_take = int(np.searchsorted(meas, target))
-        take = order[:n_take]
-        value = float(atom_integral[take].sum())
+            meas = running_measure(order)
+        take = order[:int(np.searchsorted(meas, target))]
+        return float((u_flat[take] * weights[take // n_cells] * vol).sum())
+
+    worst = 0.0
+    violations = 0
+    for _ in range(trials):
+        value = sampled_integral(rng.uniform(0.2, 0.999) * delta)
         worst = max(worst, value)
         if value >= eta:
             violations += 1
@@ -321,7 +337,7 @@ def probe_uniform_integrability(traj: Trajectory, eta: float, delta: float,
     return EstimateRecord(
         name="uniform_integrability", value=worst, bound=eta, slack=eta - worst,
         tol=0.0, passed=bool(violations == 0 and analytic_ok),
-        details={"delta": delta, "trials": float(trials),
+        details={"delta": delta, "delta_atoms": delta_atoms, "trials": float(trials),
                  "violations": float(violations), "holder_bound": holder,
                  "analytic_ok": float(analytic_ok)})
 

@@ -224,10 +224,10 @@ def regularize_initial(base: tuple[Field, Field, Field],
     for f in base:
         if f.min() < 0:
             raise ValueError(f"base field has negative value {f.min()}")
-        vals = f.values
-        if eps > 0.0:
-            vals = np.minimum(vals, 1.0 / eps)
-        out.append(Field(f.grid, vals))
+        if eps == 0.0 or 1.0 / eps >= f.max():
+            out.append(f)  # nothing to clip, and a field is immutable
+        else:
+            out.append(Field.adopt(f.grid, np.minimum(f.values, 1.0 / eps)))
     return tuple(out)
 
 

@@ -41,13 +41,19 @@ from .model import ModelParams, State, _pow, reaction_u, reaction_v, sign_split,
 
 CLAMP_FLOOR = 1e-13
 
+# a run may take this many times the steps it takes when max_dt alone sets
+# dt, T / (cfl_safety * max_dt), plus one landing step per output time. The
+# shipped and benchmark configs take at most that unit; a steep signal bump
+# drives dt down in proportion to its mass, and the count up with it
+STEP_BUDGET = 64
+
 
 class SchemeViolationError(RuntimeError):
     """A field left the nonnegative cone by more than the roundoff floor."""
 
 
 class SimulationAbortError(RuntimeError):
-    """An accumulator or field became non-finite; diagnostics attached."""
+    """An accumulator or field became non-finite, or the step budget ran out."""
 
 
 @dataclass(frozen=True)
@@ -143,11 +149,14 @@ def stable_dt(state: State, params: ModelParams, cfg: SolverConfig) -> float:
     if u.size == 0:
         raise ValueError("empty state")
     return _stable_dt(state.grid, float(u.max()), float(v.max()),
-                      face_gradient_values(state.grid, state.w.values), params, cfg)
+                      face_gradient_values(state.grid, state.w.values), params, cfg)[0]
 
 
 def _stable_dt(grid: Grid, max_u: float, max_v: float, face_g: tuple,
-               params: ModelParams, cfg: SolverConfig) -> float:
+               params: ModelParams, cfg: SolverConfig) -> tuple[float, str]:
+    """:func:`stable_dt` from the step's maxima and face gradients, with the
+    limit that set it: ``"transport"``, ``"reaction"`` or ``"max_dt"``.
+    """
     max_g = max(float(np.max(np.abs(g))) for g in face_g)
     if max_g > 0.0:
         transport = grid.min_spacing / (2.0 * grid.dim * max_g)
@@ -159,8 +168,9 @@ def _stable_dt(grid: Grid, max_u: float, max_v: float, face_g: tuple,
     umax = growth * max_u
     vmax = growth * max_v
     l_reac = 1.0 + params.theta * _pow(umax, params.theta - 1.0) + umax + 2.0 * vmax
-    dt = cfg.cfl_safety * min(transport, 1.0 / l_reac, cfg.max_dt)
-    return float(dt)
+    limits = {"transport": transport, "reaction": 1.0 / l_reac, "max_dt": cfg.max_dt}
+    limit = min(limits, key=limits.get)
+    return float(cfg.cfl_safety * limits[limit]), limit
 
 
 def _clamp_nonneg(name: str, values: np.ndarray, t: float) -> tuple[np.ndarray, float]:
@@ -302,7 +312,9 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
     t_0 .. t_M, for the certificate machinery; otherwise only the snapshots
     at the output times are stored. ``observer``, when given, is called with
     the fields (u, v, w) at every step boundary, t_0 .. t_M; it must not
-    write to them.
+    write to them. A run that would take more than ``STEP_BUDGET`` times
+    T / (cfl_safety * max_dt) plus the output time count steps stops with
+    :class:`SimulationAbortError`.
     """
     if not 0.0 <= T < np.inf:
         raise ValueError(f"final time must be finite and >= 0, got {T}")
@@ -310,6 +322,7 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
     if initial.time != 0.0:
         raise ValueError("simulate expects the initial state at time 0")
     events = sorted({float(t) for t in output_times if 0.0 < t <= T} | ({T} if T > 0 else set()))
+    unlimited_steps = T / (cfg.cfl_safety * cfg.max_dt) + len(events)
 
     u = initial.u.values.copy()
     v = initial.v.values.copy()
@@ -350,8 +363,15 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
     time_eps = 1e-12 * max(1.0, T)
     while event_idx < len(events):
         target = events[event_idx]
-        dt = _stable_dt(grid, series["max_u"][-1], series["max_v"][-1], face_g,
-                        params, cfg)
+        dt, limit = _stable_dt(grid, series["max_u"][-1], series["max_v"][-1], face_g,
+                               params, cfg)
+        if len(dts) + 1 > STEP_BUDGET * unlimited_steps:
+            raise SimulationAbortError(
+                f"step budget spent: {len(dts)} steps reach t={t:.6g} of T={T:.6g}, "
+                f"and the {limit} limit sets dt={dt:.6g}; a run may take "
+                f"{STEP_BUDGET} x {unlimited_steps:.6g} steps, the count at "
+                f"dt = {cfg.cfl_safety:g} x solver.max_dt ({cfg.max_dt:g}) "
+                f"plus one per output time")
         hit = False
         if t + dt >= target - time_eps:
             dt = target - t

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -447,25 +448,47 @@ class TestSimulateCommand:
         assert f"'{key}': the initial {key[5]} overflows a double" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _run_w_bump(tmp_path, command, mass):
+        """``command`` on REFINE_CFG with a w bump of ``mass``, as the command line runs.
+
+        numpy's warnings are printed, not raised. Returns the finished process.
+        """
+        text = switch_kind(REFINE_CFG, "w", "gaussian-bump", center="0.5, 0.5",
+                           sigma="0.1", mass=mass)
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run(
+            [sys.executable, "-m", "chemocert", command, "--config",
+             str(write_cfg(tmp_path, text)), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120)
+
     @pytest.mark.parametrize("command", ["simulate", "certify"])
     def test_stepper_abort_exit_2(self, tmp_path, command):
         # this w bump loads, as its norm and its |grad w|^2 in each cell are
         # finite, but the sum of |grad w|^2 over the cells, which the load
-        # does not take, overflows, and the stepper gives up after one step;
-        # run as the command line runs, with numpy's warnings printed, not raised
-        text = switch_kind(REFINE_CFG, "w", "gaussian-bump", center="0.5, 0.5",
-                           sigma="0.1", mass="1e152")
+        # does not take, overflows, and the stepper gives up after one step
+        proc = self._run_w_bump(tmp_path, command, "1e152")
         out = tmp_path / "out"
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "chemocert", command, "--config",
-             str(write_cfg(tmp_path, text)), "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-            timeout=120)
         assert proc.returncode == 2
         assert "error: non-finite accumulator" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "certify"])
+    def test_step_budget_exit_2(self, tmp_path, command):
+        # the transport limit sets dt near 1e-154 at this mass, so T = 0.4
+        # would take about 1e153 steps; the budget stops it at 64 x (40 + 4)
+        start = time.monotonic()
+        proc = self._run_w_bump(tmp_path, command, "1e150")
+        assert time.monotonic() - start < 30.0
+        assert proc.returncode == 2
+        message = proc.stderr.strip().splitlines()[-1]
+        assert message.startswith("error: step budget spent: 2816 steps reach t=")
+        assert "the transport limit sets dt=" in message
+        assert "solver.max_dt (0.02)" in message
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, key, value", [
         ("simulate", "grid.cells", "257, 256"),

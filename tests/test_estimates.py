@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from chemocert import (
     check_w_lp,
     check_w_lp_family,
     check_z_dissipation_bounds,
+    initial_state,
     lp_norm_values,
     probe_uniform_integrability,
     reaction_l1_identity_gap,
@@ -29,6 +32,8 @@ from chemocert import (
     uniformity_band,
 )
 
+from chemocert.config import load_config
+from chemocert.estimates import PROBE_ETAS
 from conftest import bumpy_state
 
 
@@ -56,11 +61,12 @@ def zero_run(T=1.0):
 
 
 def full_cumsum_probe(traj, eta, delta, trials, seed):
-    """The probe's trial loop with the running measure over every drawn atom.
+    """The probe's trial loop over arrays of every atom's measure and integral.
 
     The draw is the probe's: a sample without replacement of as many atoms as
     can reach the target, then a whole permutation if roundoff left that
-    short of it.
+    short of it. The running measure covers every drawn atom. Returns the
+    worst value, the violation count and the record's details.
     """
     times = traj.snapshot_times()
     weights = np.empty_like(times)
@@ -89,7 +95,29 @@ def full_cumsum_probe(traj, eta, delta, trials, seed):
         value = float(atom_integral[take].sum())
         worst = max(worst, value)
         violations += value >= eta
-    return worst, float(violations)
+    theta = traj.params.theta
+    holder = (traj.accumulators["int_u_theta"] ** (1.0 / theta)
+              * delta ** ((theta - 1.0) / theta))
+    details = {"delta": delta,
+               "delta_atoms": delta / atom_measure[atom_measure > 0].min(),
+               "trials": float(trials), "violations": float(violations),
+               "holder_bound": holder,
+               "analytic_ok": float(holder <= eta * (1.0 + 1e-12))}
+    return worst, float(violations), details
+
+
+def canonical_run(theta):
+    """``configs/canonical.cfg`` at ``theta``, stepped, and its probe thresholds."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "canonical.cfg")
+    cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, theta=theta))
+    family = cfg.initial_family
+    traj = simulate(initial_state(family.base()), cfg.params, cfg.solver, cfg.T,
+                    cfg.output_times)
+    u0_l1 = lp_norm_values(cfg.grid, family.u0.values, 1.0)
+    m1 = u_mass_cap(u0_l1, theta, cfg.grid.measure)
+    deltas = [uniform_integrability_threshold(eta, cfg.T, theta, m1, u0_l1)
+              for eta in PROBE_ETAS]
+    return cfg, traj, deltas
 
 
 class TestClosedFormBounds:
@@ -307,8 +335,10 @@ class TestUniformIntegrability:
             delta = uniform_integrability_threshold(eta, traj.final_time, params.theta,
                                                     m1, norms["u0_l1"])
             rec = probe_uniform_integrability(traj, eta, delta, trials=30, seed=seed)
-            assert (rec.value, rec.details["violations"]) == full_cumsum_probe(
-                traj, eta, delta, trials=30, seed=seed)
+            worst, violations, details = full_cumsum_probe(traj, eta, delta, trials=30,
+                                                           seed=seed)
+            assert (rec.value, rec.details["violations"]) == (worst, violations)
+            assert rec.details == details
 
     @given(c=st.floats(0.01, 100.0), cells=st.lists(st.integers(1, 8), min_size=1, max_size=2),
            times=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6, unique=True),
@@ -343,8 +373,34 @@ class TestUniformIntegrability:
         snaps = traj.snapshots
         traj = dataclasses.replace(traj, snapshots=snaps[:5] + [snaps[5]] * 3 + snaps[6:])
         rec = probe_uniform_integrability(traj, 0.5, 0.01, trials=20, seed=4)
-        assert (rec.value, rec.details["violations"]) == full_cumsum_probe(
-            traj, 0.5, 0.01, trials=20, seed=4)
+        worst, violations, details = full_cumsum_probe(traj, 0.5, 0.01, trials=20, seed=4)
+        assert (rec.value, rec.details["violations"]) == (worst, violations)
+        assert rec.details == details
+
+    @pytest.mark.parametrize("theta, side", [(1.1, "below"), (2.0, "above")])
+    def test_probe_delta_atoms_on_canonical_physics(self, theta, side):
+        # near theta = 1 the threshold falls below one atom's measure, and the
+        # probed sets are empty: the record passes and tests nothing
+        cfg, traj, deltas = canonical_run(theta)
+        for j, (eta, delta) in enumerate(zip(PROBE_ETAS, deltas)):
+            rec = probe_uniform_integrability(traj, eta, delta, trials=5,
+                                              seed=cfg.probe_seed + j)
+            assert (rec.details["delta_atoms"] < 1.0) == (side == "below")
+            assert rec.passed
+
+    def test_probe_holds_one_array_of_atoms(self):
+        # the snapshots' u stacked once; a trial's arrays are as long as its draw
+        _, traj, deltas = canonical_run(2.0)
+        n_atoms = len(traj.snapshots) * traj.grid.n_cells
+        tracemalloc.start()
+        try:
+            for j, delta in enumerate(deltas):
+                tracemalloc.reset_peak()
+                probe_uniform_integrability(traj, PROBE_ETAS[j], delta, trials=20, seed=j)
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak < 2.5 * n_atoms * 8, (delta, peak / (n_atoms * 8))
+        finally:
+            tracemalloc.stop()
 
     def test_probe_is_seeded(self):
         traj, _, _ = small_run(T=0.5)

@@ -279,6 +279,21 @@ class TestRegularizeInitial:
         assert np.array_equal(v0e.values, fam.v0.values)
         assert np.array_equal(w0e.values, fam.w0.values)
 
+    def test_unclipped_fields_are_the_base_fields(self, grid_1d):
+        fam = self._family(grid_1d)
+        base = fam.base()
+        # eps = 0 clips nothing, and 1/eps = 4 or 2 lies above every sup (u0's
+        # is just under 2); 1/0.6 cuts u0 only, and 1/0.9 cuts u0 and v0
+        for eps, clipped in ((0.0, ()), (0.25, ()), (0.5, ()), (0.6, (0,)), (0.9, (0, 1))):
+            out = regularize_initial(base, eps)
+            for j, (f, g) in enumerate(zip(base, out)):
+                if j in clipped:
+                    assert g is not f
+                    assert np.array_equal(g.values, np.minimum(f.values, 1.0 / eps))
+                    assert not g.values.flags.writeable
+                else:
+                    assert g is f
+
     def test_negative_base_rejected(self, grid_1d):
         bad = Grid(cells=(4,), lengths=(1.0,))
         field = bad.constant_field(0.0)
