@@ -111,31 +111,20 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        self.__setstate__({"grid": self.grid,
-                           "values": np.array(self.values, dtype=float, copy=True)})
-
-    @classmethod
-    def adopt(cls, grid: Grid, values: np.ndarray) -> "Field":
-        """A field over the float array ``values`` itself, not over a copy of it.
-
-        The caller hands the array over: it becomes read-only here.
-        """
-        field = object.__new__(cls)
-        field.__setstate__({"grid": grid, "values": values})
-        return field
+        values = np.array(self.values, dtype=float, copy=True)
+        if values.shape != self.grid.shape:
+            raise ValueError(
+                f"field shape {values.shape} does not match grid {self.grid.shape}")
+        self.__setstate__({"grid": self.grid, "values": values})
 
     def __setstate__(self, state):
-        """Take ``state``'s values as they are, checked and made read-only.
+        """Take ``state``'s values as they are, checked finite and made read-only.
 
         Unpickling lands here with the array the unpickler made, so a
         received field holds its data once, not beside a copy of it.
         """
-        values = state["values"]
-        if values.shape != state["grid"].shape:
-            raise ValueError(
-                f"field shape {values.shape} does not match grid {state['grid'].shape}")
-        _require_finite(values)
-        values.setflags(write=False)
+        _require_finite(state["values"])
+        state["values"].setflags(write=False)
         for name, value in state.items():
             object.__setattr__(self, name, value)
 

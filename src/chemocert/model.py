@@ -227,7 +227,7 @@ def regularize_initial(base: tuple[Field, Field, Field],
         if eps == 0.0 or 1.0 / eps >= f.max():
             out.append(f)  # nothing to clip, and a field is immutable
         else:
-            out.append(Field.adopt(f.grid, np.minimum(f.values, 1.0 / eps)))
+            out.append(Field(f.grid, np.minimum(f.values, 1.0 / eps)))
     return tuple(out)
 
 

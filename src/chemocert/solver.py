@@ -41,11 +41,11 @@ from .model import ModelParams, State, _pow, reaction_u, reaction_v, sign_split,
 
 CLAMP_FLOOR = 1e-13
 
-# a run may take this many times the steps it takes when max_dt alone sets
-# dt, T / (cfl_safety * max_dt), plus one landing step per output time. The
-# shipped and benchmark configs take at most that unit; a steep signal bump
-# drives dt down in proportion to its mass, and the count up with it
-STEP_BUDGET = 64
+# no run takes more steps than this, counting those taken and those (T - t)/dt
+# left at the current step. The largest shipped run, refine.cfg's 256^2
+# level, takes 32 000; a steep signal bump drives dt down in proportion to its
+# mass, and is stopped at its first step once that count passes the bound
+MAX_STEPS = 1_000_000
 
 
 class SchemeViolationError(RuntimeError):
@@ -312,9 +312,8 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
     t_0 .. t_M, for the certificate machinery; otherwise only the snapshots
     at the output times are stored. ``observer``, when given, is called with
     the fields (u, v, w) at every step boundary, t_0 .. t_M; it must not
-    write to them. A run that would take more than ``STEP_BUDGET`` times
-    T / (cfl_safety * max_dt) plus the output time count steps stops with
-    :class:`SimulationAbortError`.
+    write to them. A run whose steps taken plus (T - t) / dt at its current
+    step exceed ``MAX_STEPS`` stops with :class:`SimulationAbortError`.
     """
     if not 0.0 <= T < np.inf:
         raise ValueError(f"final time must be finite and >= 0, got {T}")
@@ -322,7 +321,6 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
     if initial.time != 0.0:
         raise ValueError("simulate expects the initial state at time 0")
     events = sorted({float(t) for t in output_times if 0.0 < t <= T} | ({T} if T > 0 else set()))
-    unlimited_steps = T / (cfg.cfl_safety * cfg.max_dt) + len(events)
 
     u = initial.u.values.copy()
     v = initial.v.values.copy()
@@ -365,15 +363,18 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
         target = events[event_idx]
         dt, limit = _stable_dt(grid, series["max_u"][-1], series["max_v"][-1], face_g,
                                params, cfg)
-        if len(dts) + 1 > STEP_BUDGET * unlimited_steps:
+        # len(dts) + (T - t) / dt > MAX_STEPS, without dividing by dt
+        if T - t > (MAX_STEPS - len(dts)) * dt:
             raise SimulationAbortError(
                 f"step budget spent: {len(dts)} steps reach t={t:.6g} of T={T:.6g}, "
-                f"and the {limit} limit sets dt={dt:.6g}; a run may take "
-                f"{STEP_BUDGET} x {unlimited_steps:.6g} steps, the count at "
-                f"dt = {cfg.cfl_safety:g} x solver.max_dt ({cfg.max_dt:g}) "
-                f"plus one per output time")
+                f"and the {limit} limit sets dt={dt:.6g} (solver.max_dt = "
+                f"{cfg.max_dt:g}), so the run would take more than "
+                f"MAX_STEPS = {MAX_STEPS} steps")
         hit = False
-        if t + dt >= target - time_eps:
+        # a step lands on the target when it would stop short by less than
+        # time_eps, but is stretched by at most half of itself: a horizon
+        # below time_eps still takes steps no longer than 1.5 stable dt
+        if t + dt >= target - min(time_eps, 0.5 * dt):
             dt = target - t
             hit = True
         if dt <= 0:

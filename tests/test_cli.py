@@ -22,6 +22,7 @@ from chemocert.config import (
     load_config,
     parse_config_text,
 )
+from chemocert.solver import MAX_STEPS
 
 SMALL_CFG = """
 grid.cells = 16, 16
@@ -449,13 +450,13 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @staticmethod
-    def _run_w_bump(tmp_path, command, mass):
-        """``command`` on REFINE_CFG with a w bump of ``mass``, as the command line runs.
+    def _run_w_bump(tmp_path, command, mass, base=REFINE_CFG):
+        """``command`` on ``base`` with a w bump of ``mass``, as the command line runs.
 
         numpy's warnings are printed, not raised. Returns the finished process.
         """
-        text = switch_kind(REFINE_CFG, "w", "gaussian-bump", center="0.5, 0.5",
-                           sigma="0.1", mass=mass)
+        text = switch_kind(base, "w", "gaussian-bump", center="0.5, 0.5", sigma="0.1",
+                           mass=mass)
         src = Path(__file__).resolve().parents[1] / "src"
         return subprocess.run(
             [sys.executable, "-m", "chemocert", command, "--config",
@@ -467,8 +468,11 @@ class TestSimulateCommand:
     def test_stepper_abort_exit_2(self, tmp_path, command):
         # this w bump loads, as its norm and its |grad w|^2 in each cell are
         # finite, but the sum of |grad w|^2 over the cells, which the load
-        # does not take, overflows, and the stepper gives up after one step
-        proc = self._run_w_bump(tmp_path, command, "1e152")
+        # does not take, overflows, and the stepper gives up after one step.
+        # Its dt is near 1e-156: at T = 1e-150 the step budget admits the run
+        base = REFINE_CFG.replace("run.T = 0.4", "run.T = 1e-150").replace(
+            "run.output_times = 0.0:0.4:5", "run.output_times = 0.0")
+        proc = self._run_w_bump(tmp_path, command, "1e152", base)
         out = tmp_path / "out"
         assert proc.returncode == 2
         assert "error: non-finite accumulator" in proc.stderr
@@ -478,17 +482,26 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("command", ["simulate", "certify"])
     def test_step_budget_exit_2(self, tmp_path, command):
         # the transport limit sets dt near 1e-154 at this mass, so T = 0.4
-        # would take about 1e153 steps; the budget stops it at 64 x (40 + 4)
+        # would take about 1e153 steps; the budget stops it at its first step
         start = time.monotonic()
         proc = self._run_w_bump(tmp_path, command, "1e150")
         assert time.monotonic() - start < 30.0
         assert proc.returncode == 2
         message = proc.stderr.strip().splitlines()[-1]
-        assert message.startswith("error: step budget spent: 2816 steps reach t=")
-        assert "the transport limit sets dt=" in message
-        assert "solver.max_dt (0.02)" in message
+        assert message.startswith("error: step budget spent: 0 steps reach t=0 of T=0.4")
+        assert "the transport limit sets dt=2.29461e-154 (solver.max_dt = 0.02)" in message
+        assert message.endswith(f"more than MAX_STEPS = {MAX_STEPS} steps")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("max_dt", ["0.02", "1"])
+    def test_step_budget_admits_a_steep_bump(self, tmp_path, max_dt):
+        # transport sets most of this bump's steps, 445 under max_dt = 0.02 and
+        # 423 under max_dt = 1: a looser cap does not shrink the budget
+        base = REFINE_CFG.replace("solver.max_dt = 0.02", f"solver.max_dt = {max_dt}")
+        proc = self._run_w_bump(tmp_path, "simulate", "10", base)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "diagnostics.csv").exists()
 
     @pytest.mark.parametrize("command, key, value", [
         ("simulate", "grid.cells", "257, 256"),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 from pathlib import Path
 
@@ -106,8 +107,9 @@ def full_cumsum_probe(traj, eta, delta, trials, seed):
     return worst, float(violations), details
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_run(theta):
-    """``configs/canonical.cfg`` at ``theta``, stepped, and its probe thresholds."""
+    """``configs/canonical.cfg`` at ``theta``, stepped once, and its probe thresholds."""
     cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "canonical.cfg")
     cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, theta=theta))
     family = cfg.initial_family

@@ -322,6 +322,32 @@ class TestSimulate:
         assert traj.sup_series("mass_w") == 0.0
         assert all(v == 0.0 for v in traj.accumulators.values())
 
+    def test_step_budget_counts_the_steps_left(self, monkeypatch):
+        # zero data steps at max_dt / 2 = 0.05, so T = 1 takes 20 steps: a
+        # budget of 19 refuses the run before its first step, 21 admits it
+        g = Grid(cells=(8,), lengths=(1.0,))
+        zero = State(u=g.constant_field(0.0), v=g.constant_field(0.0),
+                     w=g.constant_field(0.0))
+        cfg = SolverConfig(max_dt=0.1)
+        monkeypatch.setattr(solver, "MAX_STEPS", 21)
+        assert len(simulate(zero, PARAMS, cfg, T=1.0).dts) == 20
+        monkeypatch.setattr(solver, "MAX_STEPS", 19)
+        with pytest.raises(solver.SimulationAbortError,
+                           match=r"0 steps reach t=0 of T=1, and the max_dt limit sets "
+                                 r"dt=0\.05 \(solver\.max_dt = 0\.1\)"):
+            simulate(zero, PARAMS, cfg, T=1.0)
+
+    def test_landing_stretches_a_step_by_at_most_half(self):
+        # T lies below the 1e-12 landing tolerance; the run still steps at
+        # max_dt / 2 and lands on T, instead of taking T in one step
+        g = Grid(cells=(8,), lengths=(1.0,))
+        zero = State(u=g.constant_field(0.0), v=g.constant_field(0.0),
+                     w=g.constant_field(0.0))
+        traj = simulate(zero, PARAMS, SolverConfig(max_dt=1e-14), T=1e-13)
+        assert traj.times[-1] == 1e-13
+        assert len(traj.dts) == 20
+        assert max(traj.dts) <= 0.75 * 1e-14
+
     def test_output_times_hit_exactly(self):
         g = Grid(cells=(16,), lengths=(1.0,))
         traj = simulate(bumpy_state(g), PARAMS, SolverConfig(max_dt=0.0013),
