@@ -163,10 +163,7 @@ class InitialSpec:
         opts = self.options
         if self.kind == "constant":
             return grid.constant_field(_get_float(opts, f"{key}.value"))
-        if self.kind == "gaussian-bump":
-            return _gaussian(grid, key, opts)
-        raise ConfigError(f"{key}.kind",
-                          f"unknown kind {self.kind!r}; pick one of {INITIAL_KINDS}")
+        return _gaussian(grid, key, opts)  # the loader admits no third kind
 
 
 def _gaussian(grid: Grid, key: str, opts: dict[str, str]) -> Field:

@@ -29,12 +29,14 @@ certificate function then only reduces the result to its records.
 Two assembled coefficients matter enough to spell out:
 
 * phi'/sqrt(phi'') * sqrt(xi) evaluates to -sqrt(p/(p+1))*(s+1)**(-p/2)
-  * exp(-k*t/2); a widely quoted unsigned variant without the sqrt(p/(p+1))
-  factor is evaluated alongside and reported, never asserted.
+  * exp(-k*t/2), sign and sqrt(p/(p+1)) factor included.
 * completing the square in the evolution identity puts the drift coefficient
   (2k + p(p+1)u/(u+1)) / (4(p+1)) inside |grad z^(1/2) + coeff z^(1/2)
-  grad w|^2; the variant with denominator 2*sqrt(p(p+1)) circulates as well
-  and is likewise reported for comparison.
+  grad w|^2.
+
+Both are the forms the test suite derives with sympy. Variants of each
+circulate (an unsigned pairing, a drift over 2*sqrt(p(p+1))); that derivation
+shows they are wrong, so neither is evaluated here.
 """
 
 from __future__ import annotations
@@ -165,10 +167,7 @@ def check_weight_identities(p: float, k: float, samples: int = 100,
     The left sides are assembled purely from the primitive evaluators above;
     the right sides are the closed forms. Errors are measured relative to the
     assembly magnitude (the sum of absolute term values), which keeps the
-    metric meaningful where the assembled terms cancel. Identity 4 is checked
-    against the signed closed form (``oracle`` in the report: the one the
-    test suite derives with sympy); the unsigned variant is evaluated too
-    and the report records which form matched. The report maps each
+    metric meaningful where the assembled terms cancel. The report maps each
     identity's name to its record, which carries ``passed``.
     """
     if samples < 1:
@@ -213,17 +212,9 @@ def check_weight_identities(p: float, k: float, samples: int = 100,
         "max_rel_error": relerr(q1 + q2 + q3, rhs3, q1, q2, q3), "n": samples}
 
     lhs4 = phi_d1(s, p) / sqrt_pd2 * sqrt_xi
-    rhs4_oracle = -math.sqrt(p / (p + 1.0)) * decay
-    rhs4_printed = decay
-    err_oracle = relerr(lhs4, rhs4_oracle, lhs4)
-    err_printed = relerr(lhs4, rhs4_printed, lhs4)
+    rhs4 = -math.sqrt(p / (p + 1.0)) * decay
     report["gradient_pairing_coefficient"] = {
-        "max_rel_error": err_oracle,
-        "printed_form_error": err_printed,
-        "matched_form": "oracle" if err_oracle <= IDENTITY_TOL else (
-            "printed" if err_printed <= IDENTITY_TOL else "neither"),
-        "n": samples,
-    }
+        "max_rel_error": relerr(lhs4, rhs4, lhs4), "n": samples}
 
     c1 = s * phi_d1(s, p) * xi(st, k)
     c2 = -phi(s, p) * xi_d1(st, k)
@@ -470,12 +461,11 @@ def _log_v_rows(grid: Grid, u, v, gw) -> tuple[list, tuple]:
 
 def _superposition_rows(grid: Grid, u, v, w, gw, weights: EntropyWeights,
                         theta: float, net_source) -> tuple[list, tuple]:
-    """z and three right sides of its evolution identity.
+    """z and two right sides of its evolution identity.
 
-    The right sides share every term but one: the trajectory's own saturated
-    source with the oracle drift coefficient (gated), the printed drift
-    coefficient (z evolution, reported), and u+v in place of the source
-    (entropy limit form, reported).
+    The right sides share every term but the source: the trajectory's own
+    saturated source (gated), and u+v in place of it (entropy limit form,
+    reported).
     """
     p, k = weights.p, weights.k
     z = z_values(u, w, p, k)
@@ -483,26 +473,16 @@ def _superposition_rows(grid: Grid, u, v, w, gw, weights: EntropyWeights,
     grad_z_half = gradient_values(grid, z_half)
     frac = u / (u + 1.0)
     frac_z = p * frac * z
-
-    def quad(drift):
-        drift_z_half = drift * z_half
-        return _sum_sq(gz + drift_z_half * ga for gz, ga in zip(grad_z_half, gw))
-
-    drift_num = drift_numerator(p, k, frac)
-    coeff_quad = 4.0 * (p + 1.0) / p
-    gated = coeff_quad * quad(drift_num / (4.0 * (p + 1.0)))
-    printed = coeff_quad * quad(drift_num / (2.0 * math.sqrt(p * (p + 1.0))))
+    drift_z_half = drift_numerator(p, k, frac) / (4.0 * (p + 1.0)) * z_half
+    square = _sum_sq(gz + drift_z_half * ga for gz, ga in zip(grad_z_half, gw))
     c2 = second_order_coefficient(p, k, frac)
     kinetic = 1.0 - _pow(u, theta - 1.0) - v
     shared = -c2 * z * _sum_sq(gw) - frac_z * kinetic
     source_part = -k * net_source * z
     minus_2z_half = -2.0 * z_half
     flux = tuple(minus_2z_half * gz - frac_z * ga for gz, ga in zip(grad_z_half, gw))
-    shared_gated = shared - gated
-    return [z,
-            shared_gated + source_part,
-            shared - printed + source_part,
-            shared_gated - k * (u + v - w) * z], flux
+    shared_gated = shared - 4.0 * (p + 1.0) / p * square
+    return [z, shared_gated + source_part, shared_gated - k * (u + v - w) * z], flux
 
 
 @dataclass(frozen=True)
@@ -512,8 +492,9 @@ class HistoryPass:
     ``signal``, ``log_v`` and ``superposition`` hold per bump ``(lhs, rhs)``:
     lhs = -(iint F d_t psi + int F(0) psi(0)) for the kind's density F and
     rhs[r] = iint G_r psi for each right side G_r (see
-    :func:`_time_weights`). ``z_worst[r]`` is per bump the max over its
-    ``z_instants`` interior instants of |psi (d/dt int z S - int G_r)|.
+    :func:`_time_weights`). ``z_worst`` is per bump the max over its
+    ``z_instants`` interior instants of |psi (d/dt int z S - int G)| for the
+    gated right side G of z.
     """
 
     signal: tuple[np.ndarray, np.ndarray]
@@ -524,14 +505,14 @@ class HistoryPass:
 
 
 # rows of each weak-form kind, density first: w, ln(1+v), z
-_KIND_SIZES = (3, 2, 4)
+_KIND_SIZES = (3, 2, 3)
 
 
 class InstantProducts:
     """Every weak-form kind's rows at one instant, tested against one bump family.
 
     Called on one instant's fields (u, v, w), it takes grad w once, and every
-    kind gives rows (A, B): 3 for w, 2 for ln(1+v), 4 for z of the weight pair,
+    kind gives rows (A, B): 3 for w, 2 for ln(1+v), 3 for z of the weight pair,
     a density first (B = 0) and right sides sharing one flux B. Each row
     becomes vol * sum(A*S + B.grad S) per bump, an array of shape
     ``(rows, bumps)``: all A against S in one matrix product and each kind's
@@ -569,7 +550,7 @@ class TimeFold:
     Built from the times and the bump family alone, it folds the products of
     :class:`InstantProducts`, one per step boundary in time order, into the
     time-weighted sums and, at each interior instant of a window, the
-    centred difference of z.
+    centred difference of z against its gated right side.
     """
 
     def __init__(self, grid: Grid, times: np.ndarray, bumps):
@@ -602,11 +583,11 @@ class TimeFold:
         for i, ci in enumerate(products):
             lhs -= ci * self.dpsi[i]
             rhs += ci * self.trap[i]
-        z = [ci[ends[-1]:] for ci in products]
-        worst = np.zeros((3, psi.shape[1]))
+        z = ends[-1]  # the row of z; its gated right side is the next
+        worst = np.zeros(psi.shape[1])
         for i in np.flatnonzero(interior.any(axis=1)):
-            rate = (z[i + 1][:1] - z[i - 1][:1]) / (times[i + 1] - times[i - 1])
-            mismatch = np.abs(psi[i] * (rate - z[i][1:]))
+            rate = (products[i + 1][z] - products[i - 1][z]) / (times[i + 1] - times[i - 1])
+            mismatch = np.abs(psi[i] * (rate - products[i][z + 1]))
             worst = np.maximum(worst, np.where(interior[i], mismatch, 0.0))
 
         signal, log_v, superposition = [(left[0], right[1:]) for left, right
@@ -681,13 +662,11 @@ def z_evolution_residual(tested: HistoryPass, weights: EntropyWeights,
     walk with ``weights``, whose p and k each record carries.
     """
     records = []
-    for b, (gated, printed, _, n) in enumerate(zip(*tested.z_worst.tolist(),
-                                                   tested.z_instants.tolist())):
+    for b, (gated, n) in enumerate(zip(tested.z_worst.tolist(), tested.z_instants.tolist())):
         records.append(CertificateRecord(
             name="z_evolution", bump_index=b, lhs=gated, rhs=0.0,
             residual=gated, slack=tol - gated, tol=tol, passed=bool(gated <= tol),
-            extras={"printed_drift_coeff_residual": printed,
-                    "n_instants": float(n), "p": weights.p, "k": weights.k}))
+            extras={"n_instants": float(n), "p": weights.p, "k": weights.k}))
     return records
 
 
@@ -704,7 +683,7 @@ def certify_entropy_inequality(tested: HistoryPass, weights: EntropyWeights,
     """
     lhs, rhs = tested.superposition
     records = []
-    for b, (left, right, _, right_limit) in enumerate(zip(lhs.tolist(), *rhs.tolist())):
+    for b, (left, right, right_limit) in enumerate(zip(lhs.tolist(), *rhs.tolist())):
         records.append(CertificateRecord(
             name="entropy_inequality", bump_index=b, lhs=left, rhs=right,
             residual=left - right, slack=right - left, tol=tol,

@@ -661,16 +661,13 @@ def run_verify_identities(out_dir: str | Path | None = None) -> int:
             k = weight_threshold(p) * factor
             report = check_weight_identities(p, k)
             for name, rec in report.items():
-                rows.append([p, k, name, rec["max_rel_error"],
-                             rec.get("printed_form_error", ""),
-                             rec.get("matched_form", ""), int(rec["passed"])])
+                rows.append([p, k, name, rec["max_rel_error"], int(rec["passed"])])
             passed = all(rec["passed"] for rec in report.values())
             ok &= passed
             print(f"[identities] p={p:g} k={k:.6g}: {'pass' if passed else 'FAIL'}")
     if out_dir is not None:
         _write_csv(Path(out_dir) / "identities.csv",
-                   ["p", "k", "identity", "max_rel_error", "printed_form_error",
-                    "matched_form", "passed"], rows)
+                   ["p", "k", "identity", "max_rel_error", "passed"], rows)
     return 0 if ok else 1
 
 

@@ -15,9 +15,9 @@ clamped to zero, anything lower aborts the run as a scheme violation.
 The trajectory records a full-resolution diagnostic series (per step: masses,
 norms, extrema), running space-time accumulators by the rectangle rule in
 time, snapshots at requested output times (the stepper lands on them
-exactly), and optionally the fields at every step for the certificate
-machinery. An optional observer sees the fields at every step boundary as
-they are stepped.
+exactly), and optionally a dense history: the fields at every step. An
+optional observer sees the fields at every step boundary as they are
+stepped; the certificate walk is one.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def _advect(grid: Grid, s: np.ndarray, face_grads: tuple[np.ndarray, ...],
 
 
 def _advance(grid: Grid, u: np.ndarray, v: np.ndarray, w: np.ndarray, face_g: tuple,
-             params: ModelParams, cfg: SolverConfig, dt: float, t: float,
+             params: ModelParams, dt: float, t: float,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, float]]:
     """One IMEX step on raw arrays; returns new fields plus step rates.
 
@@ -269,7 +269,7 @@ def _advance(grid: Grid, u: np.ndarray, v: np.ndarray, w: np.ndarray, face_g: tu
     return u3, v3, w3, stats
 
 
-def step(state: State, params: ModelParams, cfg: SolverConfig, dt: float) -> State:
+def step(state: State, params: ModelParams, dt: float) -> State:
     """Advance one step of size dt (caller guarantees dt <= stable_dt).
 
     Postconditions: all fields nonnegative, and the change of each field's
@@ -280,7 +280,7 @@ def step(state: State, params: ModelParams, cfg: SolverConfig, dt: float) -> Sta
         raise ValueError(f"dt must be positive, got {dt}")
     grid, w = state.grid, state.w.values
     u3, v3, w3, _ = _advance(grid, state.u.values, state.v.values, w,
-                             face_gradient_values(grid, w), params, cfg, dt, state.time)
+                             face_gradient_values(grid, w), params, dt, state.time)
     return State(u=Field(grid, u3), v=Field(grid, v3), w=Field(grid, w3),
                  time=state.time + dt)
 
@@ -309,8 +309,11 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
     """Run stable_dt-sized steps up to time T, landing on output times exactly.
 
     ``keep_history=True`` keeps a copy of the fields at every step boundary,
-    t_0 .. t_M, for the certificate machinery; otherwise only the snapshots
-    at the output times are stored. ``observer``, when given, is called with
+    t_0 .. t_M; otherwise only the snapshots at the output times are stored.
+    The certificate walk reads the observer's calls, not that copy; its
+    readers are the stored-history reference
+    (:func:`~chemocert.identities.history_pass`) and the benchmark's memory
+    counter. ``observer``, when given, is called with
     the fields (u, v, w) at every step boundary, t_0 .. t_M; it must not
     write to them. A run whose steps taken plus (T - t) / dt at its current
     step exceed ``MAX_STEPS`` stops with :class:`SimulationAbortError`.
@@ -377,8 +380,6 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
         if t + dt >= target - min(time_eps, 0.5 * dt):
             dt = target - t
             hit = True
-        if dt <= 0:
-            raise SimulationAbortError(f"step size collapsed to {dt} at t={t}")
 
         # dissipation integrands at the step start, from the diagnostics' |grad w|^2
         rates = {
@@ -389,7 +390,7 @@ def simulate(initial: State, params: ModelParams, cfg: SolverConfig, T: float,
                 float(((v / (1.0 + v)) ** 2 * grad_w_sq).sum()) * grid.cell_volume,
         }
         del grad_w_sq  # read by the rates alone: the step need not hold it
-        u, v, w, stats = _advance(grid, u, v, w, face_g, params, cfg, dt, t)
+        u, v, w, stats = _advance(grid, u, v, w, face_g, params, dt, t)
         del face_g  # held across the history copies it costs peak RSS
         rates.update(stats)
         t = target if hit else t + dt

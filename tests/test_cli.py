@@ -62,8 +62,7 @@ PINNED_RECORDS = {
          "eps_discrepancy": 6.962077067965134e-05, "p": 1.0, "k": 2.0}),
     ("z_evolution", 0): (
         0.0013526292638452106, 0.0, 0.0013526292638452106,
-        {"printed_drift_coeff_residual": 0.0009541479119856344, "n_instants": 14.0,
-         "p": 1.0, "k": 2.0}),
+        {"n_instants": 14.0, "p": 1.0, "k": 2.0}),
     ("weakform_w", 1): (
         0.00035689575824786004, 0.0003507239133050206, 6.171844942839456e-06,
         {"eps_discrepancy": 0.00011663374290773699,
@@ -77,8 +76,7 @@ PINNED_RECORDS = {
          "eps_discrepancy": 0.00010743064682543526, "p": 1.0, "k": 2.0}),
     ("z_evolution", 1): (
         0.0005557486212707727, 0.0, 0.0005557486212707727,
-        {"printed_drift_coeff_residual": 0.0006689757643093125, "n_instants": 35.0,
-         "p": 1.0, "k": 2.0}),
+        {"n_instants": 35.0, "p": 1.0, "k": 2.0}),
 }
 
 

@@ -100,7 +100,7 @@ class TestStableStepInvariants:
     @pytest.mark.parametrize("case", CONVERGING_DRIFT, ids=["theta3-cfl1", "theta8-cfl0.5"])
     def test_converging_drift_keeps_u_nonnegative(self, case):
         state, params, cfg, dt = one_stable_step(case)
-        out = step(state, params, cfg, dt)
+        out = step(state, params, dt)
         assert out.u.min() >= 0.0
 
     @given(case=stepper_cases())
@@ -109,13 +109,13 @@ class TestStableStepInvariants:
     @settings(max_examples=40, deadline=None)
     def test_one_step_nonnegative_and_mass_balanced(self, case):
         state, params, cfg, dt = one_stable_step(case)
-        out = step(state, params, cfg, dt)
+        out = step(state, params, dt)
         for f in (out.u, out.v, out.w):
             assert f.min() >= 0.0
         # the per-step mass identity, with the stage integrals the step applied
         g, w = state.grid, state.w.values
         *fields, stats = _advance(g, state.u.values, state.v.values, w,
-                                  face_gradient_values(g, w), params, cfg, dt, 0.0)
+                                  face_gradient_values(g, w), params, dt, 0.0)
         for values, f in zip(fields, (out.u, out.v, out.w)):
             assert np.array_equal(values, f.values)
         vol = g.cell_volume
@@ -132,7 +132,7 @@ class TestStep:
         g = Grid(cells=(8, 8), lengths=(1.0, 1.0))
         zero = State(u=g.constant_field(0.0), v=g.constant_field(0.0),
                      w=g.constant_field(0.0))
-        out = step(zero, PARAMS, SolverConfig(), 0.001)
+        out = step(zero, PARAMS, 0.001)
         for f in (out.u, out.v, out.w):
             assert np.all(f.values == 0.0)
 
@@ -141,7 +141,7 @@ class TestStep:
         zero = State(u=g.constant_field(0.0), v=g.constant_field(0.0),
                      w=g.constant_field(0.0))
         with pytest.raises(ValueError):
-            step(zero, PARAMS, SolverConfig(), 0.0)
+            step(zero, PARAMS, 0.0)
 
     def test_mass_identity_per_step(self):
         g = Grid(cells=(48,), lengths=(1.0,))
@@ -174,7 +174,7 @@ class TestStep:
         u0, v0, w0 = state.u.values, state.v.values, state.w.values
         dt = 1e-3
         u1, v1, w1, stats = _advance(g, u0, v0, w0, face_gradient_values(g, w0), PARAMS,
-                                     SolverConfig(), dt, 0.0)
+                                     dt, 0.0)
         vol = g.cell_volume
         assert (u1.sum() - u0.sum()) * vol == pytest.approx(
             dt * stats["cum_reaction_u"], abs=1e-12)
@@ -263,7 +263,7 @@ def assert_matches_public_step_loop(init, cfg, T, outputs):
             int_grad_w_sq += dt * now[-1]
             int_vgradw_sq += dt * (float(((v / (1.0 + v)) ** 2 * grad_w_sq).sum())
                                    * g.cell_volume)
-            state = step(state, PARAMS, cfg, dt)
+            state = step(state, PARAMS, dt)
             t = target if hit else t + dt
             times.append(t)
             dts.append(dt)
