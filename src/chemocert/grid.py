@@ -9,18 +9,24 @@ makes three identities exact in floating point:
 * the Laplacian telescopes, so the integral of ``laplacian_values`` is 0,
 * midpoint quadrature is exact for cellwise-constant integrands.
 
+The backward-Euler diffusion solve inverts that stencil exactly with a type-II
+cosine transform, which diagonalizes it. Along each axis the transform is
+Makhoul's even/odd reorder, one ``numpy.fft`` real FFT and one twiddle, so
+the module needs numpy alone.
+
 Both 1D and 2D grids are supported; 1D grids exist mainly as fast oracles for
-the time-stepping and certification machinery. The calculus below is written
-over the grid's axes and never branches on their number.
+the time-stepping and certification machinery. The calculus and the transform
+below are written over the grid's axes and never branch on their number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 
 class GridError(ValueError):
@@ -292,6 +298,120 @@ def _pad_width(ndim: int, axis: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
+# cosine transform: Makhoul's reorder, one real FFT and one twiddle per axis
+# ---------------------------------------------------------------------------
+
+class _AxisPlan(NamedTuple):
+    """What the cosine transform needs along one axis of length ``n``.
+
+    The index tuples select along this axis and take the rest whole; the
+    twiddles are shaped to broadcast along it.
+    """
+
+    n: int
+    half_shape: tuple[int, ...]   # the array's shape with n // 2 + 1 along the axis
+    half_size: int                # the number of entries of that shape
+    forward: np.ndarray           # exp(-i*pi*k/(2n)), k = 0 .. n // 2
+    inverse: np.ndarray           # its conjugate, but itself at an even n's Nyquist k
+    low: tuple                    # spectrum entries 0 .. n // 2
+    high: tuple                   # spectrum entries n // 2 + 1 .. n - 1
+    descending: tuple             # rfft entries (n - 1) // 2 down to 1
+    first: tuple                  # rfft entry 0
+    rest: tuple                   # rfft entries 1 .. n // 2
+    mirror: tuple                 # spectrum entries n - 1 down to n - n // 2
+
+
+class _CosinePlan(NamedTuple):
+    blocks: tuple[tuple[tuple, tuple], ...]   # (cells, reordered) index pairs
+    axes: tuple[_AxisPlan, ...]
+    work_size: int                            # complex entries of the largest half_shape
+
+
+def _makhoul_halves(n: int) -> tuple[tuple[slice, slice], ...]:
+    """(cells, reordered) slice pairs of Makhoul's reorder of a length-``n`` axis.
+
+    The even cells come first in ascending order, then the odd cells in
+    descending order.
+    """
+    return ((slice(0, None, 2), slice(0, (n + 1) // 2)),
+            (slice(2 * (n // 2) - 1, 0, -2), slice((n + 1) // 2, None)))
+
+
+@lru_cache(maxsize=16)
+def _cosine_plan(shape: tuple[int, ...]) -> _CosinePlan:
+    """The reorder blocks and per-axis twiddles for arrays of ``shape``."""
+    ndim = len(shape)
+    blocks = tuple((tuple(c for c, _ in pairs), tuple(r for _, r in pairs))
+                   for pairs in product(*(_makhoul_halves(n) for n in shape)))
+    axes = []
+    for a, n in enumerate(shape):
+        h = n // 2
+        forward = np.exp(-0.5j * np.pi / n * np.arange(h + 1))
+        inverse = forward.conj()
+        if n % 2 == 0:
+            # the Nyquist entry is read back as c + ic where it was c - ic
+            inverse[h] = forward[h]
+        along = [1] * ndim
+        along[a] = h + 1
+        for twiddle in (forward, inverse):
+            twiddle.setflags(write=False)
+        half_shape = shape[:a] + (h + 1,) + shape[a + 1:]
+        axes.append(_AxisPlan(
+            n, half_shape, int(np.prod(half_shape)),
+            forward.reshape(along), inverse.reshape(along),
+            _axis_slice(ndim, a, slice(0, h + 1)),
+            _axis_slice(ndim, a, slice(h + 1, None)),
+            _axis_slice(ndim, a, slice((n - 1) // 2, 0, -1)),
+            _axis_slice(ndim, a, slice(0, 1)),
+            _axis_slice(ndim, a, slice(1, None)),
+            _axis_slice(ndim, a, slice(n - 1, n - h - 1, -1))))
+    return _CosinePlan(blocks, tuple(axes), max(ax.half_size for ax in axes))
+
+
+def _cosine_transform(values: np.ndarray) -> np.ndarray:
+    """Half the type-II cosine transform along every axis, upper halves negated.
+
+    Along an axis of length ``n`` entry ``k`` holds
+    ``sum_j x_j cos(pi*k*(2j+1)/(2n))`` for ``k <= n // 2`` and its negative
+    above. Each axis is one real FFT of Makhoul's reorder times one twiddle
+    (J. Makhoul, IEEE Trans. ASSP 28 (1980) 27-34): entry ``k`` is the real
+    part of the twiddled FFT and entry ``n - k`` its imaginary part, stored
+    as it comes, hence the sign. Dividing entries by per-entry eigenvalues
+    commutes with that sign, so :func:`_inverse_cosine_transform` reads the
+    quotient back as it is. ``values`` is only read.
+    """
+    plan = _cosine_plan(values.shape)
+    out = np.empty(values.shape)
+    for cells, reordered in plan.blocks:
+        out[reordered] = values[cells]
+    work = np.empty(plan.work_size, dtype=complex)
+    for a, ax in enumerate(plan.axes):
+        half = np.fft.rfft(out, axis=a, out=work[:ax.half_size].reshape(ax.half_shape))
+        half *= ax.forward
+        out[ax.low] = half.real
+        out[ax.high] = half.imag[ax.descending]
+    return out
+
+
+def _inverse_cosine_transform(spectrum: np.ndarray) -> np.ndarray:
+    """Undo :func:`_cosine_transform`, overwriting ``spectrum`` on the way."""
+    plan = _cosine_plan(spectrum.shape)
+    work = np.empty(plan.work_size, dtype=complex)
+    for a, ax in enumerate(plan.axes):
+        half = work[:ax.half_size].reshape(ax.half_shape)
+        half.real[...] = spectrum[ax.low]
+        imag = half.imag
+        imag[ax.first] = 0.0
+        imag[ax.rest] = spectrum[ax.mirror]
+        half *= ax.inverse
+        np.fft.irfft(half, ax.n, axis=a, out=spectrum)
+    out = np.empty(spectrum.shape)
+    for cells, reordered in plan.blocks:
+        out[cells] = spectrum[reordered]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # backward-Euler diffusion solve: (I - tau*Laplacian) x = b
 # ---------------------------------------------------------------------------
 
@@ -310,25 +430,35 @@ def _neumann_eigenvalues(grid: Grid) -> np.ndarray:
     return lam
 
 
+@lru_cache(maxsize=1)
+def _diffusion_denominator(grid: Grid, tau: float) -> np.ndarray:
+    """``1 + tau*lambda``, formed once for the three solves of a step.
+
+    Only the last step's is kept: the next step's dt is another key.
+    """
+    denominator = tau * _neumann_eigenvalues(grid)
+    denominator += 1.0
+    denominator.setflags(write=False)
+    return denominator
+
+
 def solve_diffusion(grid: Grid, rhs: np.ndarray, tau: float) -> np.ndarray:
     """Solve ``(I - tau*Laplacian) x = rhs`` with the mirrored-ghost stencil.
 
-    A cosine transform diagonalizes the stencil, so the solve is exact to
-    roundoff; the zero mode is untouched, so mass is conserved up to FFT
-    rounding. ``rhs`` is only read, so it may be a read-only ``Field.values``.
+    The type-II cosine transform diagonalizes the stencil, so the solve is
+    exact to roundoff. The transform pair is unnormalized and its scale
+    cancels between forward and inverse; the zero mode is divided by 1, so
+    the total is conserved up to the rounding of the real FFTs. ``rhs`` is
+    only read, so it may be a read-only ``Field.values``.
     """
     rhs = np.asarray(rhs, dtype=float)
     if tau < 0:
         raise ValueError(f"diffusion pseudo-time must be >= 0, got {tau}")
     if tau == 0.0:
         return rhs.copy()
-    hat = scipy.fft.dctn(rhs, type=2, norm="ortho")
-    denominator = tau * _neumann_eigenvalues(grid)
-    denominator += 1.0
-    hat /= denominator
-    del denominator
-    # the inverse transform overwrites hat, which no one else holds
-    return scipy.fft.idctn(hat, type=2, norm="ortho", overwrite_x=True)
+    spectrum = _cosine_transform(rhs)
+    spectrum /= _diffusion_denominator(grid, tau)
+    return _inverse_cosine_transform(spectrum)
 
 
 def restrict_values(fine: Grid, coarse: Grid, values: np.ndarray) -> np.ndarray:

@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import FLOAT_FORMAT, TOL_C, ConfigError, RunConfig, _built, _fmt, require_cells_fit
@@ -148,7 +147,7 @@ def _write_manifest(cfg: RunConfig, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     lines = [
         f"# chemocert {__version__} manifest (re-runnable config echo)",
-        f"# numpy {np.__version__}, scipy {scipy.__version__}",
+        f"# numpy {np.__version__}",
     ]
     lines += [f"{k} = {v}" for k, v in cfg.to_mapping().items()]
     (out / "manifest.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -548,8 +547,37 @@ def _by_bump(per_kind: dict[str, list[CertificateRecord]]) -> list[CertificateRe
 WALK_RING_SLOTS = 8
 
 
+# glibc's mallopt parameters (malloc.h), and the most its own dynamic rule
+# raises the mmap threshold to on a 64-bit system
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Under glibc, keep what this process frees for its next allocations.
+
+    A loop that allocates and frees the same temporaries on every pass, some
+    above glibc's 128 KiB mmap threshold, otherwise maps them afresh or sees
+    the heap's top handed back and regrown, and faults every page in again.
+    glibc raises both thresholds only once it frees a larger mapped block,
+    so whether it does depends on what ran before the fork. These are the
+    values that rule ends at. Elsewhere than glibc this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
 def _walk_ring(products: InstantProducts, ring: np.ndarray, conn) -> None:
     """The forked walker: for each slot index received, that instant's products."""
+    _keep_freed_heap()
     while (slot := _recv(conn)) is not None:
         _send(conn, products(*ring[slot]))
 

@@ -324,6 +324,18 @@ class TestCommandLine:
                            "refine": ["--config", "--out"],
                            "verify-identities": ["--out"]}
 
+    def test_import_loads_no_scipy(self):
+        # scipy is a test dependency only: its import alone would be about
+        # half of a run's peak memory
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = ("import sys\nimport chemocert.cli\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("command, text, builds", [
         ("simulate", SMALL_CFG, 1), ("sweep", SMALL_CFG, 1), ("certify", SMALL_CFG, 1),
         # each refine level is a config of its own, on its own grid

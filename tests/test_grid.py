@@ -20,7 +20,8 @@ from chemocert import (
     restrict_values,
     solve_diffusion,
 )
-from chemocert.grid import (_axis_slice, _neumann_eigenvalues, _pow, gradient_sq_from_faces,
+from chemocert.grid import (_axis_slice, _cosine_transform, _inverse_cosine_transform,
+                            _neumann_eigenvalues, _pow, gradient_sq_from_faces,
                             gradient_sq_values)
 
 
@@ -299,14 +300,38 @@ def test_calculus_reads_its_inputs_only(cells, lengths):
     face_bits = _bits(faces)
     assert gradient_sq_from_faces(grid, faces).tobytes() == squares.tobytes()
     solved = solve_diffusion(grid, values, 0.02)
-    expected = scipy.fft.idctn(scipy.fft.dctn(values, type=2, norm="ortho")
-                               / (1.0 + 0.02 * _neumann_eigenvalues(grid)),
-                               type=2, norm="ortho")
+    expected = _inverse_cosine_transform(
+        _cosine_transform(values) / (1.0 + 0.02 * _neumann_eigenvalues(grid)))
     assert solved.tobytes() == expected.tobytes()
     assert solved.flags.writeable
     assert values.tobytes() == kept.tobytes()
     assert _bits(faces) == face_bits
 
+
+def _cosine_oracle(values):
+    """scipy's unnormalized type-II DCT, halved and each axis's upper half negated."""
+    spectrum = scipy.fft.dctn(values, type=2) / 2 ** values.ndim
+    for a, n in enumerate(values.shape):
+        spectrum[_axis_slice(values.ndim, a, slice(n // 2 + 1, None))] *= -1.0
+    return spectrum
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (8,), (9, 1), (1, 9), (12, 7), (64, 64)])
+def test_cosine_pair_matches_scipy(shape):
+    # scipy.fft is the oracle here only: odd and even lengths, single cells
+    values = np.random.default_rng(5).standard_normal(shape)
+    values.setflags(write=False)
+    spectrum = _cosine_transform(values)
+    expected = _cosine_oracle(values)
+    assert np.abs(spectrum - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert (np.abs(_inverse_cosine_transform(spectrum) - values).max()
+            <= 1e-14 * np.abs(values).max())
+    grid = Grid(cells=shape, lengths=(1.0,) * len(shape))
+    expected = scipy.fft.idctn(scipy.fft.dctn(values, type=2, norm="ortho")
+                               / (1.0 + 0.02 * _neumann_eigenvalues(grid)),
+                               type=2, norm="ortho")
+    assert (np.abs(solve_diffusion(grid, values, 0.02) - expected).max()
+            <= 1e-14 * np.abs(expected).max())
 
 
 class TestRestriction:
